@@ -17,25 +17,17 @@ from .procedure import (
     plan_to_doc,
     run_procedure,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, SolverTimeout
 from .validation import validate
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_TIMEOUT = 3
 
 
 class InputError(Exception):
     pass
-
-
-def _thread_cap() -> int:
-    """Parallelism cap from AFFSCHED_THREADS (the engine runs sequentially,
-    which honors any cap)."""
-    try:
-        return max(1, int(os.environ.get("AFFSCHED_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_nest_file(path: str):
@@ -140,11 +132,7 @@ def cmd_solve(args) -> int:
     if not 0 <= args.spatial_dims < nest.max_depth:
         raise InputError(f"r must be < n: got r={args.spatial_dims}, n={nest.max_depth}")
     weights = _parse_weights(args.weight)
-    cfg = SolverConfig(
-        coeff_bound=args.bound,
-        time_limit=args.time_limit,
-        strategy=args.strategy,
-    )
+    cfg = SolverConfig(coeff_bound=args.bound, time_limit=args.time_limit)
     try:
         plan = run_procedure(
             nest,
@@ -157,6 +145,9 @@ def cmd_solve(args) -> int:
     except ProcedureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except SolverTimeout as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TIMEOUT
     report = comm_report(plan, nest)
     doc = plan_to_doc(plan)
     doc["comm_report"] = report
@@ -212,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--spatial-dims", type=int, default=1)
     p_solve.add_argument("--bound", type=int, default=2)
     p_solve.add_argument("--time-limit", type=float, default=None)
-    p_solve.add_argument(
-        "--strategy", choices=("branch-and-bound", "exhaustive"), default="branch-and-bound"
-    )
     p_solve.add_argument("--weight", action="append", metavar="FAMILY=VALUE")
     p_solve.add_argument("--guard-indep-drop", action="store_true")
     p_solve.add_argument("--first-index-contiguous", action="store_true")
@@ -239,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -24,11 +24,23 @@ from .constraints import (
     rank_witnesses,
 )
 from .nest import LoopNest, contains_point
-from .solver import InfeasibleError, SolverConfig, solve
+from .solver import InfeasibleError, SolverConfig, SolverTimeout, solve
 
 
 class ProcedureError(RuntimeError):
     pass
+
+
+# objective family (CLI and plan-file key) -> WeightConfig field, in
+# serialization order
+_FAMILY_FIELDS = (
+    ("legality", "legality"),
+    ("indep", "indep"),
+    ("align-F", "align_f_mat"),
+    ("align-G", "align_g_mat"),
+    ("align-f", "align_offset"),
+    ("space", "space"),
+)
 
 
 @dataclass(frozen=True)
@@ -42,19 +54,12 @@ class WeightConfig:
     align_offset: Fraction = Fraction(64)
     space: Fraction = Fraction(2)
 
-    OVERRIDE_KEYS = ("legality", "indep", "align-F", "align-G", "align-f", "space")
+    OVERRIDE_KEYS = tuple(fam for fam, _ in _FAMILY_FIELDS)
 
     @staticmethod
     def with_overrides(overrides: dict[str, Fraction] | None) -> "WeightConfig":
         kw = {}
-        mapping = {
-            "legality": "legality",
-            "indep": "indep",
-            "align-F": "align_f_mat",
-            "align-G": "align_g_mat",
-            "align-f": "align_offset",
-            "space": "space",
-        }
+        mapping = dict(_FAMILY_FIELDS)
         for key, val in (overrides or {}).items():
             if key not in mapping:
                 raise ValueError(f"unknown weight family {key!r}")
@@ -66,12 +71,8 @@ class WeightConfig:
 
     def to_doc(self) -> dict:
         return {
-            "legality": [self.legality.numerator, self.legality.denominator],
-            "indep": [self.indep.numerator, self.indep.denominator],
-            "align-F": [self.align_f_mat.numerator, self.align_f_mat.denominator],
-            "align-G": [self.align_g_mat.numerator, self.align_g_mat.denominator],
-            "align-f": [self.align_offset.numerator, self.align_offset.denominator],
-            "space": [self.space.numerator, self.space.denominator],
+            fam: [getattr(self, name).numerator, getattr(self, name).denominator]
+            for fam, name in _FAMILY_FIELDS
         }
 
     @staticmethod
@@ -239,6 +240,8 @@ def run_procedure(
                 f"recursion {xi} infeasible (active dependences {active_deps}, "
                 f"in-dependences {active_in_deps}): {exc}"
             ) from exc
+        except SolverTimeout as exc:
+            raise SolverTimeout(f"recursion {xi}: {exc}") from exc
         x = sol.x
 
         for s in nest.statements:

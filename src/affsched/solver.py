@@ -1,11 +1,17 @@
 """Exact minimization of one recursion's weighted slack objective.
 
-The search runs over integer coefficient vectors in a bounded box.  Rank
-growth is a disjunction (the new schedule row must have product >= 1 or
-<= -1 with a kernel witness), handled by branching over candidate witnesses
-and signs; inside a branch a depth-first branch-and-bound with interval
-bounds finds the optimum, with ties broken toward the lexicographically
-smallest coefficient vector.  No floating point anywhere.
+The search runs over integer coefficient vectors in a bounded box as one
+depth-first branch-and-bound with interval bounds on every column.  Rank
+growth is a disjunction: for each statement that must grow, the new schedule
+row needs sign * s~.x >= 1 for some kernel witness s and sign.  A statement's
+options are (w1, +1), (w1, -1), (w2, +1), ... in candidate order; the witness
+rows join the interval bookkeeping, and a node is cut as soon as some
+statement has no option left that can still be met.
+
+Solutions are ranked by one key: the objective, then per statement (in layout
+order) the index of its earliest satisfied option, then the coefficient
+vector lexicographically.  The reported witness of each statement is its
+earliest satisfied option.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,16 +19,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .algebra import IntVector
 from .constraints import ABS, GEQ0, ConstraintSystem
-
-BRANCH_AND_BOUND = "branch-and-bound"
-EXHAUSTIVE = "exhaustive"
-
-_EXHAUSTIVE_CAP = 10**7
 
 
 class InfeasibleError(RuntimeError):
@@ -37,13 +37,10 @@ class SolverTimeout(RuntimeError):
 class SolverConfig:
     coeff_bound: int = 2
     time_limit: float | None = None
-    strategy: str = BRANCH_AND_BOUND
 
     def __post_init__(self):
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
-        if self.strategy not in (BRANCH_AND_BOUND, EXHAUSTIVE):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -72,137 +69,100 @@ def _value_order(bound: int):
 
 
 class _Search:
-    """One witness branch: minimize over the box under linear constraints."""
+    """Minimize the ranking key over the box under linear constraints."""
 
-    def __init__(self, system: ConstraintSystem, used, cfg, scale, deadline):
-        self.used = used  # ordered global variable indices
-        self.pos = {g: i for i, g in enumerate(used)}
-        self.bound = cfg.coeff_bound
+    def __init__(self, system: ConstraintSystem, used, bound, scale, deadline):
         self.deadline = deadline
-        self.scale = scale
         self.nvars = len(used)
-        self.values = _value_order(self.bound)
-        # per-column data over used variables only
-        self.senses = []
-        self.weights = []  # integer weights (Fraction * scale)
-        self.coeff_lists = []  # list of (position, coeff)
-        for col in system.columns:
-            self.senses.append(col.sense)
-            self.weights.append(int(col.weight * scale))
-            self.coeff_lists.append(
-                [(self.pos[g], col.coeffs[g]) for g in used if col.coeffs[g]]
-            )
-        self.base_ncols = len(self.senses)
-        self.nodes = 0
-
-    def add_witness_rows(self, rows):
-        del self.senses[self.base_ncols:]
-        del self.weights[self.base_ncols:]
-        del self.coeff_lists[self.base_ncols:]
-        for row in rows:
-            self.senses.append("geq1")
-            self.weights.append(0)
-            self.coeff_lists.append([(self.pos[g], row[g]) for g in used_of(row, self.used)])
-
-    def _prepare(self):
-        ncols = len(self.senses)
-        # rest[c][k]: max |contribution| of variables k.. to column c
+        self.values = _value_order(bound)
+        self.senses = [col.sense for col in system.columns]
+        self.weights = [int(col.weight * scale) for col in system.columns]
+        rows = [col.coeffs for col in system.columns]
+        # statements with witnesses, in layout order, and their witness rows
+        self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
+        self.witness_rows = []
+        for sid in self.statements:
+            cands = system.witnesses[sid]
+            self.witness_rows.append(range(len(rows), len(rows) + len(cands)))
+            rows.extend(w.s_tilde for w in cands)
+        # rest[r][k]: max |contribution| of variables k.. to row r
         self.rest = []
-        for cl in self.coeff_lists:
+        self.by_pos = [[] for _ in used]
+        for ri, row in enumerate(rows):
             arr = [0] * (self.nvars + 1)
-            for p, c in cl:
-                arr[p] += abs(c) * self.bound
+            for k, g in enumerate(used):
+                if row[g]:
+                    arr[k] = abs(row[g]) * bound
+                    self.by_pos[k].append((ri, row[g]))
             for k in range(self.nvars - 1, -1, -1):
                 arr[k] += arr[k + 1]
             self.rest.append(arr)
-        # per-position updates
-        self.by_pos = [[] for _ in range(self.nvars)]
-        for ci, cl in enumerate(self.coeff_lists):
-            for p, c in cl:
-                self.by_pos[p].append((ci, c))
-        self.partial = [0] * ncols
+        self.partial = [0] * len(rows)
         self.assign = [0] * self.nvars
-        self.best_obj = None
+        self.nodes = 0
+        self.best_key = None  # (objective, options) of the incumbent
         self.best_x = None
 
-    _FOREIGN = object()  # incumbent objective from another branch; ties lose
-
-    def run(self, incumbent_obj=None):
-        """Returns (objective int, assignment tuple) or (None, None)."""
-        self._prepare()
-        if incumbent_obj is not None:
-            self.best_obj = incumbent_obj
-            self.best_x = self._FOREIGN
-        self._dfs(0)
-        if self.best_x is self._FOREIGN:
-            return None, None
-        return self.best_obj, self.best_x
-
-    def _bound_and_check(self, k):
+    def _bound(self, k):
+        """(objective lower bound, earliest reachable option per statement)
+        over completions of the first k variables, or None if none is feasible."""
         lb = 0
-        for ci in range(len(self.senses)):
-            p = self.partial[ci]
-            spread = self.rest[ci][k]
+        partial, rest = self.partial, self.rest
+        for ci, sense in enumerate(self.senses):
+            p = partial[ci]
+            spread = rest[ci][k]
             lo, hi = p - spread, p + spread
-            sense = self.senses[ci]
             if sense == GEQ0:
                 if hi < 0:
                     return None
-                contrib = lo if lo > 0 else 0
-            elif sense == "geq1":
-                if hi < 1:
-                    return None
-                contrib = 0
-            else:  # ABS
-                contrib = max(lo, -hi, 0)
-            if contrib:
-                lb += self.weights[ci] * contrib
-        return lb
+                if lo > 0:
+                    lb += self.weights[ci] * lo
+            elif lo > 0:
+                lb += self.weights[ci] * lo
+            elif hi < 0:
+                lb -= self.weights[ci] * hi
+        options = []
+        for rows in self.witness_rows:
+            for j, ri in enumerate(rows):
+                p = partial[ri]
+                spread = rest[ri][k]
+                if p + spread >= 1:
+                    options.append(2 * j)
+                    break
+                if p - spread <= -1:
+                    options.append(2 * j + 1)
+                    break
+            else:
+                return None
+        return lb, tuple(options)
 
-    def _dfs(self, k):
+    def dfs(self, k=0):
         self.nodes += 1
         if self.deadline is not None and self.nodes % 1024 == 0:
             if time.monotonic() > self.deadline:
-                raise SolverTimeout("solver time limit exceeded")
-        lb = self._bound_and_check(k)
-        if lb is None:
+                raise SolverTimeout(f"solver time limit exceeded after {self.nodes} nodes")
+        key = self._bound(k)
+        if key is None:
             return
-        if self.best_obj is not None:
-            if lb > self.best_obj:
+        if self.best_key is not None:
+            if key > self.best_key:
                 return
-            if lb == self.best_obj:
-                if self.best_x is self._FOREIGN:
-                    return  # a tie cannot displace another branch's optimum
-                # only lexicographically smaller completions can still win
-                for i in range(k):
-                    if self.assign[i] != self.best_x[i]:
-                        if self.assign[i] > self.best_x[i]:
-                            return
-                        break
+            # on a tie only lexicographically smaller completions can still win
+            if key == self.best_key and tuple(self.assign[:k]) > self.best_x[:k]:
+                return
         if k == self.nvars:
-            x = tuple(self.assign)
-            if (
-                self.best_obj is None
-                or lb < self.best_obj
-                or (self.best_x is not self._FOREIGN and x < self.best_x)
-            ):
-                self.best_obj = lb
-                self.best_x = x
+            self.best_key, self.best_x = key, tuple(self.assign)
             return
         for v in self.values:
             self.assign[k] = v
             if v:
-                for ci, c in self.by_pos[k]:
-                    self.partial[ci] += c * v
-            self._dfs(k + 1)
+                for ri, c in self.by_pos[k]:
+                    self.partial[ri] += c * v
+            self.dfs(k + 1)
             if v:
-                for ci, c in self.by_pos[k]:
-                    self.partial[ci] -= c * v
+                for ri, c in self.by_pos[k]:
+                    self.partial[ri] -= c * v
         self.assign[k] = 0
-
-
-def used_of(coeffs, used):
-    return [g for g in used if coeffs[g]]
 
 
 def _used_variables(system: ConstraintSystem):
@@ -224,136 +184,37 @@ def _weight_scale(system: ConstraintSystem) -> int:
     return lcm(*denoms) if denoms else 1
 
 
-def _witness_branches(system: ConstraintSystem):
-    """All (statement -> (witness, sign)) choices in preference order."""
-    sids = [s for s in system.layout.statement_ids if s in system.witnesses]
-    options = []
-    for sid in sids:
-        opts = []
-        for w in system.witnesses[sid]:
-            opts.append((w, 1))
-            opts.append((w, -1))
-        options.append(opts)
-    if not sids:
-        return [dict()]
-    return [dict(zip(sids, combo)) for combo in product(*options)]
-
-
-def _expand(x_used, used, size):
-    full = [0] * size
-    for g, v in zip(used, x_used):
-        full[g] = v
-    return tuple(full)
-
-
 def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution:
     """Minimize the weighted slack objective over the bounded integer box.
 
-    Variables appearing in no column and no witness are pinned to zero.
-    Branches over witness candidates and signs; on objective ties the branch
-    tried first wins (positive sign preferred), and within a branch the
-    lexicographically smallest optimal vector is returned.
+    Variables appearing in no column and no witness are pinned to zero.  On
+    objective ties the earliest satisfied witness options win (positive sign
+    preferred), then the lexicographically smallest vector.
     """
     cfg = cfg or SolverConfig()
     used = _used_variables(system)
     scale = _weight_scale(system)
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
-    if cfg.strategy == EXHAUSTIVE:
-        return _solve_exhaustive(system, cfg, used, scale)
-
-    search = _Search(system, used, cfg, scale, deadline)
-    best = None  # (obj, x_used, branch)
-    for branch in _witness_branches(system):
-        rows = [
-            tuple(sign * c for c in w.s_tilde) for (w, sign) in branch.values()
-        ]
-        search.add_witness_rows(rows)
-        # strict-improvement seed: forces this branch to beat the best so far
-        obj, x = search.run(None if best is None else best[0])
-        if x is not None and (best is None or obj < best[0]):
-            best = (obj, x, branch)
-    if best is None:
+    search = _Search(system, used, cfg.coeff_bound, scale, deadline)
+    search.dfs()
+    if search.best_key is None:
         raise InfeasibleError(
             f"no feasible coefficients with entries in [-{cfg.coeff_bound}, "
             f"{cfg.coeff_bound}]; consider raising the bound"
         )
-    obj, x_used, branch = best
-    full = _expand(x_used, used, system.layout.size)
+    obj, options = search.best_key
+    full = [0] * system.layout.size
+    for g, v in zip(used, search.best_x):
+        full[g] = v
+    full = tuple(full)
     return Solution(
         x=full,
         objective=Fraction(obj, scale),
         slacks={col.label: col.slack(full) for col in system.columns},
-        witness_used={sid: (w.s, sign) for sid, (w, sign) in branch.items()},
-    )
-
-
-def _solve_exhaustive(system, cfg, used, scale) -> Solution:
-    nvals = 2 * cfg.coeff_bound + 1
-    if nvals ** len(used) > _EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"exhaustive search over {len(used)} variables at bound "
-            f"{cfg.coeff_bound} exceeds the candidate cap"
-        )
-    layout = system.layout
-    cols = [
-        (col.sense, int(col.weight * scale), [(g, col.coeffs[g]) for g in used if col.coeffs[g]])
-        for col in system.columns
-    ]
-    wit = []
-    for sid in layout.statement_ids:
-        if sid in system.witnesses:
-            cands = []
-            for w in system.witnesses[sid]:
-                for sign in (1, -1):
-                    cands.append((w, sign, [(g, sign * w.s_tilde[g]) for g in used if w.s_tilde[g]]))
-            wit.append((sid, cands))
-    pos = {g: i for i, g in enumerate(used)}
-    best = None
-    rng = range(-cfg.coeff_bound, cfg.coeff_bound + 1)
-    for x in product(rng, repeat=len(used)):
-        obj = 0
-        ok = True
-        for sense, w, cl in cols:
-            v = sum(c * x[pos[g]] for g, c in cl)
-            if sense == GEQ0:
-                if v < 0:
-                    ok = False
-                    break
-                obj += w * v
-            else:
-                obj += w * abs(v)
-            if best is not None and obj > best[0]:
-                ok = False
-                break
-        if not ok:
-            continue
-        chosen = {}
-        for sid, cands in wit:
-            pick = None
-            for w, sign, cl in cands:
-                if sum(c * x[pos[g]] for g, c in cl) >= 1:
-                    pick = (w.s, sign)
-                    break
-            if pick is None:
-                ok = False
-                break
-            chosen[sid] = pick
-        if not ok:
-            continue
-        if best is None or obj < best[0]:
-            best = (obj, x, chosen)
-    if best is None:
-        raise InfeasibleError(
-            f"no feasible coefficients with entries in [-{cfg.coeff_bound}, "
-            f"{cfg.coeff_bound}]; consider raising the bound"
-        )
-    obj, x_used, chosen = best
-    full = _expand(x_used, used, layout.size)
-    return Solution(
-        x=full,
-        objective=Fraction(obj, scale),
-        slacks={col.label: col.slack(full) for col in system.columns},
-        witness_used=chosen,
+        witness_used={
+            sid: (system.witnesses[sid][o // 2].s, -1 if o % 2 else 1)
+            for sid, o in zip(search.statements, options)
+        },
     )
 
 

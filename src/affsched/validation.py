@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import EQUAL, IntMatrix, IntVector, LESS, lex_compare, rank
 from .comm import comm_report, detect_broadcast
-from .constraints import ABS, ExtendedLayout, GEQ0
+from .constraints import ABS, GEQ0, ConstraintSystem, ExtendedLayout
 from .nest import LoopNest, contains_point, enumerate_domain
 from .procedure import (
     TransformPlan,
@@ -268,12 +268,17 @@ def brute_force_best_alignment(
     weights: WeightConfig | None = None,
     last_index_contiguous: bool = True,
 ) -> Fraction:
-    """Exhaustive minimum of the recursion-1 objective over the coefficient box.
+    """Exhaustive minimum of the recursion-1 objective over the coefficient box."""
+    system = first_recursion_system(nest, r_space, weights, last_index_contiguous)
+    return brute_force_minimum(system, bound)
+
+
+def brute_force_minimum(system: ConstraintSystem, bound: int = 1) -> Fraction:
+    """Exhaustive minimum of a system's objective over the coefficient box.
 
     Enumerates every assignment of the full extended vector (no pruning, no
     shared search code with the solver), so it certifies solver optimality.
     """
-    system = first_recursion_system(nest, r_space, weights, last_index_contiguous)
     m = system.layout.size
     if m > ORACLE_MAX_VARS:
         raise ValueError(f"oracle cap exceeded: extended vector has {m} > {ORACLE_MAX_VARS} entries")

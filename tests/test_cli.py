@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from affsched.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from affsched.cli import EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, EXIT_VIOLATION, main
 from conftest import FIXTURE_DIR
 
 
@@ -75,15 +75,10 @@ class TestSolve:
         )
         assert rc == EXIT_INPUT
 
-    def test_exhaustive_strategy_small_nest(self, tmp_path):
-        out = tmp_path / "p.json"
-        rc = main(
-            ["solve", "--input", fixture_path("chain"), "--spatial-dims", "0",
-             "--strategy", "exhaustive", "--bound", "1", "--out", str(out)]
-        )
-        assert rc == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert doc["diagnostics"][0]["objective"] == [2, 1]
+    def test_time_limit_exit_code(self, capsys):
+        rc = main(["solve", "--input", fixture_path("matmul"), "--time-limit", "1e-9"])
+        assert rc == EXIT_TIMEOUT
+        assert "recursion 1" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -150,12 +145,3 @@ class TestReport:
         assert doc["exchanges"][0]["access"] == ["B", "S1", 1]
         assert "broadcast eligible" in capsys.readouterr().out
 
-
-class TestEnvironment:
-    def test_thread_cap_parses(self, monkeypatch):
-        from affsched.cli import _thread_cap
-
-        monkeypatch.setenv("AFFSCHED_THREADS", "4")
-        assert _thread_cap() == 4
-        monkeypatch.setenv("AFFSCHED_THREADS", "junk")
-        assert _thread_cap() == 1

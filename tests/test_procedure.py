@@ -58,6 +58,22 @@ class TestFrozenPlans:
         assert plan.arrays["B"].placement.rows == ((0, 0),)
         assert [d.objective for d in plan.diagnostics] == [98, 8, 32]
 
+    def test_chain23(self):
+        # two depth-3 statements: pins which witness/sign choice wins a tie
+        # across statements
+        plan = fixture_plan("chain23", 1)
+        for sid in ("S1", "S2"):
+            assert plan.statements[sid].schedule.rows == (
+                (-2, 1, 0), (-2, 2, 0), (-2, -2, 1)
+            )
+        for aid in ("A0", "A1", "A2"):
+            assert plan.arrays[aid].placement.rows == ((-2, 1, 0),)
+        assert [d.objective for d in plan.diagnostics] == [0, 0, 0]
+        assert [d.witnesses for d in plan.diagnostics] == [
+            {sid: (s, 1) for sid in ("S1", "S2")}
+            for s in ((0, 1, 0), (1, 2, 0), (0, 0, 1))
+        ]
+
     def test_determinism(self):
         a = plan_to_doc(run_procedure(fixture_nest("matmul"), r_space=1))
         b = plan_to_doc(run_procedure(fixture_nest("matmul"), r_space=1))

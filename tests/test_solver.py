@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from affsched import procedure
 from affsched.algebra import IntVector
 from affsched.constraints import (
     ABS,
@@ -20,7 +21,7 @@ from affsched.solver import (
     solve,
     verify,
 )
-from affsched.validation import first_recursion_system
+from affsched.validation import brute_force_minimum, first_recursion_system
 from conftest import fixture_nest
 
 
@@ -79,15 +80,25 @@ class TestExhaustiveEquivalence:
     @pytest.mark.parametrize("name,r", [("vecadd", 0), ("chain", 0), ("stencil", 1)])
     def test_same_objective(self, name, r):
         system = first_recursion_system(fixture_nest(name), r_space=r)
-        bb = solve(system, SolverConfig(coeff_bound=1))
-        ex = solve(system, SolverConfig(coeff_bound=1, strategy="exhaustive"))
-        assert bb.objective == ex.objective
-        assert verify(ex, system).ok
+        sol = solve(system, SolverConfig(coeff_bound=1))
+        assert sol.objective == brute_force_minimum(system, bound=1)
+        assert verify(sol, system).ok
 
-    def test_exhaustive_cap(self):
-        system = first_recursion_system(fixture_nest("matmul"), r_space=1)
-        with pytest.raises(ValueError, match="cap"):
-            solve(system, SolverConfig(coeff_bound=2, strategy="exhaustive"))
+    def test_later_recursion(self, monkeypatch):
+        # stencil r=1, recursion 2: the dependences strictly satisfied by the
+        # spatial row are dropped and the witness comes from its kernel
+        systems = []
+
+        def recording_solve(system, cfg=None):
+            systems.append(system)
+            return solve(system, cfg)
+
+        monkeypatch.setattr(procedure, "solve", recording_solve)
+        procedure.run_procedure(fixture_nest("stencil"), r_space=1)
+        system = systems[1]
+        sol = solve(system, SolverConfig(coeff_bound=1))
+        assert sol.objective == brute_force_minimum(system, bound=1)
+        assert verify(sol, system).ok
 
 
 class TestConstructedSystems:
@@ -182,10 +193,6 @@ class TestConfig:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             SolverConfig(coeff_bound=0)
-
-    def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            SolverConfig(strategy="guess")
 
     def test_time_limit(self):
         system = first_recursion_system(fixture_nest("matmul"), r_space=1)
