@@ -155,11 +155,10 @@ class IntMatrix:
         return IntMatrix(((0,) * ncols,) * nrows, ncols)
 
     @staticmethod
-    def from_rows(vectors) -> "IntMatrix":
-        vectors = list(vectors)
-        if not vectors:
-            return IntMatrix((), 0)
-        return IntMatrix(tuple(tuple(v) for v in vectors))
+    def from_rows(vectors, ncols: int = 0) -> "IntMatrix":
+        """Matrix with the given rows; `ncols` is the width when there are none."""
+        rows = tuple(tuple(v) for v in vectors)
+        return IntMatrix(rows, None if rows else ncols)
 
 
 def lex_compare(a, b) -> int:

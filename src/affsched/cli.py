@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .comm import comm_report
-from .nest import EnumerationError, NestError, load_nest
+from .nest import DEFAULT_ENUM_CAP, EnumerationError, NestError, load_nest
 from .procedure import (
     ProcedureError,
     WeightConfig,
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--input", required=True)
     p_val.add_argument("--plan", required=True)
     p_val.add_argument("--params", action="append", metavar="NAME=VALUE[,...]")
-    p_val.add_argument("--cap", type=int, default=10**6)
+    p_val.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p_val.add_argument("--out", default=None)
     p_val.set_defaults(func=cmd_validate)
 

@@ -9,7 +9,7 @@ integer column so the solver and the diagnostics can evaluate it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
@@ -30,13 +30,37 @@ FAMILIES = (
 
 @dataclass(frozen=True)
 class ExtendedLayout:
-    """Offset map for the blocks of the extended coefficient vector."""
+    """Offset map for the blocks of the extended coefficient vector.
+
+    The blocks are laid out once, in `__post_init__`, as `spans`: a table
+    from (kind, id) to the half-open range the block occupies.  Kinds are
+    `tau`, `b` and `a` per statement, `eta`, `z` and `y` per array.
+    """
 
     statement_ids: tuple[str, ...]
     array_ids: tuple[str, ...]
     depths: tuple[int, ...]
     array_dims: tuple[int, ...]
     n_params: int
+    size: int = field(init=False)
+    spans: dict = field(init=False, repr=False, compare=False)  # (kind, id) -> range
+
+    def __post_init__(self):
+        spans = {}
+        stop = 0
+        for kind, ids, widths in (
+            ("tau", self.statement_ids, self.depths),
+            ("eta", self.array_ids, self.array_dims),
+            ("b", self.statement_ids, [self.n_params] * len(self.statement_ids)),
+            ("z", self.array_ids, [self.n_params] * len(self.array_ids)),
+            ("a", self.statement_ids, [1] * len(self.statement_ids)),
+            ("y", self.array_ids, [1] * len(self.array_ids)),
+        ):
+            for key, width in zip(ids, widths):
+                spans[kind, key] = (stop, stop + width)
+                stop += width
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "size", stop)
 
     @staticmethod
     def for_nest(nest: LoopNest) -> "ExtendedLayout":
@@ -48,64 +72,40 @@ class ExtendedLayout:
             nest.outer_vars.count,
         )
 
-    def _stmt_index(self, sid: str) -> int:
-        return self.statement_ids.index(sid)
-
-    def _array_index(self, aid: str) -> int:
-        return self.array_ids.index(aid)
-
     def tau_offset(self, sid: str) -> int:
-        i = self._stmt_index(sid)
-        return sum(self.depths[:i])
+        return self.spans["tau", sid][0]
 
     def eta_offset(self, aid: str) -> int:
-        i = self._array_index(aid)
-        return sum(self.depths) + sum(self.array_dims[:i])
+        return self.spans["eta", aid][0]
 
     def b_offset(self, sid: str) -> int:
-        base = sum(self.depths) + sum(self.array_dims)
-        return base + self._stmt_index(sid) * self.n_params
+        return self.spans["b", sid][0]
 
     def z_offset(self, aid: str) -> int:
-        base = sum(self.depths) + sum(self.array_dims) + len(self.depths) * self.n_params
-        return base + self._array_index(aid) * self.n_params
+        return self.spans["z", aid][0]
 
     def a_offset(self, sid: str) -> int:
-        base = (
-            sum(self.depths)
-            + sum(self.array_dims)
-            + (len(self.depths) + len(self.array_dims)) * self.n_params
-        )
-        return base + self._stmt_index(sid)
+        return self.spans["a", sid][0]
 
     def y_offset(self, aid: str) -> int:
-        return self.a_offset(self.statement_ids[-1]) + 1 + self._array_index(aid)
+        return self.spans["y", aid][0]
 
-    @property
-    def size(self) -> int:
-        return (
-            sum(self.depths)
-            + sum(self.array_dims)
-            + (len(self.depths) + len(self.array_dims)) * self.n_params
-            + len(self.depths)
-            + len(self.array_ids)
-        )
+    def block(self, x, kind: str, key: str) -> IntVector:
+        """The entries of one block of the vector `x`."""
+        start, stop = self.spans[kind, key]
+        return IntVector(x[start:stop])
 
     def tau_block(self, x, sid: str) -> IntVector:
-        off = self.tau_offset(sid)
-        return IntVector(x[off: off + self.depths[self._stmt_index(sid)]])
+        return self.block(x, "tau", sid)
 
     def eta_block(self, x, aid: str) -> IntVector:
-        off = self.eta_offset(aid)
-        return IntVector(x[off: off + self.array_dims[self._array_index(aid)]])
+        return self.block(x, "eta", aid)
 
     def b_block(self, x, sid: str) -> IntVector:
-        off = self.b_offset(sid)
-        return IntVector(x[off: off + self.n_params])
+        return self.block(x, "b", sid)
 
     def z_block(self, x, aid: str) -> IntVector:
-        off = self.z_offset(aid)
-        return IntVector(x[off: off + self.n_params])
+        return self.block(x, "z", aid)
 
     def a_value(self, x, sid: str) -> int:
         return x[self.a_offset(sid)]
@@ -252,33 +252,56 @@ def locality_kernel(acc: Access, last_index_contiguous: bool = True) -> list[Int
     return integer_kernel_basis(truncated_access_matrix(acc, last_index_contiguous))
 
 
+def locality_target(
+    acc: Access, nest: LoopNest, last_index_contiguous: bool = True
+) -> int | None:
+    """Rank the row-confined schedule rows of an access must reach, or None.
+
+    The one row-locality rule: a 2+-dimensional array whose truncated access
+    matrix has rank strictly between 0 (one row whatever the schedule) and
+    the statement depth (never confined).
+    """
+    if nest.array(acc.array).dim < 2:
+        return None
+    target = rank(truncated_access_matrix(acc, last_index_contiguous))
+    return target if 0 < target < nest.statement(acc.statement).depth else None
+
+
+def locality_depth(rows, kernel, target: int) -> int | None:
+    """Level (1-based) at which the rows constant along `kernel` reach rank `target`.
+
+    None if they never do.
+    """
+    kept = []
+    for level, tau in enumerate(rows, 1):
+        if all(sum(t * d for t, d in zip(tau, u)) == 0 for u in kernel):
+            kept.append(tau)
+            if rank(IntMatrix.from_rows(kept)) == target:
+                return level
+    return None
+
+
 def build_space_locality_columns(
     acc: Access,
     nest: LoopNest,
     layout: ExtendedLayout,
     weight: Fraction = Fraction(1),
     last_index_contiguous: bool = True,
-) -> tuple[list[ConstraintColumn], int]:
-    """Row-locality columns for one access, plus the truncated-matrix rank.
+) -> list[ConstraintColumn]:
+    """Row-locality columns for one access, one per locality kernel vector.
 
-    A 1-dimensional array is a single row, so such accesses contribute
-    nothing; likewise accesses whose truncated matrix already has full rank.
+    Accesses without a `locality_target` contribute nothing.
     """
-    if nest.array(acc.array).dim < 2:
-        return [], 0
-    trunc = truncated_access_matrix(acc, last_index_contiguous)
-    r_access = rank(trunc)
-    stmt = nest.statement(acc.statement)
-    if r_access == stmt.depth:
-        return [], r_access
+    if locality_target(acc, nest, last_index_contiguous) is None:
+        return []
     group = ("acc", acc.key)
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     cols = []
-    for g, d in enumerate(integer_kernel_basis(trunc)):
+    for g, d in enumerate(locality_kernel(acc, last_index_contiguous)):
         cb = _ColumnBuilder(layout)
         cb.add(layout.tau_offset(acc.statement), d)
         cols.append(cb.build(ABS, "space-loc", group, f"space.{tag}.{g}", weight))
-    return cols, r_access
+    return cols
 
 
 def rank_witnesses(
@@ -294,19 +317,14 @@ def rank_witnesses(
     """
     out: dict[str, list[RankWitness]] = {}
     for sid in l_set:
-        depth = layout.depths[layout.statement_ids.index(sid)]
-        prev = IntMatrix.from_rows(accumulated_rows.get(sid, []))
-        if prev.nrows == 0:
-            prev = IntMatrix((), depth)
-        basis = integer_kernel_basis(prev)
+        start, stop = layout.spans["tau", sid]
+        basis = integer_kernel_basis(
+            IntMatrix.from_rows(accumulated_rows.get(sid, []), stop - start)
+        )
         if not basis:
             raise ValueError(f"statement {sid!r}: accumulated rows already have full rank")
-        cands = []
-        for s in basis:
-            s_tilde = [0] * layout.size
-            off = layout.tau_offset(sid)
-            for i, v in enumerate(s):
-                s_tilde[off + i] = v
-            cands.append(RankWitness(sid, s, tuple(s_tilde)))
-        out[sid] = cands
+        out[sid] = [
+            RankWitness(sid, s, (0,) * start + tuple(s) + (0,) * (layout.size - stop))
+            for s in basis
+        ]
     return out

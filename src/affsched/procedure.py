@@ -20,7 +20,9 @@ from .constraints import (
     build_alignment_columns,
     build_legality_columns,
     build_space_locality_columns,
+    locality_depth,
     locality_kernel,
+    locality_target,
     rank_witnesses,
 )
 from .nest import LoopNest, contains_point
@@ -126,17 +128,20 @@ class TransformPlan:
 def build_recursion_system(
     nest: LoopNest,
     layout: ExtendedLayout,
-    xi: int,
+    xs,
     r_space: int,
     weights: WeightConfig,
     active_deps,
     active_in_deps,
     active_space,
-    l_set,
-    accumulated_rows,
     last_index_contiguous: bool = True,
 ) -> ConstraintSystem:
-    """Assemble the optimization system of one recursion from the active sets."""
+    """Assemble the optimization system of recursion len(xs) + 1.
+
+    `xs` holds the solution vectors of the earlier recursions; the rank
+    witnesses come from the schedule rows read off them.
+    """
+    xi = len(xs) + 1
     columns = []
     for i in active_deps:
         columns.extend(
@@ -160,24 +165,35 @@ def build_recursion_system(
             )
     for acc in nest.accesses:
         if acc.key in active_space:
-            cols, _ = build_space_locality_columns(
-                acc, nest, layout, weights.space, last_index_contiguous
+            columns.extend(
+                build_space_locality_columns(
+                    acc, nest, layout, weights.space, last_index_contiguous
+                )
             )
-            columns.extend(cols)
-    witnesses = rank_witnesses(accumulated_rows, l_set, layout)
-    return ConstraintSystem(layout, columns, witnesses)
+    accumulated = {s.id: [layout.tau_block(x, s.id) for x in xs] for s in nest.statements}
+    levels_left = nest.max_depth - len(xs)
+    l_set = [
+        s.id
+        for s in nest.statements
+        if s.depth - rank(IntMatrix.from_rows(accumulated[s.id], s.depth)) == levels_left
+    ]
+    return ConstraintSystem(layout, columns, rank_witnesses(accumulated, l_set, layout))
 
 
-def _space_candidates(nest: LoopNest, last_index_contiguous: bool):
-    """Accesses that carry row-locality columns, with their target ranks."""
-    out = {}
+def initial_sets(nest: LoopNest, last_index_contiguous: bool = True):
+    """The bookkeeping sets before the first recursion.
+
+    Returns the non-`in` dependences, the `in` dependences, and for every
+    access with a row-locality target its (target rank, locality kernel).
+    """
+    active_deps = [i for i, d in enumerate(nest.dependences) if d.kind != "in"]
+    active_in_deps = [i for i, d in enumerate(nest.dependences) if d.kind == "in"]
+    space = {}
     for acc in nest.accesses:
-        layout_dummy_cols, r_access = build_space_locality_columns(
-            acc, nest, ExtendedLayout.for_nest(nest), Fraction(1), last_index_contiguous
-        )
-        if layout_dummy_cols:
-            out[acc.key] = r_access
-    return out
+        target = locality_target(acc, nest, last_index_contiguous)
+        if target is not None:
+            space[acc.key] = (target, locality_kernel(acc, last_index_contiguous))
+    return active_deps, active_in_deps, space
 
 
 def run_procedure(
@@ -188,7 +204,12 @@ def run_procedure(
     guard_indep_drop: bool = False,
     last_index_contiguous: bool = True,
 ) -> TransformPlan:
-    """Execute all recursions and assemble the transform plan."""
+    """Execute all recursions and assemble the transform plan.
+
+    The solution vector of each recursion is the one record kept: every
+    schedule row, placement row and accumulated rank is read off `xs`
+    through the layout.
+    """
     n = nest.max_depth
     if not 0 <= r_space < n:
         raise ProcedureError(f"spatial dimension count must satisfy 0 <= r < {n}")
@@ -196,41 +217,26 @@ def run_procedure(
     solver_cfg = solver_cfg or SolverConfig()
     layout = ExtendedLayout.for_nest(nest)
 
-    active_deps = [i for i, d in enumerate(nest.dependences) if d.kind != "in"]
-    active_in_deps = [i for i, d in enumerate(nest.dependences) if d.kind == "in"]
-    space_targets = _space_candidates(nest, last_index_contiguous)
-    active_space = set(space_targets)
-    space_rows: dict[tuple, list[IntVector]] = {key: [] for key in space_targets}
-    accumulated: dict[str, list[IntVector]] = {s.id: [] for s in nest.statements}
+    active_deps, active_in_deps, space = initial_sets(nest, last_index_contiguous)
+    active_space = set(space)
+    xs: list[tuple[int, ...]] = []
 
-    sched_rows = {s.id: [] for s in nest.statements}
-    param_rows = {s.id: [] for s in nest.statements}
-    const_terms = {s.id: [] for s in nest.statements}
-    place_rows = {a.id: [] for a in nest.arrays}
-    place_param = {a.id: [] for a in nest.arrays}
-    place_const = {a.id: [] for a in nest.arrays}
+    def rows(kind, key, upto=None):
+        return [layout.block(x, kind, key) for x in xs[:upto]]
 
     diagnostics = []
     ever_positive: dict[int, bool] = {i: False for i in active_deps}
 
     for xi in range(1, n + 1):
-        l_set = [
-            s.id
-            for s in nest.statements
-            if n - xi + 1 == s.depth - rank(IntMatrix.from_rows(accumulated[s.id])
-                                           if accumulated[s.id] else IntMatrix((), s.depth))
-        ]
         system = build_recursion_system(
             nest,
             layout,
-            xi,
+            xs,
             r_space,
             weights,
             active_deps,
             active_in_deps,
             active_space,
-            l_set,
-            accumulated,
             last_index_contiguous,
         )
         try:
@@ -243,16 +249,7 @@ def run_procedure(
         except SolverTimeout as exc:
             raise SolverTimeout(f"recursion {xi}: {exc}") from exc
         x = sol.x
-
-        for s in nest.statements:
-            sched_rows[s.id].append(layout.tau_block(x, s.id))
-            param_rows[s.id].append(layout.b_block(x, s.id))
-            const_terms[s.id].append(layout.a_value(x, s.id))
-        if xi <= r_space:
-            for a in nest.arrays:
-                place_rows[a.id].append(layout.eta_block(x, a.id))
-                place_param[a.id].append(layout.z_block(x, a.id))
-                place_const[a.id].append(layout.y_value(x, a.id))
+        xs.append(x)
 
         by_group: dict[tuple, list] = {}
         for col in system.columns:
@@ -278,22 +275,11 @@ def run_procedure(
                 active_in_deps.remove(i)
                 dropped_in.append(i)
 
-        for acc in nest.accesses:
-            if acc.key not in space_targets:
-                continue
-            tau = layout.tau_block(x, acc.statement)
-            kern = locality_kernel(acc, last_index_contiguous)
-            if all(tau.dot(d) == 0 for d in kern):
-                space_rows[acc.key].append(tau)
         active_space = {
             key
-            for key, target in space_targets.items()
-            if rank(IntMatrix.from_rows(space_rows[key])
-                    if space_rows[key] else IntMatrix((), 1)) < target
+            for key, (target, kernel) in space.items()
+            if locality_depth(rows("tau", nest.access(key).statement), kernel, target) is None
         }
-
-        for s in nest.statements:
-            accumulated[s.id].append(layout.tau_block(x, s.id))
 
         diagnostics.append(
             RecursionDiagnostics(
@@ -311,25 +297,24 @@ def run_procedure(
             )
         )
 
+    e = nest.outer_vars.count
     statements = {}
     for s in nest.statements:
-        t_mat = IntMatrix.from_rows(sched_rows[s.id])
+        t_mat = IntMatrix.from_rows(rows("tau", s.id))
         if rank(t_mat) != s.depth:
             raise ProcedureError(
                 f"statement {s.id!r}: final schedule rank {rank(t_mat)} < depth {s.depth}"
             )
         statements[s.id] = StatementTransform(
             t_mat,
-            IntMatrix.from_rows(param_rows[s.id]),
-            IntVector(const_terms[s.id]),
+            IntMatrix.from_rows(rows("b", s.id), e),
+            IntVector(layout.a_value(x, s.id) for x in xs),
         )
     arrays = {
         a.id: ArrayAllocation(
-            IntMatrix.from_rows(place_rows[a.id]) if place_rows[a.id] else IntMatrix((), a.dim),
-            IntMatrix.from_rows(place_param[a.id])
-            if place_param[a.id]
-            else IntMatrix((), nest.outer_vars.count),
-            IntVector(place_const[a.id]),
+            IntMatrix.from_rows(rows("eta", a.id, r_space), a.dim),
+            IntMatrix.from_rows(rows("z", a.id, r_space), e),
+            IntVector(layout.y_value(x, a.id) for x in xs[:r_space]),
         )
         for a in nest.arrays
     }
@@ -428,8 +413,8 @@ def plan_from_doc(doc: dict) -> TransformPlan:
     }
     arrays = {
         aid: ArrayAllocation(
-            IntMatrix(al["H"]) if al["H"] else IntMatrix((), 0),
-            IntMatrix(al["Z"]) if al["Z"] else IntMatrix((), 0),
+            IntMatrix(al["H"]),
+            IntMatrix(al["Z"]),
             IntVector(al["y"]),
         )
         for aid, al in doc["arrays"].items()

@@ -15,14 +15,23 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import EQUAL, IntMatrix, IntVector, LESS, lex_compare, rank
-from .comm import comm_report, detect_broadcast
-from .constraints import ABS, GEQ0, ConstraintSystem, ExtendedLayout
-from .nest import LoopNest, contains_point, enumerate_domain
+from .algebra import EQUAL, IntVector, LESS, lex_compare, rank
+from .comm import comm_report
+from .constraints import (
+    ABS,
+    GEQ0,
+    ConstraintSystem,
+    ExtendedLayout,
+    locality_depth,
+    locality_kernel,
+    locality_target,
+)
+from .nest import DEFAULT_ENUM_CAP, LoopNest, contains_point, enumerate_domain
 from .procedure import (
     TransformPlan,
     WeightConfig,
     build_recursion_system,
+    initial_sets,
     placement_of,
     schedule_of,
 )
@@ -74,32 +83,21 @@ def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc,
     truncated access matrix until their rank reaches that matrix's rank;
     returns the 1-based level of the last row needed, or None.
     """
-    from .constraints import locality_kernel, truncated_access_matrix
-
-    if nest.array(acc.array).dim < 2:
+    target = locality_target(acc, nest, last_index_contiguous)
+    if target is None:
         return None
-    trunc = truncated_access_matrix(acc, last_index_contiguous)
-    target = rank(trunc)
-    stmt = nest.statement(acc.statement)
-    if target == stmt.depth or target == 0:
-        return None
-    kern = locality_kernel(acc, last_index_contiguous)
-    st = plan.statements[acc.statement]
-    rows = []
-    for xi in range(1, st.schedule.nrows + 1):
-        tau = st.schedule.row(xi - 1)
-        if all(tau.dot(d) == 0 for d in kern):
-            rows.append(tau)
-            if rank(IntMatrix.from_rows(rows)) == target:
-                return xi
-    return None
+    return locality_depth(
+        plan.statements[acc.statement].schedule.rows,
+        locality_kernel(acc, last_index_contiguous),
+        target,
+    )
 
 
 def validate(
     nest: LoopNest,
     plan: TransformPlan,
     n_vals,
-    cap: int = 10**6,
+    cap: int = DEFAULT_ENUM_CAP,
     last_index_contiguous: bool = True,
 ) -> ValidationReport:
     """Brute-force re-check of every claim a plan makes, at concrete parameters."""
@@ -122,15 +120,23 @@ def validate(
     for di, dep in enumerate(nest.dependences):
         if dep.kind == "in":
             continue
+        # operations with equal schedule vectors run in textual order; one
+        # statement has none to fall back on, so equality there is a warning
+        textually_first = (
+            dep.source == dep.target
+            or nest.statement(dep.source).textual_order
+            < nest.statement(dep.target).textual_order
+        )
         for point in enumerate_domain(dep.domain, n_vals, cap):
             src_point = dep.source_point(point, n_vals)
             t_target = schedule_of(plan, nest, dep.target, point, n_vals)
             t_source = schedule_of(plan, nest, dep.source, src_point, n_vals)
             cmp = lex_compare(t_target, t_source)
-            if cmp == LESS:
-                report.legality_violations.append(((di,), tuple(src_point), tuple(point)))
+            pair = ((di,), tuple(src_point), tuple(point))
+            if cmp == LESS or (cmp == EQUAL and not textually_first):
+                report.legality_violations.append(pair)
             elif cmp == EQUAL:
-                report.lex_equal_warnings.append(((di,), tuple(src_point), tuple(point)))
+                report.lex_equal_warnings.append(pair)
 
     reuse: dict[tuple, set] = {}
     for acc in nest.accesses:
@@ -174,15 +180,15 @@ def validate(
         if not entry["eligible"]:
             continue
         report.broadcast_checks[key] = _check_broadcast(
-            nest, plan, key, n_vals, cap
+            nest, plan, key, entry["kernel_basis"], n_vals, cap
         )
 
     return report
 
 
-def _check_broadcast(nest: LoopNest, plan: TransformPlan, access_key, n_vals, cap) -> dict:
+def _check_broadcast(nest: LoopNest, plan: TransformPlan, access_key, kernel,
+                     n_vals, cap) -> dict:
     acc = nest.access(access_key)
-    finding = detect_broadcast(plan, nest, access_key)
     stmt = nest.statement(acc.statement)
     r = plan.r_space
     consumers: dict[tuple, list] = {}
@@ -198,16 +204,15 @@ def _check_broadcast(nest: LoopNest, plan: TransformPlan, access_key, n_vals, ca
         if len(times) > 1:
             time_uniform = False
         ok = any(
-            all(contains_point(stmt.domain, p + u, n_vals) for u in finding.kernel_basis)
+            all(contains_point(stmt.domain, p + u, n_vals) for u in kernel)
             for p in points
         )
         if not ok:
             nondegenerate = False
 
     single_writer_ok = True
-    written = any(a.array == acc.array and a.kind == "write" for a in nest.accesses)
-    if written:
-        writes = [a for a in nest.accesses if a.array == acc.array and a.kind == "write"]
+    writes = [a for a in nest.accesses if a.array == acc.array and a.kind == "write"]
+    if writes:
         for elem, points in consumers.items():
             bcast_time = min(
                 tuple(schedule_of(plan, nest, acc.statement, p, n_vals))[r:] for p in points
@@ -245,19 +250,10 @@ def first_recursion_system(
     last_index_contiguous: bool = True,
 ):
     """The optimization system of recursion 1 with all sets at their initial value."""
-    from .procedure import _space_candidates
-
-    weights = weights or WeightConfig()
-    layout = ExtendedLayout.for_nest(nest)
-    n = nest.max_depth
-    active = [i for i, d in enumerate(nest.dependences) if d.kind != "in"]
-    active_in = [i for i, d in enumerate(nest.dependences) if d.kind == "in"]
-    active_space = set(_space_candidates(nest, last_index_contiguous))
-    l_set = [s.id for s in nest.statements if s.depth == n]
-    accumulated = {s.id: [] for s in nest.statements}
+    active, active_in, space = initial_sets(nest, last_index_contiguous)
     return build_recursion_system(
-        nest, layout, 1, r_space, weights, active, active_in, active_space,
-        l_set, accumulated, last_index_contiguous,
+        nest, ExtendedLayout.for_nest(nest), [], r_space, weights or WeightConfig(),
+        active, active_in, set(space), last_index_contiguous,
     )
 
 

@@ -108,6 +108,10 @@ class TestVectorMatrix:
         assert m.nrows == 0 and m.ncols == 3
         assert rank(m) == 0
 
+    def test_from_rows_width(self):
+        assert IntMatrix.from_rows([], 3) == IntMatrix((), 3)
+        assert IntMatrix.from_rows([]).ncols == 0
+
 
 class TestLexCompare:
     def test_basic(self):

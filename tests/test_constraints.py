@@ -14,11 +14,12 @@ from affsched.constraints import (
     build_legality_columns,
     build_space_locality_columns,
     locality_kernel,
+    locality_target,
     rank_witnesses,
     truncated_access_matrix,
 )
-from affsched.nest import enumerate_domain, vertices
-from conftest import fixture_nest
+from affsched.nest import enumerate_domain, load_nest, vertices
+from conftest import fixture_doc, fixture_nest
 
 
 class TestLayout:
@@ -164,8 +165,8 @@ class TestSpaceLocality:
     def test_one_dimensional_arrays_contribute_nothing(self):
         nest = fixture_nest("chain")
         lay = ExtendedLayout.for_nest(nest)
-        cols, r_acc = build_space_locality_columns(nest.accesses[0], nest, lay)
-        assert cols == [] and r_acc == 0
+        assert locality_target(nest.accesses[0], nest) is None
+        assert build_space_locality_columns(nest.accesses[0], nest, lay) == []
 
     def test_full_rank_truncation_contributes_nothing(self):
         # stencil u access: truncated matrix [[1, 0]] over a depth-2
@@ -173,12 +174,34 @@ class TestSpaceLocality:
         # matvec A access where truncation leaves rank 1 over depth 2 too
         nest = fixture_nest("stencil")
         lay = ExtendedLayout.for_nest(nest)
-        cols, r_acc = build_space_locality_columns(nest.accesses[0], nest, lay)
-        assert r_acc == 1 and len(cols) == 1
+        assert locality_target(nest.accesses[0], nest) == 1
+        cols = build_space_locality_columns(nest.accesses[0], nest, lay)
+        assert len(cols) == 1
         # the single column is tau . d for d spanning the kernel (0, 1)
         x = [0] * lay.size
         x[lay.tau_offset("S1") + 1] = 5
         assert cols[0].value(x) == 5
+
+    @pytest.mark.parametrize(
+        "rows, target",
+        [
+            ([[0, 0], [0, 1]], None),  # R[0][j]: rank-0 truncation reads one row
+            ([[1, 0], [0, 1], [0, 0]], None),  # R[i][j][0]: full-rank truncation
+            ([[1, 1], [0, 1]], 1),
+        ],
+    )
+    def test_target_bounds(self, rows, target):
+        doc = fixture_doc("stencil")
+        doc["arrays"].append({"id": "R", "dim": len(rows)})
+        doc["accesses"].append(
+            {"array": "R", "statement": "S1", "slot": 9, "kind": "read",
+             "F": rows, "G": [[0]] * len(rows), "f": [0] * len(rows)}
+        )
+        nest = load_nest(doc)
+        acc = nest.access(("R", "S1", 9))
+        assert locality_target(acc, nest) == target
+        cols = build_space_locality_columns(acc, nest, ExtendedLayout.for_nest(nest))
+        assert (cols == []) == (target is None)
 
     def test_truncation_side(self):
         nest = fixture_nest("matmul")

@@ -165,6 +165,23 @@ class TestRankAndErrors:
         assert fixture_plan("chain").warnings == []
 
 
+class TestRowLocality:
+    def test_rank_zero_truncation_adds_no_columns(self):
+        # R[0][j] reads a single row whatever the schedule, so it has no
+        # row-locality target and contributes no space columns
+        doc = fixture_doc("stencil")
+        doc["arrays"].append({"id": "R", "dim": 2})
+        doc["accesses"].append(
+            {"array": "R", "statement": "S1", "slot": 9, "kind": "read",
+             "F": [[0, 0], [0, 1]], "G": [[0], [0]], "f": [0, 0]}
+        )
+        plan = run_procedure(load_nest(doc), r_space=1)
+        labels = {label for d in plan.diagnostics for label in d.slacks}
+        assert not any(label.startswith("space.R.") for label in labels)
+        assert [d.objective for d in plan.diagnostics] == [74, 4]
+        assert plan.statements["S1"].schedule.rows == ((0, 1), (1, 0))
+
+
 class TestWeights:
     def test_override_scales_objective(self):
         plan = run_procedure(

@@ -7,7 +7,7 @@ import pytest
 
 from affsched.algebra import IntMatrix
 from affsched.nest import load_nest
-from affsched.procedure import run_procedure
+from affsched.procedure import WeightConfig, plan_from_doc, run_procedure
 from affsched.validation import (
     brute_force_best_alignment,
     claimed_locality_depth,
@@ -65,6 +65,58 @@ class TestLegality:
         assert report.lex_equal_warnings
         # equality is a warning, not a violation
         assert report.legality_violations == []
+
+    @staticmethod
+    def _producer_consumer(first):
+        """S1 writes x[i], S2 reads it; `first` is the textually first one."""
+        box = fixture_doc("chain")["statements"][0]["domain"]
+        doc = {
+            "params": [{"name": "N", "min": 2}],
+            "statements": [
+                {"id": sid, "depth": 1, "domain": box, "order": 1 if sid == first else 2}
+                for sid in ("S1", "S2")
+            ],
+            "arrays": [{"id": "x", "dim": 1}, {"id": "y", "dim": 1}],
+            "accesses": [
+                {"array": "x", "statement": "S1", "slot": 1, "kind": "write",
+                 "F": [[1]], "G": [[0]], "f": [0]},
+                {"array": "y", "statement": "S2", "slot": 1, "kind": "write",
+                 "F": [[1]], "G": [[0]], "f": [0]},
+                {"array": "x", "statement": "S2", "slot": 2, "kind": "read",
+                 "F": [[1]], "G": [[0]], "f": [0]},
+            ],
+            "dependences": [
+                {"source": "S1", "target": "S2", "kind": "flow", "Phi": [[1]],
+                 "Psi": [[0]], "phi": [0], "domain": box,
+                 "produced_by": {"array": "x", "slot": 2}},
+            ],
+        }
+        # both statements at time i: every flow pair has equal vectors
+        plan = plan_from_doc(
+            {
+                "r_space": 0,
+                "statements": {
+                    sid: {"T": [[1]], "B": [[0]], "a": [0]} for sid in ("S1", "S2")
+                },
+                "arrays": {aid: {"H": [], "Z": [], "y": []} for aid in ("x", "y")},
+                "weights": WeightConfig().to_doc(),
+            }
+        )
+        return load_nest(doc), plan
+
+    def test_equal_vectors_follow_textual_order(self):
+        nest, plan = self._producer_consumer(first="S1")
+        report = validate(nest, plan, [4])
+        assert report.passed
+        assert report.legality_violations == []
+        assert len(report.lex_equal_warnings) == 4
+
+    def test_equal_vectors_against_textual_order_fail(self):
+        nest, plan = self._producer_consumer(first="S2")
+        report = validate(nest, plan, [4])
+        assert not report.passed
+        assert len(report.legality_violations) == 4
+        assert report.lex_equal_warnings == []
 
     def test_params_below_minimum_rejected(self):
         with pytest.raises(ValueError, match="minima"):
