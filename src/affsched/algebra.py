@@ -49,9 +49,6 @@ class IntVector:
     def __neg__(self) -> "IntVector":
         return IntVector(-a for a in self)
 
-    def scale(self, c: int) -> "IntVector":
-        return IntVector(c * a for a in self)
-
     def dot(self, other) -> int:
         if len(self) != len(other):
             raise DimensionError(f"vector lengths differ: {len(self)} vs {len(other)}")
@@ -59,14 +56,6 @@ class IntVector:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self)
-
-    @staticmethod
-    def zero(n: int) -> "IntVector":
-        return IntVector((0,) * n)
-
-    @staticmethod
-    def unit(n: int, i: int) -> "IntVector":
-        return IntVector(tuple(1 if j == i else 0 for j in range(n)))
 
 
 @dataclass(frozen=True)
@@ -115,33 +104,6 @@ class IntMatrix:
         return IntVector(
             sum(v[i] * self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)
         )
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionError(
-                f"matmul: {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
-            )
-        return IntMatrix(
-            tuple(
-                tuple(
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(self.ncols))
-                    for j in range(other.ncols)
-                )
-                for i in range(self.nrows)
-            ),
-            other.ncols,
-        )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionError("matrix shapes differ")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in r) for r in self.rows), self.ncols)
 
     def drop_row(self, i: int) -> "IntMatrix":
         return IntMatrix(self.rows[:i] + self.rows[i + 1:], self.ncols)

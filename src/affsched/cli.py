@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .comm import comm_report
-from .nest import DEFAULT_ENUM_CAP, EnumerationError, NestError, load_nest
+from .nest import DEFAULT_ENUM_CAP, load_nest
 from .procedure import (
     ProcedureError,
     WeightConfig,
@@ -30,18 +29,20 @@ class InputError(Exception):
     pass
 
 
-def _load_nest_file(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"input file not found: {path}")
-    with open(path) as fh:
-        return load_nest(fh.read())
-
-
-def _load_plan_file(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"plan file not found: {path}")
-    with open(path) as fh:
-        return plan_from_doc(json.load(fh))
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in an input file; a file that cannot be read is an input error."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise InputError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} file {path} does not hold a JSON object")
+    return doc
 
 
 def _parse_weights(items) -> WeightConfig:
@@ -128,7 +129,7 @@ def _print_plan_summary(nest, plan, report):
 
 
 def cmd_solve(args) -> int:
-    nest = _load_nest_file(args.input)
+    nest = load_nest(_read_json(args.input, "input"))
     if not 0 <= args.spatial_dims < nest.max_depth:
         raise InputError(f"r must be < n: got r={args.spatial_dims}, n={nest.max_depth}")
     weights = _parse_weights(args.weight)
@@ -157,18 +158,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    nest = _load_nest_file(args.input)
-    plan = _load_plan_file(args.plan)
+    nest = load_nest(_read_json(args.input, "input"))
+    plan = plan_from_doc(_read_json(args.plan, "plan"), nest)
     settings = _parse_params(nest, args.params)
-    minima = tuple(nest.outer_vars.minima)
-    reports = []
-    for setting in settings:
-        if any(v < m for v, m in zip(setting, minima)):
-            raise InputError(f"parameters {setting} below declared minima {minima}")
-        try:
-            reports.append(validate(nest, plan, setting, cap=args.cap))
-        except EnumerationError as exc:
-            raise InputError(str(exc))
+    reports = [validate(nest, plan, setting, cap=args.cap) for setting in settings]
     doc = {"reports": [r.to_doc() for r in reports]}
     _write_json(doc, args.out)
     ok = all(r.passed for r in reports)
@@ -183,8 +176,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    nest = _load_nest_file(args.input)
-    plan = _load_plan_file(args.plan)
+    nest = load_nest(_read_json(args.input, "input"))
+    plan = plan_from_doc(_read_json(args.plan, "plan"), nest)
     report = comm_report(plan, nest)
     _write_json(report, args.out)
     _print_plan_summary(nest, plan, report)
@@ -231,7 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NestError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError) as exc:  # NestError and EnumerationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import IntMatrix, IntVector, rank
+from .algebra import DimensionError, IntMatrix, IntVector, rank
 from .constraints import (
     ConstraintSystem,
     ExtendedLayout,
@@ -402,44 +402,67 @@ def plan_to_doc(plan: TransformPlan) -> dict:
     }
 
 
-def plan_from_doc(doc: dict) -> TransformPlan:
-    statements = {
-        sid: StatementTransform(
-            IntMatrix(st["T"]),
-            IntMatrix(st["B"]),
-            IntVector(st["a"]),
+def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
+    """Read a plan document back, each matrix at the width `nest` gives it.
+
+    A missing field, statements or arrays other than the nest's, or a matrix
+    whose width disagrees with the nest raise ValueError.
+    """
+    e = nest.outer_vars.count
+
+    def entries(kind, ids):
+        if set(doc[kind]) != set(ids):
+            raise ValueError(f"plan {kind} {sorted(doc[kind])} are not the nest's {sorted(ids)}")
+        return doc[kind]
+
+    def matrix(entry, key, ncols, where):
+        try:
+            return IntMatrix(entry[key], ncols)
+        except DimensionError as exc:
+            raise ValueError(f"plan {where}, field {key!r}: {exc}") from None
+
+    try:
+        st_docs = entries("statements", [s.id for s in nest.statements])
+        statements = {
+            s.id: StatementTransform(
+                matrix(st_docs[s.id], "T", s.depth, f"statement {s.id!r}"),
+                matrix(st_docs[s.id], "B", e, f"statement {s.id!r}"),
+                IntVector(st_docs[s.id]["a"]),
+            )
+            for s in nest.statements
+        }
+        al_docs = entries("arrays", [a.id for a in nest.arrays])
+        arrays = {
+            a.id: ArrayAllocation(
+                matrix(al_docs[a.id], "H", a.dim, f"array {a.id!r}"),
+                matrix(al_docs[a.id], "Z", e, f"array {a.id!r}"),
+                IntVector(al_docs[a.id]["y"]),
+            )
+            for a in nest.arrays
+        }
+        diagnostics = [
+            RecursionDiagnostics(
+                xi=d["xi"],
+                objective=Fraction(d["objective"][0], d["objective"][1]),
+                slacks=d["slacks"],
+                witnesses={
+                    sid: (tuple(w["s"]), w["sign"]) for sid, w in d["witnesses"].items()
+                },
+                active_dependences=d["active_dependences"],
+                active_in_dependences=d["active_in_dependences"],
+                dropped_dependences=d["dropped_dependences"],
+                dropped_in_dependences=d["dropped_in_dependences"],
+                active_space_accesses=[tuple(k) for k in d["active_space_accesses"]],
+            )
+            for d in doc.get("diagnostics", [])
+        ]
+        return TransformPlan(
+            statements,
+            arrays,
+            doc["r_space"],
+            WeightConfig.from_doc(doc["weights"]),
+            diagnostics,
+            list(doc.get("warnings", [])),
         )
-        for sid, st in doc["statements"].items()
-    }
-    arrays = {
-        aid: ArrayAllocation(
-            IntMatrix(al["H"]),
-            IntMatrix(al["Z"]),
-            IntVector(al["y"]),
-        )
-        for aid, al in doc["arrays"].items()
-    }
-    diagnostics = [
-        RecursionDiagnostics(
-            xi=d["xi"],
-            objective=Fraction(d["objective"][0], d["objective"][1]),
-            slacks=d["slacks"],
-            witnesses={
-                sid: (tuple(w["s"]), w["sign"]) for sid, w in d["witnesses"].items()
-            },
-            active_dependences=d["active_dependences"],
-            active_in_dependences=d["active_in_dependences"],
-            dropped_dependences=d["dropped_dependences"],
-            dropped_in_dependences=d["dropped_in_dependences"],
-            active_space_accesses=[tuple(k) for k in d["active_space_accesses"]],
-        )
-        for d in doc.get("diagnostics", [])
-    ]
-    return TransformPlan(
-        statements,
-        arrays,
-        doc["r_space"],
-        WeightConfig.from_doc(doc["weights"]),
-        diagnostics,
-        list(doc.get("warnings", [])),
-    )
+    except KeyError as exc:
+        raise ValueError(f"plan document misses field {exc}") from None

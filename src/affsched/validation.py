@@ -3,7 +3,11 @@
 Everything here works by enumerating iteration domains at concrete
 parameter values and evaluating schedules and placements directly, without
 going through the constraint columns, so it can certify the constraint
-machinery rather than echo it.  Also hosts the exhaustive solver oracle.
+machinery rather than echo it.  `validate` enumerates each statement's
+domain once per size and evaluates each operation's schedule vector once,
+through `schedule_of`; the legality, communication/reuse, row-locality and
+broadcast checks all read that one table.  Also hosts the exhaustive solver
+oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .constraints import (
     locality_kernel,
     locality_target,
 )
-from .nest import DEFAULT_ENUM_CAP, LoopNest, contains_point, enumerate_domain
+from .nest import DEFAULT_ENUM_CAP, LoopNest, enumerate_domain
 from .procedure import (
     TransformPlan,
     WeightConfig,
@@ -109,6 +114,20 @@ def validate(
         )
     report = ValidationReport(n_vals=tuple(n_vals))
     r = plan.r_space
+    tables: dict[str, dict[tuple, tuple]] = {}
+
+    def ops(sid) -> dict[tuple, tuple]:
+        """point -> full schedule vector of every operation of `sid`, built once."""
+        if sid not in tables:
+            tables[sid] = {
+                tuple(p): tuple(schedule_of(plan, nest, sid, p, n_vals))
+                for p in enumerate_domain(nest.statement(sid).domain, n_vals, cap)
+            }
+        return tables[sid]
+
+    def vector(sid, point):
+        # a point missing from the table lies outside the domain: schedule_of says so
+        return ops(sid).get(tuple(point)) or schedule_of(plan, nest, sid, point, n_vals)
 
     for sid, st in plan.statements.items():
         depth = nest.statement(sid).depth
@@ -129,8 +148,8 @@ def validate(
         )
         for point in enumerate_domain(dep.domain, n_vals, cap):
             src_point = dep.source_point(point, n_vals)
-            t_target = schedule_of(plan, nest, dep.target, point, n_vals)
-            t_source = schedule_of(plan, nest, dep.source, src_point, n_vals)
+            t_target = vector(dep.target, point)
+            t_source = vector(dep.source, src_point)
             cmp = lex_compare(t_target, t_source)
             pair = ((di,), tuple(src_point), tuple(point))
             if cmp == LESS or (cmp == EQUAL and not textually_first):
@@ -143,11 +162,8 @@ def validate(
         if acc.kind != "read":
             continue
         transfers = set()
-        stmt = nest.statement(acc.statement)
-        for point in enumerate_domain(stmt.domain, n_vals, cap):
-            t_vec = schedule_of(plan, nest, acc.statement, point, n_vals)
-            consumer = tuple(t_vec)[:r]
-            time = tuple(t_vec)[r:]
+        for point, t_vec in ops(acc.statement).items():
+            consumer, time = t_vec[:r], t_vec[r:]
             elem = tuple(acc.index_at(point, n_vals))
             owner = tuple(placement_of(plan, acc.array, elem, n_vals))
             reuse.setdefault((acc.array, elem, consumer), set()).add(time)
@@ -159,75 +175,57 @@ def validate(
         k = len(times)
         report.reuse_histogram[k] = report.reuse_histogram.get(k, 0) + 1
 
+    contiguous = -1 if last_index_contiguous else 0
     for acc in nest.accesses:
         depth_claim = claimed_locality_depth(plan, nest, acc, last_index_contiguous)
         if depth_claim is None:
             continue
-        stmt = nest.statement(acc.statement)
         groups: dict[tuple, set] = {}
-        contiguous = -1 if last_index_contiguous else 0
-        for point in enumerate_domain(stmt.domain, n_vals, cap):
-            t_vec = tuple(schedule_of(plan, nest, acc.statement, point, n_vals))
+        for point, t_vec in ops(acc.statement).items():
             elem = list(acc.index_at(point, n_vals))
             del elem[contiguous]
             groups.setdefault(t_vec[:depth_claim], set()).add(tuple(elem))
         metric = max((len(v) for v in groups.values()), default=0)
         report.row_locality[acc.key] = {"claimed_depth": depth_claim, "metric": metric}
 
-    rep = comm_report(plan, nest)
-    for entry in rep["broadcasts"]:
-        key = tuple(entry["access"])
-        if not entry["eligible"]:
-            continue
-        report.broadcast_checks[key] = _check_broadcast(
-            nest, plan, key, entry["kernel_basis"], n_vals, cap
-        )
+    for entry in comm_report(plan, nest)["broadcasts"]:
+        if entry["eligible"]:
+            acc = nest.access(tuple(entry["access"]))
+            report.broadcast_checks[acc.key] = _check_broadcast(
+                nest, acc, entry["kernel_basis"], r, ops, n_vals
+            )
 
     return report
 
 
-def _check_broadcast(nest: LoopNest, plan: TransformPlan, access_key, kernel,
-                     n_vals, cap) -> dict:
-    acc = nest.access(access_key)
-    stmt = nest.statement(acc.statement)
-    r = plan.r_space
-    consumers: dict[tuple, list] = {}
-    for point in enumerate_domain(stmt.domain, n_vals, cap):
-        elem = tuple(acc.index_at(point, n_vals))
-        consumers.setdefault(elem, []).append(point)
-    time_uniform = True
-    nondegenerate = True
-    for elem, points in consumers.items():
-        times = {
-            tuple(schedule_of(plan, nest, acc.statement, p, n_vals))[r:] for p in points
-        }
-        if len(times) > 1:
-            time_uniform = False
-        ok = any(
-            all(contains_point(stmt.domain, p + u, n_vals) for u in kernel)
-            for p in points
-        )
-        if not ok:
-            nondegenerate = False
+def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, n_vals) -> dict:
+    """Enumerated broadcast conditions of one read, from the operation tables `ops`.
 
+    For each element read: every reading operation runs at one time
+    (time_uniform); some reading operation stays in the domain when moved
+    along every kernel vector (nondegenerate); and at most one write of the
+    element runs before the earliest read (single_writer_ok).
+    """
+    own = ops(acc.statement)
+    readers: dict[tuple, list] = {}
+    for point, t_vec in own.items():
+        readers.setdefault(tuple(acc.index_at(point, n_vals)), []).append((point, t_vec[r:]))
+    write_times: dict[tuple, list] = {}
+    for w in nest.accesses:
+        if w.array == acc.array and w.kind == "write":
+            for point, t_vec in ops(w.statement).items():
+                write_times.setdefault(tuple(w.index_at(point, n_vals)), []).append(t_vec[r:])
+
+    time_uniform = all(len({t for _, t in rs}) == 1 for rs in readers.values())
+    nondegenerate = all(
+        any(all(tuple(map(add, p, u)) in own for u in kernel) for p, _ in rs)
+        for rs in readers.values()
+    )
     single_writer_ok = True
-    writes = [a for a in nest.accesses if a.array == acc.array and a.kind == "write"]
-    if writes:
-        for elem, points in consumers.items():
-            bcast_time = min(
-                tuple(schedule_of(plan, nest, acc.statement, p, n_vals))[r:] for p in points
-            )
-            producers = 0
-            for w in writes:
-                wdom = nest.statement(w.statement).domain
-                for wp in enumerate_domain(wdom, n_vals, cap):
-                    if tuple(w.index_at(wp, n_vals)) != elem:
-                        continue
-                    wt = tuple(schedule_of(plan, nest, w.statement, wp, n_vals))[r:]
-                    if wt < bcast_time:
-                        producers += 1
-            if producers > 1:
-                single_writer_ok = False
+    for elem, rs in readers.items():
+        bcast_time = min(t for _, t in rs)
+        if sum(wt < bcast_time for wt in write_times.get(elem, ())) > 1:
+            single_writer_ok = False
     return {
         "time_uniform": time_uniform,
         "nondegenerate": nondegenerate,

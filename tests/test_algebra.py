@@ -76,9 +76,6 @@ class TestVectorMatrix:
         assert tuple(a - b) == (-3, 3, 3)
         assert tuple(-a) == (-1, -2, -3)
         assert a.dot(b) == 2
-        assert a.scale(2).entries == (2, 4, 6)
-        assert IntVector.zero(2).is_zero()
-        assert tuple(IntVector.unit(3, 1)) == (0, 1, 0)
 
     def test_vector_dimension_errors(self):
         with pytest.raises(DimensionError):
@@ -90,18 +87,14 @@ class TestVectorMatrix:
         m = IntMatrix([[1, 2], [3, 4]])
         assert tuple(m.matvec([1, 1])) == (3, 7)
         assert tuple(m.vecmat([1, 1])) == (4, 6)
-        assert m.matmul(IntMatrix.identity(2)).rows == m.rows
         assert m.drop_row(0).rows == ((3, 4),)
         assert tuple(m.col(1)) == (2, 4)
-        assert (m + m).rows == m.scale(2).rows
 
     def test_matrix_shape_errors(self):
         with pytest.raises(DimensionError):
             IntMatrix([[1, 2], [3]])
         with pytest.raises(DimensionError):
             IntMatrix([[1, 2]]).matvec([1])
-        with pytest.raises(DimensionError):
-            IntMatrix([[1, 2]]).matmul(IntMatrix([[1, 2]]))
 
     def test_empty_matrix(self):
         m = IntMatrix((), 3)

@@ -58,6 +58,12 @@ class TestSolve:
         p.write_text("{ not json")
         assert main(["solve", "--input", str(p)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text", ["", "[1, 2]"])
+    def test_input_without_json_object(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["solve", "--input", str(p)]) == EXIT_INPUT
+
     def test_weight_override(self, tmp_path):
         out = tmp_path / "p.json"
         rc = main(
@@ -131,6 +137,21 @@ class TestValidate:
             ["validate", "--input", fixture_path("matmul"), "--plan", "/nope.json"]
         )
         assert rc == EXIT_INPUT
+
+    def test_directory_as_input_or_plan(self, matmul_plan, tmp_path, capsys):
+        for argv in (["--input", str(tmp_path), "--plan", str(matmul_plan)],
+                     ["--input", fixture_path("matmul"), "--plan", str(tmp_path)]):
+            assert main(["validate", *argv]) == EXIT_INPUT
+            assert "cannot read" in capsys.readouterr().err
+
+    def test_plan_missing_field(self, matmul_plan, tmp_path, capsys):
+        doc = json.loads(matmul_plan.read_text())
+        del doc["statements"]["S1"]["B"]
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["validate", "--input", fixture_path("matmul"), "--plan", str(bad)])
+        assert rc == EXIT_INPUT
+        assert "misses field 'B'" in capsys.readouterr().err
 
 
 class TestReport:

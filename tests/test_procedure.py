@@ -14,7 +14,7 @@ from affsched.procedure import (
     run_procedure,
     schedule_of,
 )
-from conftest import fixture_doc, fixture_nest, fixture_plan
+from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest, fixture_plan
 
 
 class TestFrozenPlans:
@@ -240,13 +240,51 @@ class TestEvaluation:
         assert len(placement_of(plan, "x", [3], [4])) == 0
 
 
+def _every_fixture_r():
+    for name in FIXTURE_NAMES + ("chain23",):
+        depth = max(s["depth"] for s in fixture_doc(name)["statements"])
+        yield from ((name, r) for r in range(depth))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", ["chain", "stencil", "matmul"])
     def test_plan_doc_round_trip(self, name):
         plan = fixture_plan(name)
         doc = plan_to_doc(plan)
-        again = plan_from_doc(doc)
+        again = plan_from_doc(doc, fixture_nest(name))
         assert plan_to_doc(again) == doc
+
+    @pytest.mark.parametrize("name,r", list(_every_fixture_r()))
+    def test_round_trip_gives_equal_plan(self, name, r):
+        # empty matrices (H and Z at r=0) keep the widths the nest gives them
+        plan = fixture_plan(name, r)
+        assert plan_from_doc(plan_to_doc(plan), fixture_nest(name)) == plan
+
+    @pytest.mark.parametrize("drop", [("r_space",), ("statements", "S1", "T"),
+                                      ("arrays", "u", "y"), ("diagnostics", 0, "xi")])
+    def test_missing_field_rejected(self, drop):
+        doc = plan_to_doc(fixture_plan("stencil"))
+        *path, last = drop
+        target = doc
+        for key in path:
+            target = target[key]
+        del target[last]
+        with pytest.raises(ValueError, match="misses field"):
+            plan_from_doc(doc, fixture_nest("stencil"))
+
+    def test_width_disagreeing_with_nest_rejected(self):
+        doc = plan_to_doc(fixture_plan("stencil"))
+        doc["arrays"]["u"]["H"] = [[1]]
+        with pytest.raises(ValueError, match="array 'u', field 'H'"):
+            plan_from_doc(doc, fixture_nest("stencil"))
+        doc = plan_to_doc(fixture_plan("stencil"))
+        doc["statements"]["S1"]["B"] = [[0, 0], [0, 0]]
+        with pytest.raises(ValueError, match="statement 'S1', field 'B'"):
+            plan_from_doc(doc, fixture_nest("stencil"))
+
+    def test_plan_of_another_nest_rejected(self):
+        with pytest.raises(ValueError, match="not the nest's"):
+            plan_from_doc(plan_to_doc(fixture_plan("chain23", 1)), fixture_nest("matmul"))
 
     def test_doc_uses_wire_field_names(self):
         doc = plan_to_doc(fixture_plan("stencil"))

@@ -32,6 +32,18 @@ class TestLegality:
         assert report.legality_violations == []
         assert report.rank_failures == []
 
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_multi_statement_plans_pass(self, r, n):
+        nest = fixture_nest("chain23")
+        report = validate(nest, fixture_plan("chain23", r), [n])
+        assert report.passed
+        assert report.legality_violations == []
+        # every S1 -> S2 flow pair (the (N-1) x N x (N-1) dependence box)
+        # ties at every level and falls back on textual order
+        assert len(report.lex_equal_warnings) == (n - 1) * n * (n - 1)
+        assert {w[0] for w in report.lex_equal_warnings} == {(0,)}
+
     def test_reversed_schedule_caught(self):
         nest = fixture_nest("chain")
         bad = _with_schedule(fixture_plan("chain"), "S1", [[-1]])
@@ -91,6 +103,7 @@ class TestLegality:
                  "produced_by": {"array": "x", "slot": 2}},
             ],
         }
+        nest = load_nest(doc)
         # both statements at time i: every flow pair has equal vectors
         plan = plan_from_doc(
             {
@@ -100,9 +113,10 @@ class TestLegality:
                 },
                 "arrays": {aid: {"H": [], "Z": [], "y": []} for aid in ("x", "y")},
                 "weights": WeightConfig().to_doc(),
-            }
+            },
+            nest,
         )
-        return load_nest(doc), plan
+        return nest, plan
 
     def test_equal_vectors_follow_textual_order(self):
         nest, plan = self._producer_consumer(first="S1")
@@ -117,6 +131,14 @@ class TestLegality:
         assert not report.passed
         assert len(report.legality_violations) == 4
         assert report.lex_equal_warnings == []
+
+    def test_dependence_leaving_the_domain_raises(self):
+        # the dependence box 2..2N-2 fits the statement's 1..N only at N = 2
+        doc = fixture_doc("chain")
+        doc["dependences"][0]["domain"]["box"][0]["upper"] = {"coeffs": [2], "const": -2}
+        nest = load_nest(doc)
+        with pytest.raises(ValueError, match=r"point \(5,\) outside domain of 'S1'"):
+            validate(nest, fixture_plan("chain"), [4])
 
     def test_params_below_minimum_rejected(self):
         with pytest.raises(ValueError, match="minima"):
@@ -194,6 +216,80 @@ class TestBroadcastChecks:
     def test_matvec_confirmed(self):
         report = validate(fixture_nest("matvec"), fixture_plan("matvec"), [3])
         assert report.broadcast_checks[("x", "S1", 1)]["passed"]
+
+    @staticmethod
+    def _written_broadcast(overwrite):
+        """S1 writes x, then S2 broadcasts x[j] along i into y[i][j].
+
+        With `overwrite`, every S1 iteration writes x[1] instead of x[i].
+        """
+        line = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}
+        one = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [0], "const": 1}}
+        dep = (
+            {"Phi": [[0, 0]], "Psi": [[1]], "domain": {"box": [line, one]}}
+            if overwrite
+            else {"Phi": [[0, 1]], "Psi": [[0]], "domain": {"box": [line, line]}}
+        )
+        doc = {
+            "params": [{"name": "N", "min": 2}],
+            "statements": [
+                {"id": "S1", "depth": 1, "domain": {"box": [line]}, "order": 1},
+                {"id": "S2", "depth": 2, "domain": {"box": [line, line]}, "order": 2},
+            ],
+            "arrays": [{"id": "x", "dim": 1}, {"id": "y", "dim": 2}],
+            "accesses": [
+                {"array": "x", "statement": "S1", "slot": 1, "kind": "write",
+                 "F": [[0]] if overwrite else [[1]], "G": [[0]],
+                 "f": [1] if overwrite else [0]},
+                {"array": "y", "statement": "S2", "slot": 1, "kind": "write",
+                 "F": [[1, 0], [0, 1]], "G": [[0], [0]], "f": [0, 0]},
+                {"array": "x", "statement": "S2", "slot": 2, "kind": "read",
+                 "F": [[0, 1]], "G": [[0]], "f": [0]},
+            ],
+            "dependences": [
+                {"source": "S1", "target": "S2", "kind": "flow", "phi": [0],
+                 "produced_by": {"array": "x", "slot": 2}, **dep},
+            ],
+        }
+        nest = load_nest(doc)
+        # S1 runs on processor 0 at time i; S2 on processor i at time N + j
+        plan = plan_from_doc(
+            {
+                "r_space": 1,
+                "statements": {
+                    "S1": {"T": [[0], [1]], "B": [[0], [0]], "a": [0, 0]},
+                    "S2": {"T": [[1, 0], [0, 1]], "B": [[0], [1]], "a": [0, 0]},
+                },
+                "arrays": {
+                    "x": {"H": [[1]], "Z": [[0]], "y": [0]},
+                    "y": {"H": [[1, 0]], "Z": [[0]], "y": [0]},
+                },
+                "weights": WeightConfig().to_doc(),
+            },
+            nest,
+        )
+        return nest, plan
+
+    def test_single_producer_per_element(self):
+        nest, plan = self._written_broadcast(overwrite=False)
+        report = validate(nest, plan, [4])
+        assert report.broadcast_checks[("x", "S2", 2)] == {
+            "time_uniform": True,
+            "nondegenerate": True,
+            "single_writer_ok": True,
+            "passed": True,
+        }
+        assert report.passed
+
+    def test_element_written_twice_before_broadcast(self):
+        nest, plan = self._written_broadcast(overwrite=True)
+        report = validate(nest, plan, [4])
+        check = report.broadcast_checks[("x", "S2", 2)]
+        assert check["time_uniform"] and check["nondegenerate"]
+        assert check["single_writer_ok"] is False
+        assert check["passed"] is False
+        assert report.legality_violations == []
+        assert not report.passed
 
 
 class TestOracle:
