@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 from .algebra import IntMatrix, IntVector
@@ -255,8 +256,12 @@ def load_nest(source) -> LoopNest:
     """
     if isinstance(source, dict):
         doc = source
+    elif not isinstance(source, (str, os.PathLike)):
+        raise NestError(f"expected JSON text, a dict or a path, not {type(source).__name__}")
     else:
         text = str(source)
+        if not text.strip():
+            raise NestError("empty nest description")
         if not text.lstrip().startswith("{"):
             with open(text) as fh:
                 text = fh.read()

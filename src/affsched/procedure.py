@@ -10,6 +10,7 @@ grow are forced through the rank witnesses.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ from .constraints import (
 )
 from .nest import LoopNest, contains_point
 from .solver import InfeasibleError, SolverConfig, SolverTimeout, solve
+
+
+log = logging.getLogger("affsched")
 
 
 class ProcedureError(RuntimeError):
@@ -248,6 +252,11 @@ def run_procedure(
             ) from exc
         except SolverTimeout as exc:
             raise SolverTimeout(f"recursion {xi}: {exc}") from exc
+        witnesses = {sid: (tuple(s), sign) for sid, (s, sign) in sol.witness_used.items()}
+        log.debug(
+            "recursion %d: objective %s after %d nodes, witnesses %s",
+            xi, sol.objective, sol.nodes, witnesses,
+        )
         x = sol.x
         xs.append(x)
 
@@ -286,9 +295,7 @@ def run_procedure(
                 xi=xi,
                 objective=sol.objective,
                 slacks=sol.slacks,
-                witnesses={
-                    sid: (tuple(s), sign) for sid, (s, sign) in sol.witness_used.items()
-                },
+                witnesses=witnesses,
                 active_dependences=sorted(active_deps + dropped),
                 active_in_dependences=sorted(active_in_deps + dropped_in),
                 dropped_dependences=dropped,

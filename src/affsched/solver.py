@@ -1,7 +1,10 @@
 """Exact minimization of one recursion's weighted slack objective.
 
 The search runs over integer coefficient vectors in a bounded box as one
-depth-first branch-and-bound with interval bounds on every column.  Rank
+depth-first branch-and-bound with interval bounds on every column.  The
+bounds are incremental: assigning a variable changes only the columns it
+touches, so a parent derives each child's bound from those columns and never
+enters a child that is infeasible or worse than the incumbent.  Rank
 growth is a disjunction: for each statement that must grow, the new schedule
 row needs sign * s~.x >= 1 for some kernel witness s and sign.  A statement's
 options are (w1, +1), (w1, -1), (w2, +1), ... in candidate order; the witness
@@ -49,6 +52,7 @@ class Solution:
     objective: Fraction
     slacks: dict[str, int]
     witness_used: dict[str, tuple[IntVector, int]]  # statement -> (s, sign)
+    nodes: int  # search nodes entered; deterministic for a given system
 
 
 @dataclass
@@ -69,15 +73,24 @@ def _value_order(bound: int):
 
 
 class _Search:
-    """Minimize the ranking key over the box under linear constraints."""
+    """Minimize the ranking key over the box under linear constraints.
+
+    A node at depth k has the first k variables assigned, knows its
+    objective lower bound and knows that no column is dead (a GEQ0 column
+    whose interval lies below zero).  Only the rows that variable k touches
+    change between a node and its children, so the parent derives each
+    child's bound from those rows alone and skips a child that has a dead
+    column or a bound above the incumbent's objective.
+    """
 
     def __init__(self, system: ConstraintSystem, used, bound, scale, deadline):
         self.deadline = deadline
         self.nvars = len(used)
         self.values = _value_order(bound)
-        self.senses = [col.sense for col in system.columns]
-        self.weights = [int(col.weight * scale) for col in system.columns]
+        ncols = len(system.columns)
         rows = [col.coeffs for col in system.columns]
+        geq = [col.sense == GEQ0 for col in system.columns]
+        weights = [int(col.weight * scale) for col in system.columns]
         # statements with witnesses, in layout order, and their witness rows
         self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
         self.witness_rows = []
@@ -97,30 +110,23 @@ class _Search:
             for k in range(self.nvars - 1, -1, -1):
                 arr[k] += arr[k + 1]
             self.rest.append(arr)
+        # per depth, the columns variable k touches with their spreads before
+        # and after k is assigned
+        self.columns_at = [
+            [(ri, c, geq[ri], weights[ri], self.rest[ri][k], self.rest[ri][k + 1])
+             for ri, c in touched if ri < ncols]
+            for k, touched in enumerate(self.by_pos)
+        ]
         self.partial = [0] * len(rows)
         self.assign = [0] * self.nvars
         self.nodes = 0
         self.best_key = None  # (objective, options) of the incumbent
         self.best_x = None
 
-    def _bound(self, k):
-        """(objective lower bound, earliest reachable option per statement)
-        over completions of the first k variables, or None if none is feasible."""
-        lb = 0
+    def _options(self, k):
+        """Earliest reachable option per statement over completions of the
+        first k variables, or None if some statement has none left."""
         partial, rest = self.partial, self.rest
-        for ci, sense in enumerate(self.senses):
-            p = partial[ci]
-            spread = rest[ci][k]
-            lo, hi = p - spread, p + spread
-            if sense == GEQ0:
-                if hi < 0:
-                    return None
-                if lo > 0:
-                    lb += self.weights[ci] * lo
-            elif lo > 0:
-                lb += self.weights[ci] * lo
-            elif hi < 0:
-                lb -= self.weights[ci] * hi
         options = []
         for rows in self.witness_rows:
             for j, ri in enumerate(rows):
@@ -134,16 +140,23 @@ class _Search:
                     break
             else:
                 return None
-        return lb, tuple(options)
+        return tuple(options)
 
-    def dfs(self, k=0):
+    def dfs(self, k=0, lb=0):
+        """Search below the node at depth k whose objective lower bound is lb.
+
+        At the root every partial sum is 0, so each column's interval
+        contains 0: the bound is 0 and no column is dead.
+        """
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 1024 == 0:
+        # the first node checks too, so a spent budget stops even a small search
+        if self.deadline is not None and self.nodes % 1024 == 1:
             if time.monotonic() > self.deadline:
                 raise SolverTimeout(f"solver time limit exceeded after {self.nodes} nodes")
-        key = self._bound(k)
-        if key is None:
+        options = self._options(k)
+        if options is None:
             return
+        key = (lb, options)
         if self.best_key is not None:
             if key > self.best_key:
                 return
@@ -153,15 +166,38 @@ class _Search:
         if k == self.nvars:
             self.best_key, self.best_x = key, tuple(self.assign)
             return
+        partial = self.partial
+        columns = self.columns_at[k]
+        touched = self.by_pos[k]
+        # the bound without the touched columns' contributions
+        base = lb
+        for ri, _, _, w, before, _ in columns:
+            p = partial[ri]
+            if p - before > 0:
+                base -= w * (p - before)
+            elif p + before < 0:
+                base += w * (p + before)
         for v in self.values:
-            self.assign[k] = v
-            if v:
-                for ri, c in self.by_pos[k]:
-                    self.partial[ri] += c * v
-            self.dfs(k + 1)
-            if v:
-                for ri, c in self.by_pos[k]:
-                    self.partial[ri] -= c * v
+            child = base
+            for ri, c, geq, w, _, after in columns:
+                p = partial[ri] + c * v
+                if p - after > 0:
+                    child += w * (p - after)
+                elif p + after < 0:
+                    if geq:
+                        break
+                    child -= w * (p + after)
+            else:
+                if self.best_key is not None and child > self.best_key[0]:
+                    continue
+                self.assign[k] = v
+                if v:
+                    for ri, c in touched:
+                        partial[ri] += c * v
+                self.dfs(k + 1, child)
+                if v:
+                    for ri, c in touched:
+                        partial[ri] -= c * v
         self.assign[k] = 0
 
 
@@ -215,6 +251,7 @@ def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution
             sid: (system.witnesses[sid][o // 2].s, -1 if o % 2 else 1)
             for sid, o in zip(search.statements, options)
         },
+        nodes=search.nodes,
     )
 
 

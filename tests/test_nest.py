@@ -40,6 +40,23 @@ class TestLoading:
         with pytest.raises(NestError, match="line"):
             load_nest("{ bad json }")
 
+    @pytest.mark.parametrize("text", ["", "  ", "\n\t"])
+    def test_empty_text_rejected(self, text):
+        with pytest.raises(NestError, match="empty"):
+            load_nest(text)
+
+    @pytest.mark.parametrize("source", [[1], None, 3])
+    def test_source_of_other_type_rejected(self, source):
+        with pytest.raises(NestError, match="expected JSON text"):
+            load_nest(source)
+
+    def test_load_from_path_object(self, tmp_path):
+        import json
+
+        p = tmp_path / "n.json"
+        p.write_text(json.dumps(fixture_doc("vecadd")))
+        assert load_nest(p).max_depth == 1
+
 
 class TestValidationErrors:
     def test_missing_field(self):

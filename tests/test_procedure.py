@@ -1,5 +1,6 @@
 """Recursive procedure: frozen fixture plans, drop rules, serialization."""
 
+import logging
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from affsched.procedure import (
     run_procedure,
     schedule_of,
 )
+from affsched.validation import validate
 from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest, fixture_plan
 
 
@@ -74,10 +76,36 @@ class TestFrozenPlans:
             for s in ((0, 1, 0), (1, 2, 0), (0, 0, 1))
         ]
 
+    def test_chain42(self):
+        # four depth-2 statements: the widest layout run end to end
+        plan = fixture_plan("chain42", 1)
+        for sid, const in (("S1", (-1, 1)), ("S2", (0, -2)), ("S3", (-1, 0)), ("S4", (-2, 1))):
+            assert plan.statements[sid].schedule.rows == ((1, 0), (-2, 1))
+            assert plan.statements[sid].param.rows == ((-2,), (-2,))
+            assert tuple(plan.statements[sid].const) == const
+        for aid, const in (("A0", -1), ("A1", -1), ("A2", 0), ("A3", -1), ("A4", -2)):
+            assert plan.arrays[aid].placement.rows == ((1, 0),)
+            assert tuple(plan.arrays[aid].const) == (const,)
+        assert [d.objective for d in plan.diagnostics] == [0, 0]
+        assert [d.witnesses for d in plan.diagnostics] == [
+            {sid: (s, 1) for sid in ("S1", "S2", "S3", "S4")} for s in ((1, 0), (0, 1))
+        ]
+        assert validate(fixture_nest("chain42"), plan, [6]).passed
+
     def test_determinism(self):
         a = plan_to_doc(run_procedure(fixture_nest("matmul"), r_space=1))
         b = plan_to_doc(run_procedure(fixture_nest("matmul"), r_space=1))
         assert a == b
+
+
+class TestSearchEvents:
+    def test_debug_event_per_recursion(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="affsched"):
+            plan = run_procedure(fixture_nest("stencil"), r_space=1)
+        events = [r.getMessage() for r in caplog.records if r.name == "affsched"]
+        assert len(events) == len(plan.diagnostics) == 2
+        assert events[0].startswith("recursion 1: objective 68 after ")
+        assert events[0].endswith(f"nodes, witnesses {plan.diagnostics[0].witnesses}")
 
 
 class TestDropRules:

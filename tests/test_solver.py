@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affsched import procedure
 from affsched.algebra import IntVector
@@ -75,6 +77,12 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert a.witness_used == b.witness_used
 
+    def test_node_count_repeats(self):
+        system = first_recursion_system(fixture_nest("chain23"), r_space=1)
+        a = solve(system)
+        b = solve(system)
+        assert a.nodes == b.nodes > 0
+
 
 class TestExhaustiveEquivalence:
     @pytest.mark.parametrize("name,r", [("vecadd", 0), ("chain", 0), ("stencil", 1)])
@@ -98,6 +106,64 @@ class TestExhaustiveEquivalence:
         system = systems[1]
         sol = solve(system, SolverConfig(coeff_bound=1))
         assert sol.objective == brute_force_minimum(system, bound=1)
+        assert verify(sol, system).ok
+
+
+@st.composite
+def _random_systems(draw):
+    """A system on a layout of at most 14 entries: mixed GEQ0/ABS columns
+    with coefficients in [-3, 3], fractional weights, and 1-3 witness
+    candidates per statement.  Column entries lean towards the schedule
+    blocks, where the witnesses live, so that some systems are infeasible.
+    At most one array, and a parameter only sometimes, because the oracle
+    costs 3**size."""
+    depths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    dims = draw(st.lists(st.integers(1, 2), max_size=1))
+    lay = ExtendedLayout(
+        tuple(f"S{i}" for i in range(len(depths))),
+        tuple(f"A{i}" for i in range(len(dims))),
+        tuple(depths),
+        tuple(dims),
+        draw(st.sampled_from((0, 0, 1))),
+    )
+    if lay.size > 14:
+        return draw(st.nothing())
+    index = st.one_of(st.integers(0, sum(depths) - 1), st.integers(0, lay.size - 1))
+    columns = []
+    for i in range(draw(st.integers(1, 10))):
+        coeffs = [0] * lay.size
+        for k, c in draw(st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=3)):
+            coeffs[k] = c
+        weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+        sense = draw(st.sampled_from((GEQ0, ABS)))
+        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", ("g", i), f"c{i}", weight))
+    witnesses = {}
+    for sid, depth in zip(lay.statement_ids, depths):
+        vec = st.lists(st.integers(-2, 2), min_size=depth, max_size=depth).filter(any)
+        start, stop = lay.spans["tau", sid]
+        cands = []
+        for s in draw(st.lists(vec, min_size=1, max_size=3, unique_by=tuple)):
+            s_tilde = [0] * lay.size
+            s_tilde[start:stop] = s
+            cands.append(RankWitness(sid, IntVector(s), tuple(s_tilde)))
+        witnesses[sid] = cands
+    return ConstraintSystem(lay, columns, witnesses)
+
+
+class TestRandomSystems:
+    # derandomized: every run checks the same 40 systems
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(_random_systems())
+    def test_solver_matches_oracle(self, system):
+        try:
+            expected = brute_force_minimum(system, bound=1)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve(system, SolverConfig(coeff_bound=1))
+            return
+        sol = solve(system, SolverConfig(coeff_bound=1))
+        assert sol.objective == expected
         assert verify(sol, system).ok
 
 
