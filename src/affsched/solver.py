@@ -4,7 +4,10 @@ The search runs over integer coefficient vectors in a bounded box as one
 depth-first branch-and-bound with interval bounds on every column.  The
 bounds are incremental: assigning a variable changes only the columns it
 touches, so a parent derives each child's bound from those columns and never
-enters a child that is infeasible or worse than the incumbent.  Rank
+enters a child that is infeasible or worse than the incumbent.  The search
+runs in passes under a growing objective cap (iterative deepening): a pass
+cuts every subtree whose bound exceeds the cap, so the first pass whose cap
+reaches the optimum finds it without first hunting for an incumbent.  Rank
 growth is a disjunction: for each statement that must grow, the new schedule
 row needs sign * s~.x >= 1 for some kernel witness s and sign.  A statement's
 options are (w1, +1), (w1, -1), (w2, +1), ... in candidate order; the witness
@@ -52,7 +55,9 @@ class Solution:
     objective: Fraction
     slacks: dict[str, int]
     witness_used: dict[str, tuple[IntVector, int]]  # statement -> (s, sign)
-    nodes: int  # search nodes entered; deterministic for a given system
+    nodes: int  # search nodes entered over all passes; deterministic for a given system
+    passes: int  # capped passes run, the last one successful
+    cap: Fraction  # objective cap of the last pass
 
 
 @dataclass
@@ -72,6 +77,11 @@ def _value_order(bound: int):
     return tuple(vals)
 
 
+# options of the sentinel incumbent: above the options of every real key, so
+# no real key ties it and a real key at the cap ranks below it
+_ABOVE_OPTIONS = (1 << 60,)
+
+
 class _Search:
     """Minimize the ranking key over the box under linear constraints.
 
@@ -83,14 +93,17 @@ class _Search:
     column or a bound above the incumbent's objective.
     """
 
-    def __init__(self, system: ConstraintSystem, used, bound, scale, deadline):
+    def __init__(self, system: ConstraintSystem, bound, deadline):
+        self.system = system
         self.deadline = deadline
+        self.used = used = _used_variables(system)
+        self.scale = _weight_scale(system)
         self.nvars = len(used)
         self.values = _value_order(bound)
         ncols = len(system.columns)
         rows = [col.coeffs for col in system.columns]
         geq = [col.sense == GEQ0 for col in system.columns]
-        weights = [int(col.weight * scale) for col in system.columns]
+        weights = [int(col.weight * self.scale) for col in system.columns]
         # statements with witnesses, in layout order, and their witness rows
         self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
         self.witness_rows = []
@@ -120,8 +133,45 @@ class _Search:
         self.partial = [0] * len(rows)
         self.assign = [0] * self.nvars
         self.nodes = 0
-        self.best_key = None  # (objective, options) of the incumbent
+        self.passes = 0
+
+    def run(self, cap):
+        """One pass under the objective cap `cap` (scaled units).
+
+        The pass starts from a sentinel incumbent at the cap, which cuts every
+        node and child whose bound is above it and ties no real key.  If the
+        pass finds a vector, the optimum is at most the cap, so the cap cut
+        only subtrees worse than the optimum and `best_x` is the least key's
+        vector.  If not, `over_cap` is the least bound cut by the cap, or None
+        when the cap cut nothing and the box holds no feasible vector at all.
+        """
+        self.passes += 1
+        self.cap = cap
+        self.best_key = (cap, _ABOVE_OPTIONS)  # (objective, options) of the incumbent
         self.best_x = None
+        self.over_cap = None
+        self.dfs()
+
+    def solution(self) -> Solution:
+        """The incumbent of the last pass as a full-layout solution."""
+        system = self.system
+        obj, options = self.best_key
+        full = [0] * system.layout.size
+        for g, v in zip(self.used, self.best_x):
+            full[g] = v
+        full = tuple(full)
+        return Solution(
+            x=full,
+            objective=Fraction(obj, self.scale),
+            slacks={col.label: col.slack(full) for col in system.columns},
+            witness_used={
+                sid: (system.witnesses[sid][o // 2].s, -1 if o % 2 else 1)
+                for sid, o in zip(self.statements, options)
+            },
+            nodes=self.nodes,
+            passes=self.passes,
+            cap=Fraction(self.cap, self.scale),
+        )
 
     def _options(self, k):
         """Earliest reachable option per statement over completions of the
@@ -157,12 +207,11 @@ class _Search:
         if options is None:
             return
         key = (lb, options)
-        if self.best_key is not None:
-            if key > self.best_key:
-                return
-            # on a tie only lexicographically smaller completions can still win
-            if key == self.best_key and tuple(self.assign[:k]) > self.best_x[:k]:
-                return
+        if key > self.best_key:
+            return
+        # on a tie only lexicographically smaller completions can still win
+        if key == self.best_key and tuple(self.assign[:k]) > self.best_x[:k]:
+            return
         if k == self.nvars:
             self.best_key, self.best_x = key, tuple(self.assign)
             return
@@ -188,7 +237,10 @@ class _Search:
                         break
                     child -= w * (p + after)
             else:
-                if self.best_key is not None and child > self.best_key[0]:
+                if child > self.best_key[0]:
+                    # cut by the cap alone: the next pass needs a cap this high
+                    if self.best_x is None and (self.over_cap is None or child < self.over_cap):
+                        self.over_cap = child
                     continue
                 self.assign[k] = v
                 if v:
@@ -225,34 +277,31 @@ def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution
 
     Variables appearing in no column and no witness are pinned to zero.  On
     objective ties the earliest satisfied witness options win (positive sign
-    preferred), then the lexicographically smallest vector.
+    preferred), then the lexicographically smallest vector.  The search runs
+    capped passes from cap 0: a pass that fails proves the optimum is at
+    least the least bound its cap cut, and the next cap is that bound or
+    twice the cap, whichever is larger.
     """
     cfg = cfg or SolverConfig()
-    used = _used_variables(system)
-    scale = _weight_scale(system)
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
-    search = _Search(system, used, cfg.coeff_bound, scale, deadline)
-    search.dfs()
-    if search.best_key is None:
-        raise InfeasibleError(
-            f"no feasible coefficients with entries in [-{cfg.coeff_bound}, "
-            f"{cfg.coeff_bound}]; consider raising the bound"
-        )
-    obj, options = search.best_key
-    full = [0] * system.layout.size
-    for g, v in zip(used, search.best_x):
-        full[g] = v
-    full = tuple(full)
-    return Solution(
-        x=full,
-        objective=Fraction(obj, scale),
-        slacks={col.label: col.slack(full) for col in system.columns},
-        witness_used={
-            sid: (system.witnesses[sid][o // 2].s, -1 if o % 2 else 1)
-            for sid, o in zip(search.statements, options)
-        },
-        nodes=search.nodes,
-    )
+    search = _Search(system, cfg.coeff_bound, deadline)
+    cap, failed = 0, None
+    while True:
+        try:
+            search.run(cap)
+        except SolverTimeout as exc:
+            reached = f"pass {search.passes} under objective cap {Fraction(cap, search.scale)}"
+            if failed is not None:
+                reached += f"; no solution with objective <= {Fraction(failed, search.scale)}"
+            raise SolverTimeout(f"{exc} in {reached}") from None
+        if search.best_x is not None:
+            return search.solution()
+        if search.over_cap is None:
+            raise InfeasibleError(
+                f"no feasible coefficients with entries in [-{cfg.coeff_bound}, "
+                f"{cfg.coeff_bound}]; consider raising the bound"
+            )
+        cap, failed = max(search.over_cap, 2 * cap), cap
 
 
 def verify(solution: Solution, system: ConstraintSystem) -> VerifyReport:

@@ -1,12 +1,13 @@
 """Branch-and-bound solver: optimality, determinism, verification."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from affsched import procedure
+from affsched import procedure, solver
 from affsched.algebra import IntVector
 from affsched.constraints import (
     ABS,
@@ -20,6 +21,7 @@ from affsched.solver import (
     InfeasibleError,
     SolverConfig,
     SolverTimeout,
+    _Search,
     solve,
     verify,
 )
@@ -82,6 +84,7 @@ class TestDeterminism:
         a = solve(system)
         b = solve(system)
         assert a.nodes == b.nodes > 0
+        assert a.passes == b.passes >= 1
 
 
 class TestExhaustiveEquivalence:
@@ -150,10 +153,13 @@ def _random_systems(draw):
     return ConstraintSystem(lay, columns, witnesses)
 
 
+# derandomized: every run checks the same 40 systems
+_forty_systems = settings(max_examples=40, deadline=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
 class TestRandomSystems:
-    # derandomized: every run checks the same 40 systems
-    @settings(max_examples=40, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @_forty_systems
     @given(_random_systems())
     def test_solver_matches_oracle(self, system):
         try:
@@ -165,6 +171,24 @@ class TestRandomSystems:
         sol = solve(system, SolverConfig(coeff_bound=1))
         assert sol.objective == expected
         assert verify(sol, system).ok
+
+    @_forty_systems
+    @given(_random_systems())
+    def test_capped_passes_match_one_uncapped_pass(self, system):
+        # a single pass under a cap no objective reaches is the plain
+        # branch and bound; the capped passes must return its winner
+        for bound in (1, 2):
+            reference = _Search(system, bound, None)
+            reference.run(1 << 40)
+            if reference.best_x is None:
+                with pytest.raises(InfeasibleError):
+                    solve(system, SolverConfig(coeff_bound=bound))
+                continue
+            expected = reference.solution()
+            sol = solve(system, SolverConfig(coeff_bound=bound))
+            assert sol.x == expected.x
+            assert sol.witness_used == expected.witness_used
+            assert sol.objective == expected.objective
 
 
 class TestConstructedSystems:
@@ -262,5 +286,20 @@ class TestConfig:
 
     def test_time_limit(self):
         system = first_recursion_system(fixture_nest("matmul"), r_space=1)
-        with pytest.raises(SolverTimeout):
+        with pytest.raises(SolverTimeout) as exc:
             solve(system, SolverConfig(coeff_bound=2, time_limit=1e-9))
+        assert str(exc.value).endswith("nodes in pass 1 under objective cap 0")
+
+    def test_time_limit_reports_proven_bound(self, monkeypatch):
+        # stencil r=1 at bound 4 fails under caps 0, 4, 8 and 16 within 793
+        # nodes; a clock that ticks once per reading runs out at the second
+        # deadline check, node 1025, in the pass under cap 32
+        ticks = iter(range(100))
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        system = first_recursion_system(fixture_nest("stencil"), r_space=1)
+        with pytest.raises(SolverTimeout) as exc:
+            solve(system, SolverConfig(coeff_bound=4, time_limit=1.5))
+        assert str(exc.value) == (
+            "solver time limit exceeded after 1025 nodes in pass 5 under objective cap 32; "
+            "no solution with objective <= 16"
+        )
