@@ -14,12 +14,18 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import IntMatrix, IntVector
 
 DEP_KINDS = ("flow", "anti", "out", "in")
 ACCESS_KINDS = ("read", "write")
 
 DEFAULT_ENUM_CAP = 10**6
+
+# bound on every coordinate the validator holds in int64: the difference of
+# two such values still fits
+INT64_SAFE = 1 << 62
 
 
 class NestError(ValueError):
@@ -148,6 +154,19 @@ class LoopNest:
                 return acc
         raise NestError(f"unknown access {key!r}")
 
+    def textually_ordered(self, dep: Dependence) -> bool:
+        """Whether a tie (equal schedule vectors) leaves `dep` in order.
+
+        Operations with equal schedule vectors run in textual order, so a
+        tie is ordered when the source statement comes textually first.  A
+        dependence within one statement has no order to fall back on and
+        counts as ordered: the tie is only worth a warning.
+        """
+        return (
+            dep.source == dep.target
+            or self.statement(dep.source).textual_order < self.statement(dep.target).textual_order
+        )
+
 
 def vertices(domain: Domain) -> list[tuple[IntMatrix, IntVector]]:
     """Parametric vertices (R, omega) with v = R*N + omega.
@@ -174,11 +193,14 @@ def vertices(domain: Domain) -> list[tuple[IntMatrix, IntVector]]:
     return out
 
 
-def enumerate_domain(domain: Domain, n_vals, cap: int = DEFAULT_ENUM_CAP) -> list[IntVector]:
-    """All integer points of a box domain at concrete parameters, lex order."""
+def enumerate_domain(domain: Domain, n_vals, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """All integer points of a box domain at concrete parameters, lex order.
+
+    Returns an int64 array of shape (points, dim), one point per row.
+    """
     if domain.box is None:
         raise EnumerationError("explicit-vertex domains cannot be enumerated")
-    ranges = []
+    lows, extents = [], []
     total = 1
     for lo, hi in domain.box:
         a, b = lo.value_at(n_vals), hi.value_at(n_vals)
@@ -187,8 +209,12 @@ def enumerate_domain(domain: Domain, n_vals, cap: int = DEFAULT_ENUM_CAP) -> lis
         total *= b - a + 1
         if total > cap:
             raise EnumerationError(f"domain has more than {cap} points")
-        ranges.append(range(a, b + 1))
-    return [IntVector(p) for p in itertools.product(*ranges)]
+        if max(-a, b) >= INT64_SAFE:
+            raise EnumerationError(f"domain bound beyond 2**62 at N={tuple(n_vals)}: [{a}..{b}]")
+        lows.append(a)
+        extents.append(b - a + 1)
+    grid = np.indices(extents, dtype=np.int64).reshape(len(extents), total)
+    return grid.T + np.array(lows, dtype=np.int64)
 
 
 def contains_point(domain: Domain, point, n_vals) -> bool:

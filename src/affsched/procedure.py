@@ -330,9 +330,14 @@ def run_procedure(
     for i in active_deps:
         if not ever_positive[i]:
             d = nest.dependences[i]
+            verdict = (
+                "correctness relies on textual order"
+                if nest.textually_ordered(d)
+                else "textual order runs it backwards"
+            )
             warnings.append(
                 f"dependence #{i} ({d.source}->{d.target}, {d.kind}) is scheduled with "
-                "equal time vectors at every level; correctness relies on textual order"
+                f"equal time vectors at every level; {verdict}"
             )
 
     return TransformPlan(statements, arrays, r_space, weights, diagnostics, warnings)

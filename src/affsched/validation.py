@@ -3,11 +3,14 @@
 Everything here works by enumerating iteration domains at concrete
 parameter values and evaluating schedules and placements directly, without
 going through the constraint columns, so it can certify the constraint
-machinery rather than echo it.  `validate` enumerates each statement's
-domain once per size and evaluates each operation's schedule vector once,
-through `schedule_of`; the legality, communication/reuse, row-locality and
-broadcast checks all read that one table.  Also hosts the exhaustive solver
-oracle.
+machinery rather than echo it.  `validate` holds each statement's
+operations as two int64 arrays, built once per size: its enumerated points,
+one per row, and their schedule vectors.  Source points, array indices and
+owners are matrix products over such arrays, and the legality,
+communication/reuse, row-locality and broadcast checks work on whole
+arrays.  Each product is bounded in Python ints first: one whose entries
+could reach 2**62 raises `EnumerationError` instead of wrapping around.
+Also hosts the exhaustive solver oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 import numpy as np
 
-from .algebra import EQUAL, IntVector, LESS, lex_compare, rank
+from .algebra import IntMatrix, IntVector, rank
 from .comm import comm_report
 from .constraints import (
     ABS,
@@ -31,13 +33,20 @@ from .constraints import (
     locality_kernel,
     locality_target,
 )
-from .nest import DEFAULT_ENUM_CAP, LoopNest, enumerate_domain
+from .nest import (
+    DEFAULT_ENUM_CAP,
+    INT64_SAFE,
+    Domain,
+    EnumerationError,
+    LoopNest,
+    enumerate_domain,
+)
 from .procedure import (
     TransformPlan,
     WeightConfig,
     build_recursion_system,
     initial_sets,
-    placement_of,
+    placement_of,  # noqa: F401  no caller here; perfbench/spans.py patches this binding
     schedule_of,
 )
 from .solver import InfeasibleError
@@ -98,6 +107,56 @@ def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc,
     )
 
 
+def _affine(points: np.ndarray, coeffs: IntMatrix, params: IntMatrix, const, n_vals) -> np.ndarray:
+    """`coeffs·p + params·N + const` for every row p of `points`, in int64.
+
+    Every entry is bounded in Python ints first; where one could reach
+    2**62 this raises EnumerationError rather than let int64 wrap around.
+    """
+    offset = [c + v for c, v in zip(const, params.matvec(n_vals))]
+    reach = max(int(np.abs(points).max(initial=0)), 1)
+    for row, off in zip(coeffs.rows, offset):
+        if sum(map(abs, row)) * reach + abs(off) >= INT64_SAFE:
+            raise EnumerationError(
+                f"affine image at N={tuple(n_vals)} may reach 2**62, "
+                "beyond what the validator holds in int64"
+            )
+    mat = np.array(coeffs.rows, dtype=np.int64).reshape(coeffs.nrows, coeffs.ncols)
+    return points @ mat.T + np.array(offset, dtype=np.int64)
+
+
+def _inside(domain: Domain, points: np.ndarray, n_vals) -> np.ndarray:
+    """Mask of the rows of `points` that lie in the box `domain`."""
+    lo = np.array([lo.value_at(n_vals) for lo, _ in domain.box], dtype=np.int64)
+    hi = np.array([hi.value_at(n_vals) for _, hi in domain.box], dtype=np.int64)
+    return ((points >= lo) & (points <= hi)).all(axis=1)
+
+
+def _lex_sign(diff: np.ndarray) -> np.ndarray:
+    """Per row, the sign of its first nonzero entry; 0 for a zero row."""
+    first = (diff != 0).argmax(axis=1)
+    return np.sign(diff[np.arange(len(diff)), first])
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the lexicographic rank of its value among the distinct rows;
+    and per distinct row, in rank order, the index of its first occurrence."""
+    order = np.lexsort(rows.T[::-1])  # stable, first column most significant
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _pairs(di: int, sources: np.ndarray, targets: np.ndarray, mask) -> list[tuple]:
+    return [
+        ((di,), tuple(s), tuple(t))
+        for s, t in zip(sources[mask].tolist(), targets[mask].tolist())
+    ]
+
+
 def validate(
     nest: LoopNest,
     plan: TransformPlan,
@@ -114,20 +173,21 @@ def validate(
         )
     report = ValidationReport(n_vals=tuple(n_vals))
     r = plan.r_space
-    tables: dict[str, dict[tuple, tuple]] = {}
+    tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def ops(sid) -> dict[tuple, tuple]:
-        """point -> full schedule vector of every operation of `sid`, built once."""
+    def schedule(sid, points):
+        st = plan.statements[sid]
+        return _affine(points, st.schedule, st.param, st.const, n_vals)
+
+    def index(acc, points):
+        return _affine(points, acc.iter_coeffs, acc.param_coeffs, acc.offset, n_vals)
+
+    def ops(sid) -> tuple[np.ndarray, np.ndarray]:
+        """(points, schedule vectors) of every operation of `sid`, built once."""
         if sid not in tables:
-            tables[sid] = {
-                tuple(p): tuple(schedule_of(plan, nest, sid, p, n_vals))
-                for p in enumerate_domain(nest.statement(sid).domain, n_vals, cap)
-            }
+            points = enumerate_domain(nest.statement(sid).domain, n_vals, cap)
+            tables[sid] = points, schedule(sid, points)
         return tables[sid]
-
-    def vector(sid, point):
-        # a point missing from the table lies outside the domain: schedule_of says so
-        return ops(sid).get(tuple(point)) or schedule_of(plan, nest, sid, point, n_vals)
 
     for sid, st in plan.statements.items():
         depth = nest.statement(sid).depth
@@ -139,93 +199,113 @@ def validate(
     for di, dep in enumerate(nest.dependences):
         if dep.kind == "in":
             continue
-        # operations with equal schedule vectors run in textual order; one
-        # statement has none to fall back on, so equality there is a warning
-        textually_first = (
-            dep.source == dep.target
-            or nest.statement(dep.source).textual_order
-            < nest.statement(dep.target).textual_order
-        )
-        for point in enumerate_domain(dep.domain, n_vals, cap):
-            src_point = dep.source_point(point, n_vals)
-            t_target = vector(dep.target, point)
-            t_source = vector(dep.source, src_point)
-            cmp = lex_compare(t_target, t_source)
-            pair = ((di,), tuple(src_point), tuple(point))
-            if cmp == LESS or (cmp == EQUAL and not textually_first):
-                report.legality_violations.append(pair)
-            elif cmp == EQUAL:
-                report.lex_equal_warnings.append(pair)
+        targets = enumerate_domain(dep.domain, n_vals, cap)
+        # build both tables first: a statement that cannot be enumerated raises here
+        ops(dep.target)
+        ops(dep.source)
+        sources = _affine(targets, dep.source_map, dep.param_map, -dep.shift, n_vals)
+        inside_t = _inside(nest.statement(dep.target).domain, targets, n_vals)
+        inside = inside_t & _inside(nest.statement(dep.source).domain, sources, n_vals)
+        if not inside.all():
+            # a dependence domain that leaves the box at this N: say where
+            i = int(inside.argmin())
+            sid, point = (dep.target, targets[i]) if not inside_t[i] else (dep.source, sources[i])
+            schedule_of(plan, nest, sid, tuple(point.tolist()), n_vals)
+        sign = _lex_sign(schedule(dep.target, targets) - schedule(dep.source, sources))
+        if nest.textually_ordered(dep):
+            report.legality_violations += _pairs(di, sources, targets, sign < 0)
+            report.lex_equal_warnings += _pairs(di, sources, targets, sign == 0)
+        else:
+            report.legality_violations += _pairs(di, sources, targets, sign <= 0)
 
-    reuse: dict[tuple, set] = {}
+    # a reuse key is (array, element, consumer) over every read of the
+    # array; keys hold the array's number and its element padded to one width
+    keys, times = [], []
+    width = max((a.dim for a in nest.arrays), default=0)
     for acc in nest.accesses:
         if acc.kind != "read":
             continue
-        transfers = set()
-        for point, t_vec in ops(acc.statement).items():
-            consumer, time = t_vec[:r], t_vec[r:]
-            elem = tuple(acc.index_at(point, n_vals))
-            owner = tuple(placement_of(plan, acc.array, elem, n_vals))
-            reuse.setdefault((acc.array, elem, consumer), set()).add(time)
-            if owner != consumer:
-                transfers.add((elem, consumer, time))
-        report.comm_by_access[acc.key] = len(transfers)
+        points, sched = ops(acc.statement)
+        elems = index(acc, points)
+        al = plan.arrays[acc.array]
+        owners = _affine(elems, al.placement, al.param, al.const, n_vals)
+        moved = (owners != sched[:, :r]).any(axis=1)
+        report.comm_by_access[acc.key] = len(_distinct_rows(np.hstack([elems, sched])[moved])[1])
+        array_no = np.full((len(points), 1), nest.arrays.index(nest.array(acc.array)))
+        padding = np.zeros((len(points), width - elems.shape[1]), dtype=np.int64)
+        keys.append(np.hstack([array_no, elems, padding, sched[:, :r]]))
+        times.append(sched[:, r:])
     report.comm_count = sum(report.comm_by_access.values())
-    for times in reuse.values():
-        k = len(times)
-        report.reuse_histogram[k] = report.reuse_histogram.get(k, 0) + 1
+    if keys:
+        key, first = _distinct_rows(np.concatenate(keys))
+        pair_first = _distinct_rows(np.column_stack([key, np.concatenate(times)]))[1]
+        # distinct times per key, keys in order of first appearance
+        counts = np.bincount(key[pair_first])[np.argsort(first)]
+        values, first_count, n = np.unique(counts, return_index=True, return_counts=True)
+        for i in np.argsort(first_count):
+            report.reuse_histogram[int(values[i])] = int(n[i])
 
     contiguous = -1 if last_index_contiguous else 0
     for acc in nest.accesses:
         depth_claim = claimed_locality_depth(plan, nest, acc, last_index_contiguous)
         if depth_claim is None:
             continue
-        groups: dict[tuple, set] = {}
-        for point, t_vec in ops(acc.statement).items():
-            elem = list(acc.index_at(point, n_vals))
-            del elem[contiguous]
-            groups.setdefault(t_vec[:depth_claim], set()).add(tuple(elem))
-        metric = max((len(v) for v in groups.values()), default=0)
-        report.row_locality[acc.key] = {"claimed_depth": depth_claim, "metric": metric}
+        points, sched = ops(acc.statement)
+        prefix = _distinct_rows(sched[:, :depth_claim])[0]
+        rest = np.delete(index(acc, points), contiguous, axis=1)
+        first = _distinct_rows(np.column_stack([prefix, rest]))[1]
+        report.row_locality[acc.key] = {
+            "claimed_depth": depth_claim, "metric": int(np.bincount(prefix[first]).max())
+        }
 
     for entry in comm_report(plan, nest)["broadcasts"]:
         if entry["eligible"]:
             acc = nest.access(tuple(entry["access"]))
             report.broadcast_checks[acc.key] = _check_broadcast(
-                nest, acc, entry["kernel_basis"], r, ops, n_vals
+                nest, acc, entry["kernel_basis"], r, ops, index, n_vals
             )
 
     return report
 
 
-def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, n_vals) -> dict:
+def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, index, n_vals) -> dict:
     """Enumerated broadcast conditions of one read, from the operation tables `ops`.
 
     For each element read: every reading operation runs at one time
     (time_uniform); some reading operation stays in the domain when moved
     along every kernel vector (nondegenerate); and at most one write of the
-    element runs before the earliest read (single_writer_ok).
+    element runs before the earliest read (single_writer_ok).  Elements and
+    times of the reads and of every write of the array are ranked together.
     """
-    own = ops(acc.statement)
-    readers: dict[tuple, list] = {}
-    for point, t_vec in own.items():
-        readers.setdefault(tuple(acc.index_at(point, n_vals)), []).append((point, t_vec[r:]))
-    write_times: dict[tuple, list] = {}
+    points, sched = ops(acc.statement)
+    elems, times = [index(acc, points)], [sched[:, r:]]
     for w in nest.accesses:
         if w.array == acc.array and w.kind == "write":
-            for point, t_vec in ops(w.statement).items():
-                write_times.setdefault(tuple(w.index_at(point, n_vals)), []).append(t_vec[r:])
+            w_points, w_sched = ops(w.statement)
+            elems.append(index(w, w_points))
+            times.append(w_sched[:, r:])
+    elem = _distinct_rows(np.concatenate(elems))[0]
+    when = _distinct_rows(np.concatenate(times))[0]
+    n_reads, n_elems = len(points), int(elem.max()) + 1
+    read_elem, write_elem = elem[:n_reads], elem[n_reads:]
+    earliest = np.full(n_elems, len(when))
+    latest = np.full(n_elems, -1)
+    np.minimum.at(earliest, read_elem, when[:n_reads])
+    np.maximum.at(latest, read_elem, when[:n_reads])
+    read = latest >= 0
 
-    time_uniform = all(len({t for _, t in rs}) == 1 for rs in readers.values())
-    nondegenerate = all(
-        any(all(tuple(map(add, p, u)) in own for u in kernel) for p, _ in rs)
-        for rs in readers.values()
-    )
-    single_writer_ok = True
-    for elem, rs in readers.items():
-        bcast_time = min(t for _, t in rs)
-        if sum(wt < bcast_time for wt in write_times.get(elem, ())) > 1:
-            single_writer_ok = False
+    time_uniform = bool((earliest == latest)[read].all())
+    depth, e = points.shape[1], len(n_vals)
+    domain = nest.statement(acc.statement).domain
+    stays = np.ones(n_reads, dtype=bool)
+    for u in kernel:
+        shifted = _affine(points, IntMatrix.identity(depth), IntMatrix.zero(depth, e), u, n_vals)
+        stays &= _inside(domain, shifted, n_vals)
+    kept = np.zeros(n_elems, dtype=bool)
+    kept[read_elem[stays]] = True
+    nondegenerate = bool(kept[read].all())
+    early = read[write_elem] & (when[n_reads:] < earliest[write_elem])
+    single_writer_ok = bool(np.bincount(write_elem[early], minlength=n_elems).max() <= 1)
     return {
         "time_uniform": time_uniform,
         "nondegenerate": nondegenerate,

@@ -1,5 +1,7 @@
+import importlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from affsched.nest import load_nest
 from affsched.procedure import run_procedure
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+PERFBENCH_DIR = FIXTURE_DIR.parent / "perfbench"
 
 FIXTURE_NAMES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul")
 
@@ -40,6 +43,13 @@ def fixture_plan(name, r_space=None, **kwargs):
     if key not in _plan_cache:
         _plan_cache[key] = run_procedure(fixture_nest(name), r_space=r_space, **kwargs)
     return _plan_cache[key]
+
+
+def perfbench_module(name):
+    """A module of perfbench/, imported (never modified) through sys.path."""
+    if str(PERFBENCH_DIR) not in sys.path:
+        sys.path.append(str(PERFBENCH_DIR))
+    return importlib.import_module(name)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from affsched.procedure import (
 )
 from affsched.solver import SolverConfig
 from affsched.validation import validate
-from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest, fixture_plan
+from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest, fixture_plan, perfbench_module
 
 
 class TestFrozenPlans:
@@ -195,6 +195,22 @@ class TestRankAndErrors:
         plan = run_procedure(load_nest(doc), r_space=0)
         assert any("equal time vectors" in w for w in plan.warnings)
         assert fixture_plan("chain").warnings == []
+
+    def test_tie_warning_says_which_way_textual_order_runs(self):
+        # jacobi2 r=0 ties dep #3 (S2 -> S1) at every level, and S2 comes
+        # textually after S1, so validate finds that dependence reversed
+        nest = load_nest(perfbench_module("gen").jacobi2())
+        plan = run_procedure(nest, r_space=0)
+        assert plan.warnings == [
+            "dependence #3 (S2->S1, flow) is scheduled with equal time vectors at every "
+            "level; textual order runs it backwards"
+        ]
+        assert {v[0] for v in validate(nest, plan, [6]).legality_violations} == {(3,)}
+        # chain23's tied S1 -> S2 flow runs in textual order
+        assert fixture_plan("chain23", 1).warnings == [
+            "dependence #0 (S1->S2, flow) is scheduled with equal time vectors at every "
+            "level; correctness relies on textual order"
+        ]
 
 
 class TestRowLocality:

@@ -1,14 +1,26 @@
 """Brute-force validation and the exhaustive solver oracle."""
 
 import dataclasses
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from affsched.algebra import IntMatrix
-from affsched.nest import load_nest
-from affsched.procedure import WeightConfig, plan_from_doc, run_procedure
+from affsched.algebra import EQUAL, LESS, IntMatrix, lex_compare, rank
+from affsched.cli import EXIT_INPUT, main
+from affsched.comm import comm_report
+from affsched.nest import EnumerationError, load_nest
+from affsched.procedure import (
+    WeightConfig,
+    placement_of,
+    plan_from_doc,
+    run_procedure,
+    schedule_of,
+)
+from affsched import validation
 from affsched.validation import (
+    ValidationReport,
     brute_force_best_alignment,
     claimed_locality_depth,
     validate,
@@ -164,6 +176,12 @@ class TestCommunicationCounts:
         assert report.comm_by_access[("B", "S1", 1)] == 64
         assert report.reuse_histogram
 
+    def test_matmul_counts_at_n40(self):
+        # 64,000 operations; every B element reaches every processor row once
+        report = validate(fixture_nest("matmul"), fixture_plan("matmul", 1), [40])
+        assert report.passed
+        assert report.comm_count == 40**3
+
     def test_misplaced_array_costs(self):
         plan = fixture_plan("addmat")
         arrays = dict(plan.arrays)
@@ -291,6 +309,55 @@ class TestBroadcastChecks:
         assert report.legality_violations == []
         assert not report.passed
 
+    @staticmethod
+    def _one_row_broadcast():
+        """S1 over i = 1 only reads x[j] into y[i][j]: a broadcast along i
+        whose every read leaves the domain when moved along i."""
+        line = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}
+        one = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [0], "const": 1}}
+        doc = {
+            "params": [{"name": "N", "min": 2}],
+            "statements": [{"id": "S1", "depth": 2, "domain": {"box": [one, line]}, "order": 1}],
+            "arrays": [{"id": "x", "dim": 1}, {"id": "y", "dim": 2}],
+            "accesses": [
+                {"array": "y", "statement": "S1", "slot": 1, "kind": "write",
+                 "F": [[1, 0], [0, 1]], "G": [[0], [0]], "f": [0, 0]},
+                {"array": "x", "statement": "S1", "slot": 2, "kind": "read",
+                 "F": [[0, 1]], "G": [[0]], "f": [0]},
+            ],
+            "dependences": [],
+        }
+        nest = load_nest(doc)
+        plan = plan_from_doc(
+            {
+                "r_space": 1,
+                "statements": {"S1": {"T": [[1, 0], [0, 1]], "B": [[0], [0]], "a": [0, 0]}},
+                "arrays": {
+                    "x": {"H": [[0]], "Z": [[0]], "y": [0]},
+                    "y": {"H": [[1, 0]], "Z": [[0]], "y": [0]},
+                },
+                "weights": WeightConfig().to_doc(),
+            },
+            nest,
+        )
+        return nest, plan
+
+    def test_claimed_broadcast_read_at_two_times_fails(self, monkeypatch):
+        # matmul reads A[i][k] along j at different times; claim a broadcast anyway
+        claim = {"access": ["A", "S1", 1], "eligible": True, "kernel_basis": [[0, 1, 0]]}
+        monkeypatch.setattr(validation, "comm_report", lambda plan, nest: {"broadcasts": [claim]})
+        report = validate(fixture_nest("matmul"), fixture_plan("matmul"), [3])
+        check = report.broadcast_checks[("A", "S1", 1)]
+        assert check["time_uniform"] is False
+        assert check["passed"] is False
+
+    def test_one_row_domain_is_degenerate(self):
+        nest, plan = self._one_row_broadcast()
+        check = validate(nest, plan, [4]).broadcast_checks[("x", "S1", 2)]
+        assert check["time_uniform"] and check["single_writer_ok"]
+        assert check["nondegenerate"] is False
+        assert check["passed"] is False
+
 
 class TestOracle:
     def test_matches_solver_documented_values(self):
@@ -318,3 +385,235 @@ class TestReportDoc:
         json.dumps(doc)
         assert doc["passed"] is True
         assert doc["comm_count"] == report.comm_count
+
+    def test_every_kind_of_entry_is_json(self):
+        # S1 now runs on processor N: the S2 reads on processors i < N come
+        # first (violations) and those on processor N tie (warnings)
+        nest, plan = TestBroadcastChecks._written_broadcast(overwrite=False)
+        statements = dict(plan.statements)
+        statements["S1"] = dataclasses.replace(statements["S1"], param=IntMatrix([[1], [0]]))
+        statements["S2"] = dataclasses.replace(statements["S2"], param=IntMatrix([[0], [0]]))
+        report = validate(nest, dataclasses.replace(plan, statements=statements), [4])
+        assert report.legality_violations and report.lex_equal_warnings
+        assert report.broadcast_checks and report.reuse_histogram and report.row_locality
+        doc = report.to_doc()
+        assert json.loads(json.dumps(doc)) == doc
+
+
+
+def _box_points(domain, n_vals):
+    """Points of a box domain in lex order, from its bounds alone."""
+    return itertools.product(
+        *(range(lo.value_at(n_vals), hi.value_at(n_vals) + 1) for lo, hi in domain.box)
+    )
+
+
+def scalar_validate(nest, plan, n_vals, last_index_contiguous=True):
+    """Per-point reference for `validate`, sharing none of its array code.
+
+    Every operation is evaluated alone through `schedule_of` and every
+    owner through `placement_of`; pairs are ordered with `lex_compare`.
+    """
+    r = plan.r_space
+    report = ValidationReport(n_vals=tuple(n_vals))
+    ops = {
+        s.id: {p: tuple(schedule_of(plan, nest, s.id, p, n_vals))
+               for p in _box_points(s.domain, n_vals)}
+        for s in nest.statements
+    }
+    for sid, st in plan.statements.items():
+        depth = nest.statement(sid).depth
+        if rank(st.schedule) != depth:
+            report.rank_failures.append(
+                f"statement {sid!r}: schedule rank {rank(st.schedule)} != depth {depth}"
+            )
+
+    order = {s.id: s.textual_order for s in nest.statements}
+    for di, dep in enumerate(nest.dependences):
+        if dep.kind == "in":
+            continue
+        tie_ok = dep.source == dep.target or order[dep.source] < order[dep.target]
+        for point in _box_points(dep.domain, n_vals):
+            src = tuple(dep.source_point(point, n_vals))
+            cmp = lex_compare(schedule_of(plan, nest, dep.target, point, n_vals),
+                              schedule_of(plan, nest, dep.source, src, n_vals))
+            pair = ((di,), src, point)
+            if cmp == LESS or (cmp == EQUAL and not tie_ok):
+                report.legality_violations.append(pair)
+            elif cmp == EQUAL:
+                report.lex_equal_warnings.append(pair)
+
+    reuse = {}
+    for acc in nest.accesses:
+        if acc.kind != "read":
+            continue
+        transfers = set()
+        for point, vec in ops[acc.statement].items():
+            elem = tuple(acc.index_at(point, n_vals))
+            reuse.setdefault((acc.array, elem, vec[:r]), set()).add(vec[r:])
+            if tuple(placement_of(plan, acc.array, elem, n_vals)) != vec[:r]:
+                transfers.add((elem, vec))
+        report.comm_by_access[acc.key] = len(transfers)
+    report.comm_count = sum(report.comm_by_access.values())
+    for times in reuse.values():
+        report.reuse_histogram[len(times)] = report.reuse_histogram.get(len(times), 0) + 1
+
+    for acc in nest.accesses:
+        depth = claimed_locality_depth(plan, nest, acc, last_index_contiguous)
+        if depth is None:
+            continue
+        groups = {}
+        for point, vec in ops[acc.statement].items():
+            elem = list(acc.index_at(point, n_vals))
+            del elem[-1 if last_index_contiguous else 0]
+            groups.setdefault(vec[:depth], set()).add(tuple(elem))
+        metric = max(len(g) for g in groups.values())
+        report.row_locality[acc.key] = {"claimed_depth": depth, "metric": metric}
+
+    for entry in comm_report(plan, nest)["broadcasts"]:
+        if not entry["eligible"]:
+            continue
+        acc = nest.access(tuple(entry["access"]))
+        own = ops[acc.statement]
+        readers = {}
+        for point, vec in own.items():
+            readers.setdefault(tuple(acc.index_at(point, n_vals)), []).append((point, vec[r:]))
+        writes = {}
+        for w in nest.accesses:
+            if w.array == acc.array and w.kind == "write":
+                for point, vec in ops[w.statement].items():
+                    writes.setdefault(tuple(w.index_at(point, n_vals)), []).append(vec[r:])
+        uniform = all(len({t for _, t in rs}) == 1 for rs in readers.values())
+        nondegenerate = all(
+            any(all(tuple(a + b for a, b in zip(p, u)) in own for u in entry["kernel_basis"])
+                for p, _ in rs)
+            for rs in readers.values()
+        )
+        single = all(
+            sum(lex_compare(wt, min(t for _, t in rs)) == LESS for wt in writes.get(elem, ())) <= 1
+            for elem, rs in readers.items()
+        )
+        report.broadcast_checks[acc.key] = {
+            "time_uniform": uniform,
+            "nondegenerate": nondegenerate,
+            "single_writer_ok": single,
+            "passed": uniform and nondegenerate and single,
+        }
+    return report
+
+
+def _reference_cases():
+    for name in FIXTURE_NAMES:
+        for r in range(fixture_nest(name).max_depth):
+            yield pytest.param(lambda n=name, r=r: (fixture_nest(n), fixture_plan(n, r)),
+                               id=f"{name} r={r}")
+    yield pytest.param(lambda: (fixture_nest("chain23"), fixture_plan("chain23", 1)),
+                       id="chain23 r=1")
+    # matmul with j, then k, on the processors: elements reach one remote
+    # processor at several times, and reuse counts differ between arrays
+    for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]):
+        yield pytest.param(
+            lambda rows=rows: (fixture_nest("matmul"),
+                               _with_schedule(fixture_plan("matmul"), "S1", rows)),
+            id=f"matmul T={rows}",
+        )
+    for first in ("S1", "S2"):
+        yield pytest.param(lambda f=first: TestLegality._producer_consumer(f),
+                           id=f"producer-consumer {first} first")
+    for overwrite in (False, True):
+        yield pytest.param(lambda o=overwrite: TestBroadcastChecks._written_broadcast(o),
+                           id=f"written broadcast overwrite={overwrite}")
+    yield pytest.param(TestBroadcastChecks._one_row_broadcast, id="one-row broadcast")
+    yield pytest.param(_reads_out_of_declaration_order, id="reads out of declaration order")
+
+
+def _reads_out_of_declaration_order():
+    """S1(i, j) reads b[i], then a[i + j]; a is declared first.
+
+    The reuse histogram lists each count in the order its first key is met,
+    reads in access order: b's count N comes before a's counts 1..N.
+    """
+    line = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}
+    nest = load_nest({
+        "params": [{"name": "N", "min": 2}],
+        "statements": [{"id": "S1", "depth": 2, "domain": {"box": [line, line]}, "order": 1}],
+        "arrays": [{"id": "a", "dim": 1}, {"id": "b", "dim": 1}],
+        "accesses": [
+            {"array": "b", "statement": "S1", "slot": 1, "kind": "read",
+             "F": [[1, 0]], "G": [[0]], "f": [0]},
+            {"array": "a", "statement": "S1", "slot": 2, "kind": "read",
+             "F": [[1, 1]], "G": [[0]], "f": [0]},
+        ],
+        "dependences": [],
+    })
+    plan = plan_from_doc(
+        {
+            "r_space": 0,
+            "statements": {"S1": {"T": [[1, 0], [0, 1]], "B": [[0], [0]], "a": [0, 0]}},
+            "arrays": {aid: {"H": [], "Z": [], "y": []} for aid in ("a", "b")},
+            "weights": WeightConfig().to_doc(),
+        },
+        nest,
+    )
+    return nest, plan
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("case", _reference_cases())
+    @pytest.mark.parametrize("above_minimum", [0, 2])
+    def test_matches_validate(self, case, above_minimum):
+        nest, plan = case()
+        n_vals = [m + above_minimum for m in nest.outer_vars.minima]
+        # the text, not the dicts: key order reaches the report file too
+        want = json.dumps(scalar_validate(nest, plan, n_vals).to_doc())
+        assert json.dumps(validate(nest, plan, n_vals).to_doc()) == want
+
+
+class TestInt64Guard:
+    """Images that could leave int64 are refused, never wrapped around."""
+
+    BIG_N = 1 << 23  # 2**40 * N reaches 2**63
+
+    @staticmethod
+    def _docs(t_entry):
+        # two operations, at N - 1 and N, so the points stay few at any N
+        box = {"box": [{"lower": {"coeffs": [1], "const": -1},
+                        "upper": {"coeffs": [1], "const": 0}}]}
+        nest_doc = {
+            "params": [{"name": "N", "min": 2}],
+            "statements": [{"id": "S1", "depth": 1, "domain": box, "order": 1}],
+            "arrays": [{"id": "x", "dim": 1}],
+            "accesses": [
+                {"array": "x", "statement": "S1", "slot": 1, "kind": "write",
+                 "F": [[1]], "G": [[0]], "f": [0]},
+                {"array": "x", "statement": "S1", "slot": 2, "kind": "read",
+                 "F": [[1]], "G": [[0]], "f": [0]},
+            ],
+            "dependences": [],
+        }
+        plan_doc = {
+            "r_space": 0,
+            "statements": {"S1": {"T": [[t_entry]], "B": [[0]], "a": [0]}},
+            "arrays": {"x": {"H": [], "Z": [], "y": []}},
+            "weights": WeightConfig().to_doc(),
+        }
+        return nest_doc, plan_doc
+
+    def test_large_schedule_entry_raises(self):
+        nest_doc, plan_doc = self._docs(1 << 40)
+        nest = load_nest(nest_doc)
+        plan = plan_from_doc(plan_doc, nest)
+        assert validate(nest, plan, [1 << 20]).passed
+        with pytest.raises(EnumerationError, match=r"2\*\*62"):
+            validate(nest, plan, [self.BIG_N])
+
+    def test_cli_exits_with_input_error(self, tmp_path, capsys):
+        nest_doc, plan_doc = self._docs(1 << 40)
+        paths = []
+        for name, doc in (("nest", nest_doc), ("plan", plan_doc)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        argv = ["validate", "--input", str(paths[0]), "--plan", str(paths[1]),
+                "--params", f"N={self.BIG_N}"]
+        assert main(argv) == EXIT_INPUT
+        assert "2**62" in capsys.readouterr().err
