@@ -85,10 +85,14 @@ def _parse_params(nest, items) -> list[tuple[int, ...]]:
 
 
 def _write_json(doc, path):
+    """Write to `path`, or print without one; a file that cannot be written is an input error."""
     text = json.dumps(doc, indent=2) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {path}: {exc.strerror}") from None
     else:
         print(text, end="")
 

@@ -7,12 +7,18 @@ touches, so a parent derives each child's bound from those columns and never
 enters a child that is infeasible or worse than the incumbent.  The search
 runs in passes under a growing objective cap (iterative deepening): a pass
 cuts every subtree whose bound exceeds the cap, so the first pass whose cap
-reaches the optimum finds it without first hunting for an incumbent.  Rank
-growth is a disjunction: for each statement that must grow, the new schedule
-row needs sign * s~.x >= 1 for some kernel witness s and sign.  A statement's
-options are (w1, +1), (w1, -1), (w2, +1), ... in candidate order; the witness
-rows join the interval bookkeeping, and a node is cut as soon as some
-statement has no option left that can still be met.
+reaches the optimum finds it without first hunting for an incumbent.  A
+failed pass leaves each subtree it searched a floor, the least bound it cut
+there, and later passes skip a subtree whose floor is above their cap
+(enhanced iterative deepening, Reinefeld & Marsland 1994).  Columns whose
+slack is equal at every x share one row with the sum of their weights, which
+keeps every bound.
+
+Rank growth is a disjunction: for each statement that must grow, the new
+schedule row needs sign * s~.x >= 1 for some kernel witness s and sign.  A
+statement's options are (w1, +1), (w1, -1), (w2, +1), ... in candidate order;
+the witness rows join the interval bookkeeping, and a node is cut as soon as
+some statement has no option left that can still be met.
 
 Solutions are ranked by one key: the objective, then per statement (in layout
 order) the index of its earliest satisfied option, then the coefficient
@@ -47,6 +53,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
+        # written so that NaN fails too
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(f"time_limit must be > 0 seconds, got {self.time_limit}")
 
 
 @dataclass
@@ -90,7 +99,7 @@ class _Search:
     whose interval lies below zero).  Only the rows that variable k touches
     change between a node and its children, so the parent derives each
     child's bound from those rows alone and skips a child that has a dead
-    column or a bound above the incumbent's objective.
+    column, or whose bound or floor is above the incumbent's objective.
     """
 
     def __init__(self, system: ConstraintSystem, bound, deadline):
@@ -100,10 +109,20 @@ class _Search:
         self.scale = _weight_scale(system)
         self.nvars = len(used)
         self.values = _value_order(bound)
-        ncols = len(system.columns)
-        rows = [col.coeffs for col in system.columns]
-        geq = [col.sense == GEQ0 for col in system.columns]
-        weights = [int(col.weight * self.scale) for col in system.columns]
+        # columns whose slack is equal at every x share one row weighted by the
+        # sum of their weights: equal rows, and for ABS columns also opposite
+        # rows; every interval bound keeps its value
+        merged = {}
+        for col in system.columns:
+            row = col.coeffs
+            if col.sense == ABS and next((c for c in row if c), 0) < 0:
+                row = tuple(-c for c in row)
+            key = (row, col.sense == GEQ0)
+            merged[key] = merged.get(key, 0) + int(col.weight * self.scale)
+        ncols = len(merged)
+        rows = [row for row, _ in merged]
+        geq = [g for _, g in merged]
+        weights = list(merged.values())
         # statements with witnesses, in layout order, and their witness rows
         self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
         self.witness_rows = []
@@ -134,6 +153,13 @@ class _Search:
         self.assign = [0] * self.nvars
         self.nodes = 0
         self.passes = 0
+        # above every objective: what a pass returns for a subtree in which it
+        # cut nothing, which therefore holds no feasible vector
+        self.none = 1 + sum(w * self.rest[ri][0] for ri, w in enumerate(weights))
+        # node id -> floor, a proven lower bound on the objective of every
+        # feasible vector below the node; ids are mixed radix over the value
+        # order, the root is 1
+        self.floors = {}
 
     def run(self, cap):
         """One pass under the objective cap `cap` (scaled units).
@@ -144,13 +170,16 @@ class _Search:
         only subtrees worse than the optimum and `best_x` is the least key's
         vector.  If not, `over_cap` is the least bound cut by the cap, or None
         when the cap cut nothing and the box holds no feasible vector at all.
+        A subtree whose floor from an earlier pass is above the cap counts as
+        cut at its floor: under the lower cap that pass cut it at the same
+        nodes, with the floor as their least bound.
         """
         self.passes += 1
         self.cap = cap
         self.best_key = (cap, _ABOVE_OPTIONS)  # (objective, options) of the incumbent
         self.best_x = None
-        self.over_cap = None
-        self.dfs()
+        least = self.dfs()
+        self.over_cap = None if least == self.none else least
 
     def solution(self) -> Solution:
         """The incumbent of the last pass as a full-layout solution."""
@@ -192,30 +221,34 @@ class _Search:
                 return None
         return tuple(options)
 
-    def dfs(self, k=0, lb=0):
+    def dfs(self, k=0, lb=0, node=1):
         """Search below the node at depth k whose objective lower bound is lb.
 
         At the root every partial sum is 0, so each column's interval
-        contains 0: the bound is 0 and no column is dead.
+        contains 0: the bound is 0 and no column is dead.  While the pass has
+        no incumbent, returns the least bound the cap cut below the node, or
+        `none` when it cut nothing there; that value is the subtree's floor.
         """
         self.nodes += 1
         # the first node checks too, so a spent budget stops even a small search
         if self.deadline is not None and self.nodes % 1024 == 1:
             if time.monotonic() > self.deadline:
                 raise SolverTimeout(f"solver time limit exceeded after {self.nodes} nodes")
+        least = self.none
         options = self._options(k)
         if options is None:
-            return
+            return least
         key = (lb, options)
         if key > self.best_key:
-            return
+            return least
         # on a tie only lexicographically smaller completions can still win
         if key == self.best_key and tuple(self.assign[:k]) > self.best_x[:k]:
-            return
+            return least
         if k == self.nvars:
             self.best_key, self.best_x = key, tuple(self.assign)
-            return
+            return least
         partial = self.partial
+        floors = self.floors
         columns = self.columns_at[k]
         touched = self.by_pos[k]
         # the bound without the touched columns' contributions
@@ -226,7 +259,7 @@ class _Search:
                 base -= w * (p - before)
             elif p + before < 0:
                 base += w * (p + before)
-        for v in self.values:
+        for cid, v in enumerate(self.values, node * len(self.values)):
             child = base
             for ri, c, geq, w, _, after in columns:
                 p = partial[ri] + c * v
@@ -237,20 +270,31 @@ class _Search:
                         break
                     child -= w * (p + after)
             else:
-                if child > self.best_key[0]:
+                # a floor is never below the child's bound, which only grows
+                # with depth; it decides the skip but never enters lb, whose
+                # value at a leaf is that leaf's objective
+                floor = floors.get(cid, child)
+                if floor > self.best_key[0]:
                     # cut by the cap alone: the next pass needs a cap this high
-                    if self.best_x is None and (self.over_cap is None or child < self.over_cap):
-                        self.over_cap = child
+                    if floor < least:
+                        least = floor
                     continue
                 self.assign[k] = v
                 if v:
                     for ri, c in touched:
                         partial[ri] += c * v
-                self.dfs(k + 1, child)
+                entered = self.nodes
+                floor = self.dfs(k + 1, child, cid)
                 if v:
                     for ri, c in touched:
                         partial[ri] -= c * v
+                if floor < least:
+                    least = floor
+                # a one-node subtree costs no more to enter again than to look up
+                if self.best_x is None and self.nodes - entered > 1:
+                    floors[cid] = floor
         self.assign[k] = 0
+        return least
 
 
 def _used_variables(system: ConstraintSystem):

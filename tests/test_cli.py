@@ -86,6 +86,19 @@ class TestSolve:
         assert rc == EXIT_TIMEOUT
         assert "recursion 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", ["nan", "0", "-1"])
+    def test_bad_time_limit(self, limit, capsys):
+        rc = main(["solve", "--input", fixture_path("matmul"), "--time-limit", limit])
+        assert rc == EXIT_INPUT
+        assert "time_limit must be > 0" in capsys.readouterr().err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p.json"
+        rc = main(["solve", "--input", fixture_path("chain"), "--spatial-dims", "0",
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert f"cannot write output file {out}" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_pass(self, matmul_plan, capsys):
@@ -153,6 +166,13 @@ class TestValidate:
         assert rc == EXIT_INPUT
         assert "misses field 'B'" in capsys.readouterr().err
 
+    def test_unwritable_out(self, matmul_plan, tmp_path, capsys):
+        out = tmp_path / "missing" / "v.json"
+        rc = main(["validate", "--input", fixture_path("matmul"), "--plan", str(matmul_plan),
+                   "--params", "N=3", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert f"cannot write output file {out}" in capsys.readouterr().err
+
 
 class TestReport:
     def test_report_json(self, matmul_plan, tmp_path, capsys):
@@ -166,3 +186,9 @@ class TestReport:
         assert doc["exchanges"][0]["access"] == ["B", "S1", 1]
         assert "broadcast eligible" in capsys.readouterr().out
 
+    def test_unwritable_out(self, matmul_plan, tmp_path, capsys):
+        out = tmp_path / "missing" / "comm.json"
+        rc = main(["report", "--input", fixture_path("matmul"), "--plan", str(matmul_plan),
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert f"cannot write output file {out}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Branch-and-bound solver: optimality, determinism, verification."""
 
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,12 +26,43 @@ from affsched.solver import (
     solve,
     verify,
 )
+from affsched.nest import load_nest
 from affsched.validation import brute_force_minimum, first_recursion_system
-from conftest import fixture_nest
+from conftest import fixture_nest, perfbench_module
 
 
 def _layout(name):
     return ExtendedLayout.for_nest(fixture_nest(name))
+
+
+def _recursion_systems(monkeypatch, nest, r_space):
+    """The system of every recursion of `run_procedure`, in order."""
+    systems = []
+
+    def recording_solve(system, cfg=None):
+        systems.append(system)
+        return solve(system, cfg)
+
+    monkeypatch.setattr(procedure, "solve", recording_solve)
+    procedure.run_procedure(nest, r_space=r_space)
+    return systems
+
+
+def _fresh_passes(system, bound):
+    """solve's cap sequence with a fresh search, and so no floors, per pass:
+    (passes, cap of the last pass, nodes over all passes), or None when the
+    box holds no feasible vector."""
+    cap, passes, nodes = 0, 0, 0
+    while True:
+        search = _Search(system, bound, None)
+        search.run(cap)
+        passes += 1
+        nodes += search.nodes
+        if search.best_x is not None:
+            return passes, Fraction(cap, search.scale), nodes
+        if search.over_cap is None:
+            return None
+        cap = max(search.over_cap, 2 * cap)
 
 
 class TestBasicSolves:
@@ -98,15 +130,7 @@ class TestExhaustiveEquivalence:
     def test_later_recursion(self, monkeypatch):
         # stencil r=1, recursion 2: the dependences strictly satisfied by the
         # spatial row are dropped and the witness comes from its kernel
-        systems = []
-
-        def recording_solve(system, cfg=None):
-            systems.append(system)
-            return solve(system, cfg)
-
-        monkeypatch.setattr(procedure, "solve", recording_solve)
-        procedure.run_procedure(fixture_nest("stencil"), r_space=1)
-        system = systems[1]
+        system = _recursion_systems(monkeypatch, fixture_nest("stencil"), 1)[1]
         sol = solve(system, SolverConfig(coeff_bound=1))
         assert sol.objective == brute_force_minimum(system, bound=1)
         assert verify(sol, system).ok
@@ -189,6 +213,66 @@ class TestRandomSystems:
             assert sol.x == expected.x
             assert sol.witness_used == expected.witness_used
             assert sol.objective == expected.objective
+
+
+    @_forty_systems
+    @given(_random_systems())
+    def test_split_columns_search_alike(self, system):
+        # every column split into copies weighted w/3 and 2w/3, the second
+        # negated when ABS: the copies have the first one's slack at every x,
+        # so the search merges them back and enters the same nodes
+        split = []
+        for col in system.columns:
+            sign = -1 if col.sense == ABS else 1
+            split.append(replace(col, weight=col.weight / 3))
+            split.append(replace(col, coeffs=tuple(sign * c for c in col.coeffs),
+                                 label=col.label + "'", weight=col.weight * 2 / 3))
+        twin = ConstraintSystem(system.layout, split, system.witnesses)
+        for bound in (1, 2):
+            cfg = SolverConfig(coeff_bound=bound)
+            try:
+                expected = solve(system, cfg)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve(twin, cfg)
+                continue
+            sol = solve(twin, cfg)
+            assert sol.x == expected.x
+            assert sol.witness_used == expected.witness_used
+            assert sol.objective == expected.objective
+            assert (sol.nodes, sol.passes) == (expected.nodes, expected.passes)
+
+    @_forty_systems
+    @given(_random_systems())
+    def test_floors_keep_the_passes(self, system):
+        # floors skip only subtrees an earlier pass proved to lie above the
+        # cap, so the caps match fresh passes and no more nodes are entered
+        for bound in (1, 2):
+            fresh = _fresh_passes(system, bound)
+            if fresh is None:
+                with pytest.raises(InfeasibleError):
+                    solve(system, SolverConfig(coeff_bound=bound))
+                continue
+            passes, cap, nodes = fresh
+            sol = solve(system, SolverConfig(coeff_bound=bound))
+            assert (sol.passes, sol.cap) == (passes, cap)
+            assert sol.nodes <= nodes
+
+
+class TestFloors:
+    @pytest.mark.parametrize("name,r,recursion", [("stencil", 1, 0), ("jacobi2", 1, 1)])
+    def test_fewer_nodes_than_fresh_passes(self, monkeypatch, name, r, recursion):
+        # both recursions fail several passes that re-enter the top of the tree
+        if name == "jacobi2":
+            nest = load_nest(perfbench_module("gen").jacobi2())
+        else:
+            nest = fixture_nest(name)
+        system = _recursion_systems(monkeypatch, nest, r)[recursion]
+        passes, cap, nodes = _fresh_passes(system, 2)
+        sol = solve(system)
+        assert passes > 1
+        assert (sol.passes, sol.cap) == (passes, cap)
+        assert sol.nodes < nodes
 
 
 class TestConstructedSystems:
@@ -283,6 +367,11 @@ class TestConfig:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             SolverConfig(coeff_bound=0)
+
+    @pytest.mark.parametrize("limit", [float("nan"), 0, -1])
+    def test_bad_time_limit(self, limit):
+        with pytest.raises(ValueError, match="time_limit must be > 0"):
+            SolverConfig(time_limit=limit)
 
     def test_time_limit(self):
         system = first_recursion_system(fixture_nest("matmul"), r_space=1)
