@@ -76,7 +76,13 @@ def _parse_params(nest, items) -> list[tuple[int, ...]]:
             name, val = piece.split("=", 1)
             if name not in names:
                 raise InputError(f"unknown outer variable {name!r}")
-            vals[name] = int(val)
+            if name in vals:
+                raise InputError(f"parameter {name!r} given twice in {item!r}")
+            try:
+                vals[name] = int(val)
+            except ValueError:
+                raise InputError(f"bad value {val!r} for parameter {name!r}; "
+                                 "expected an integer") from None
         missing = [n for n in names if n not in vals]
         if missing:
             raise InputError(f"parameter setting {item!r} misses {missing}")

@@ -12,7 +12,10 @@ failed pass leaves each subtree it searched a floor, the least bound it cut
 there, and later passes skip a subtree whose floor is above their cap
 (enhanced iterative deepening, Reinefeld & Marsland 1994).  Columns whose
 slack is equal at every x share one row with the sum of their weights, which
-keeps every bound.
+keeps every bound.  Two columns a and b that end at the same variable with
+equal |coefficient| there are also bounded as a pair through c = a +- b,
+which cancels that variable: |a| + |b| >= |c| prices the pair from c's
+interval levels before a and b are fixed.
 
 Rank growth is a disjunction: for each statement that must grow, the new
 schedule row needs sign * s~.x >= 1 for some kernel witness s and sign.  A
@@ -100,6 +103,15 @@ class _Search:
     change between a node and its children, so the parent derives each
     child's bound from those rows alone and skips a child that has a dead
     column, or whose bound or floor is above the incumbent's objective.
+
+    The bound is the sum over columns of weight times d, the distance of the
+    column's interval from 0, plus for each pair (a, b, c) with m = min(w_a,
+    w_b) the excess m * max(0, d_c - d_a - d_b): the pair then bounds
+    w_a*|a| + w_b*|b| >= (w_a - m)*d_a + (w_b - m)*d_b + m*max(d_a + d_b, d_c).
+    An ABS pair uses |a| + |b| >= |a +- b|; a GEQ0 pair uses a + b >= |a - b|
+    or, for c = a + b, a + b = c >= 0, which makes c a column of weight 0 for
+    the dead check.  Every d only grows with depth, and at a leaf d_c <= d_a
+    + d_b, so the bound never falls and equals the objective there.
     """
 
     def __init__(self, system: ConstraintSystem, bound, deadline):
@@ -119,10 +131,19 @@ class _Search:
                 row = tuple(-c for c in row)
             key = (row, col.sense == GEQ0)
             merged[key] = merged.get(key, 0) + int(col.weight * self.scale)
-        ncols = len(merged)
         rows = [row for row, _ in merged]
         geq = [g for _, g in merged]
         weights = list(merged.values())
+        # paired columns: each pair's combination c = a +- b joins the rows
+        # with weight 0; a GEQ0 pair's sum a + b must be >= 0, so c is then a
+        # column of its own for the dead check
+        pairs = []
+        for a, b, c, is_sum in _pair_rows(rows, geq, used):
+            pairs.append((a, b, len(rows), min(weights[a], weights[b])))
+            rows.append(c)
+            geq.append(geq[a] and is_sum)
+            weights.append(0)
+        ncols = len(rows)
         # statements with witnesses, in layout order, and their witness rows
         self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
         self.witness_rows = []
@@ -131,7 +152,7 @@ class _Search:
             self.witness_rows.append(range(len(rows), len(rows) + len(cands)))
             rows.extend(w.s_tilde for w in cands)
         # rest[r][k]: max |contribution| of variables k.. to row r
-        self.rest = []
+        self.rest = rest = []
         self.by_pos = [[] for _ in used]
         for ri, row in enumerate(rows):
             arr = [0] * (self.nvars + 1)
@@ -141,13 +162,20 @@ class _Search:
                     self.by_pos[k].append((ri, row[g]))
             for k in range(self.nvars - 1, -1, -1):
                 arr[k] += arr[k + 1]
-            self.rest.append(arr)
-        # per depth, the columns variable k touches with their spreads before
-        # and after k is assigned
+            rest.append(arr)
+        # per depth, the columns and the pairs variable k touches, with their
+        # coefficients and spreads (before and after k is assigned; a pair
+        # only after)
         self.columns_at = [
-            [(ri, c, geq[ri], weights[ri], self.rest[ri][k], self.rest[ri][k + 1])
-             for ri, c in touched if ri < ncols]
+            [(ri, c, geq[ri], weights[ri], rest[ri][k], rest[ri][k + 1])
+             for ri, c in touched if ri < ncols and (weights[ri] or geq[ri])]
             for k, touched in enumerate(self.by_pos)
+        ]
+        self.pairs_at = [
+            [(a, rows[a][g], rest[a][k + 1], b, rows[b][g], rest[b][k + 1],
+              c, rows[c][g], rest[c][k + 1], m)
+             for a, b, c, m in pairs if rows[a][g] or rows[b][g] or rows[c][g]]
+            for k, g in enumerate(used)
         ]
         self.partial = [0] * len(rows)
         self.assign = [0] * self.nvars
@@ -155,7 +183,7 @@ class _Search:
         self.passes = 0
         # above every objective: what a pass returns for a subtree in which it
         # cut nothing, which therefore holds no feasible vector
-        self.none = 1 + sum(w * self.rest[ri][0] for ri, w in enumerate(weights))
+        self.none = 1 + sum(w * rest[ri][0] for ri, w in enumerate(weights))
         # node id -> floor, a proven lower bound on the objective of every
         # feasible vector below the node; ids are mixed radix over the value
         # order, the root is 1
@@ -250,8 +278,11 @@ class _Search:
         partial = self.partial
         floors = self.floors
         columns = self.columns_at[k]
+        pairs = self.pairs_at[k]
         touched = self.by_pos[k]
-        # the bound without the touched columns' contributions
+        rest = self.rest
+        # the bound without the touched columns' contributions and the touched
+        # pairs' excess terms
         base = lb
         for ri, _, _, w, before, _ in columns:
             p = partial[ri]
@@ -259,6 +290,13 @@ class _Search:
                 base -= w * (p - before)
             elif p + before < 0:
                 base += w * (p + before)
+        for a, _, _, b, _, _, c, _, _, m in pairs:
+            excess = abs(partial[c]) - rest[c][k]
+            if excess > 0:
+                excess -= (max(abs(partial[a]) - rest[a][k], 0)
+                           + max(abs(partial[b]) - rest[b][k], 0))
+                if excess > 0:
+                    base -= m * excess
         for cid, v in enumerate(self.values, node * len(self.values)):
             child = base
             for ri, c, geq, w, _, after in columns:
@@ -270,6 +308,13 @@ class _Search:
                         break
                     child -= w * (p + after)
             else:
+                for a, ca, sa, b, cb, sb, c, cc, sc, m in pairs:
+                    excess = abs(partial[c] + cc * v) - sc
+                    if excess > 0:
+                        excess -= (max(abs(partial[a] + ca * v) - sa, 0)
+                                   + max(abs(partial[b] + cb * v) - sb, 0))
+                        if excess > 0:
+                            child += m * excess
                 # a floor is never below the child's bound, which only grows
                 # with depth; it decides the skip but never enters lb, whose
                 # value at a leaf is that leaf's objective
@@ -309,6 +354,42 @@ def _used_variables(system: ConstraintSystem):
                 if c:
                     used.add(i)
     return sorted(used)
+
+
+def _pair_rows(rows, geq, used):
+    """Disjoint pairs of rows of one sense that end at the same variable (in
+    search order) with equal |coefficient| there, as (a, b, c, is_sum): c is
+    a - b or, for opposite coefficients, a + b, so it cancels that variable.
+    Pairs whose c ends the most positions earlier are taken first, ties by
+    row index; a pair whose c is zero is never taken."""
+    # rows in search order, so that only the tail that c cancels is scanned
+    ordered = [[row[g] for g in used] for row in rows]
+    buckets = {}
+    for ri, row in enumerate(ordered):
+        k = len(row) - 1
+        while k >= 0 and not row[k]:
+            k -= 1
+        if k >= 0:
+            buckets.setdefault((geq[ri], k, abs(row[k])), []).append(ri)
+    candidates = []
+    for (_, k, _), members in buckets.items():
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                ra, rb = ordered[a], ordered[b]
+                sign = -1 if ra[k] == rb[k] else 1
+                j = k - 1
+                while j >= 0 and ra[j] + sign * rb[j] == 0:
+                    j -= 1
+                if j >= 0:
+                    candidates.append((j - k, a, b, sign))
+    candidates.sort()
+    taken, pairs = set(), []
+    for _, a, b, sign in candidates:
+        if a not in taken and b not in taken:
+            taken.update((a, b))
+            c = tuple(x + sign * y for x, y in zip(rows[a], rows[b]))
+            pairs.append((a, b, c, sign > 0))
+    return pairs
 
 
 def _weight_scale(system: ConstraintSystem) -> int:

@@ -138,6 +138,17 @@ class TestValidate:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("setting,message", [
+        ("N=4,N=5", "parameter 'N' given twice in 'N=4,N=5'"),
+        ("N=abc", "bad value 'abc' for parameter 'N'; expected an integer"),
+        ("N=", "bad value '' for parameter 'N'; expected an integer"),
+    ])
+    def test_bad_parameter_setting(self, matmul_plan, capsys, setting, message):
+        rc = main(["validate", "--input", fixture_path("matmul"), "--plan", str(matmul_plan),
+                   "--params", setting])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_params_below_minimum(self, matmul_plan):
         rc = main(
             ["validate", "--input", fixture_path("matmul"), "--plan", str(matmul_plan),

@@ -136,14 +136,10 @@ class TestExhaustiveEquivalence:
         assert verify(sol, system).ok
 
 
-@st.composite
-def _random_systems(draw):
-    """A system on a layout of at most 14 entries: mixed GEQ0/ABS columns
-    with coefficients in [-3, 3], fractional weights, and 1-3 witness
-    candidates per statement.  Column entries lean towards the schedule
-    blocks, where the witnesses live, so that some systems are infeasible.
-    At most one array, and a parameter only sometimes, because the oracle
-    costs 3**size."""
+def _draw_layout(draw):
+    """A layout of at most 14 entries, with the statement depths: at most
+    one array, and a parameter only sometimes, because the oracle costs
+    3**size."""
     depths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
     dims = draw(st.lists(st.integers(1, 2), max_size=1))
     lay = ExtendedLayout(
@@ -155,15 +151,11 @@ def _random_systems(draw):
     )
     if lay.size > 14:
         return draw(st.nothing())
-    index = st.one_of(st.integers(0, sum(depths) - 1), st.integers(0, lay.size - 1))
-    columns = []
-    for i in range(draw(st.integers(1, 10))):
-        coeffs = [0] * lay.size
-        for k, c in draw(st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=3)):
-            coeffs[k] = c
-        weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
-        sense = draw(st.sampled_from((GEQ0, ABS)))
-        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", ("g", i), f"c{i}", weight))
+    return lay, depths
+
+
+def _draw_witnesses(draw, lay, depths):
+    """1-3 witness candidates per statement, in its schedule block."""
     witnesses = {}
     for sid, depth in zip(lay.statement_ids, depths):
         vec = st.lists(st.integers(-2, 2), min_size=depth, max_size=depth).filter(any)
@@ -174,7 +166,61 @@ def _random_systems(draw):
             s_tilde[start:stop] = s
             cands.append(RankWitness(sid, IntVector(s), tuple(s_tilde)))
         witnesses[sid] = cands
-    return ConstraintSystem(lay, columns, witnesses)
+    return witnesses
+
+
+@st.composite
+def _random_systems(draw):
+    """A system on a layout of at most 14 entries: mixed GEQ0/ABS columns
+    with coefficients in [-3, 3], fractional weights, and 1-3 witness
+    candidates per statement.  Column entries lean towards the schedule
+    blocks, where the witnesses live, so that some systems are infeasible."""
+    lay, depths = _draw_layout(draw)
+    index = st.one_of(st.integers(0, sum(depths) - 1), st.integers(0, lay.size - 1))
+    columns = []
+    for i in range(draw(st.integers(1, 10))):
+        coeffs = [0] * lay.size
+        for k, c in draw(st.lists(st.tuples(index, st.integers(-3, 3)), min_size=1, max_size=3)):
+            coeffs[k] = c
+        weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+        sense = draw(st.sampled_from((GEQ0, ABS)))
+        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", ("g", i), f"c{i}", weight))
+    return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
+
+
+@st.composite
+def _paired_systems(draw):
+    """Like `_random_systems`, but drawn in groups of 2-3 columns of one
+    sense that end at the same entry with equal |coefficient| there and
+    random signs, so that the search pairs columns of every kind: ABS,
+    GEQ0 sums (opposite signs) and GEQ0 differences (equal signs)."""
+    lay, depths = _draw_layout(draw)
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        last = draw(st.integers(1, lay.size - 1))
+        size = draw(st.integers(1, 3))
+        sense = draw(st.sampled_from((GEQ0, ABS)))
+        for _ in range(draw(st.integers(2, 3))):
+            coeffs = [0] * lay.size
+            coeffs[last] = size * draw(st.sampled_from((1, -1)))
+            for k, c in draw(st.lists(st.tuples(st.integers(0, last - 1), st.integers(-3, 3)),
+                                      min_size=1, max_size=3)):
+                coeffs[k] = c
+            weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+            i = len(columns)
+            columns.append(ConstraintColumn(tuple(coeffs), sense, "f", ("g", i), f"c{i}", weight))
+    return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
+
+
+def _pair_kinds(system):
+    """The kinds of the pairs that the search bounds together."""
+    search = _Search(system, 1, None)
+    geq = {ri: g for cols in search.columns_at for ri, _, g, *_ in cols}
+    kinds = set()
+    for pairs in search.pairs_at:
+        for a, _, _, _, _, _, c, *_ in pairs:
+            kinds.add("GEQ0 sum" if c in geq else "GEQ0 difference" if geq[a] else "ABS")
+    return kinds
 
 
 # derandomized: every run checks the same 40 systems
@@ -259,6 +305,32 @@ class TestRandomSystems:
             assert sol.nodes <= nodes
 
 
+class TestPairedSystems:
+    # the checks of TestRandomSystems, on 40 systems whose columns pair up
+
+    @_forty_systems
+    @given(_paired_systems())
+    def test_solver_matches_oracle(self, system):
+        TestRandomSystems.test_solver_matches_oracle.hypothesis.inner_test(self, system)
+
+    @_forty_systems
+    @given(_paired_systems())
+    def test_capped_passes_match_one_uncapped_pass(self, system):
+        TestRandomSystems.test_capped_passes_match_one_uncapped_pass.hypothesis.inner_test(
+            self, system)
+
+    def test_draws_every_kind_of_pair(self):
+        kinds = set()
+
+        @_forty_systems
+        @given(_paired_systems())
+        def collect(system):
+            kinds.update(_pair_kinds(system))
+
+        collect()
+        assert kinds == {"ABS", "GEQ0 sum", "GEQ0 difference"}
+
+
 class TestFloors:
     @pytest.mark.parametrize("name,r,recursion", [("stencil", 1, 0), ("jacobi2", 1, 1)])
     def test_fewer_nodes_than_fresh_passes(self, monkeypatch, name, r, recursion):
@@ -317,6 +389,55 @@ class TestConstructedSystems:
         sol = solve(self._system(cols, wit))
         assert sol.objective == 0
         assert sol.x[a] == -sol.x[t]
+
+    def _pair_system(self, sense, a, b, weights):
+        """Columns a and b over x0 (tau, with a witness x0 >= 1 first) and x1
+        (the constant a of S1), given as their (x0, x1) coefficients."""
+        lay = _layout("vecadd")
+        x0, x1 = lay.tau_offset("S1"), lay.a_offset("S1")
+        cols = []
+        for name, (c0, c1), w in zip("ab", (a, b), weights):
+            coeffs = [0] * lay.size
+            coeffs[x0], coeffs[x1] = c0, c1
+            cols.append(ConstraintColumn(tuple(coeffs), sense, "align-f",
+                                         ("acc", ("c", "S1", 1)), name, Fraction(w)))
+        s_tilde = [0] * lay.size
+        s_tilde[x0] = 1
+        wit = {"S1": [RankWitness("S1", IntVector((1,)), tuple(s_tilde))]}
+        return self._system(cols, wit), x0, x1
+
+    def test_pair_bound_before_its_last_variable(self):
+        # |x0 + x1| + |-x0 + x1| >= |2 x0|: once x0 = 1 is fixed, the bound is
+        # at least 2m with m = min(3, 5), although x1 is still free and each
+        # column's interval alone contains 0
+        system, x0, x1 = self._pair_system(ABS, (1, 1), (-1, 1), (3, 5))
+        assert _pair_kinds(system) == {"ABS"}
+        search = _Search(system, 2, None)
+        bounds = {}
+        dfs = search.dfs
+
+        def recording_dfs(k=0, lb=0, node=1):
+            bounds[tuple(search.assign[:k])] = lb
+            return dfs(k, lb, node)
+
+        search.dfs = recording_dfs
+        search.run(1 << 40)
+        assert bounds[(1,)] >= 2 * 3
+        sol = search.solution()
+        assert sol.objective == 6
+        assert (sol.x[x0], sol.x[x1]) == (1, 1)
+
+    def test_negative_difference_of_paired_geq0_columns(self):
+        # x0 + x1 >= 0 and 2 x0 + x1 >= 0 pair through their difference -x0,
+        # which is negative at the optimum x0 = 1, x1 = -1 (objective 5*0 +
+        # 1*1); a dead check on the difference would leave only x0 = -1,
+        # x1 = 2 (objective 5)
+        system, x0, x1 = self._pair_system(GEQ0, (1, 1), (2, 1), (5, 1))
+        assert _pair_kinds(system) == {"GEQ0 difference"}
+        for bound in (1, 2):
+            sol = solve(system, SolverConfig(coeff_bound=bound))
+            assert sol.objective == 1
+            assert (sol.x[x0], sol.x[x1]) == (1, -1)
 
     def test_fractional_weights_exact(self):
         lay = _layout("vecadd")
@@ -380,15 +501,15 @@ class TestConfig:
         assert str(exc.value).endswith("nodes in pass 1 under objective cap 0")
 
     def test_time_limit_reports_proven_bound(self, monkeypatch):
-        # stencil r=1 at bound 4 fails under caps 0, 4, 8 and 16 within 793
-        # nodes; a clock that ticks once per reading runs out at the second
-        # deadline check, node 1025, in the pass under cap 32
+        # stencil r=1 at bound 6 fails under caps 0, 4, 8, 16, 32 and 64
+        # within 1000 nodes; a clock that ticks once per reading runs out at
+        # the second deadline check, node 1025, in the pass under cap 128
         ticks = iter(range(100))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
         system = first_recursion_system(fixture_nest("stencil"), r_space=1)
         with pytest.raises(SolverTimeout) as exc:
-            solve(system, SolverConfig(coeff_bound=4, time_limit=1.5))
+            solve(system, SolverConfig(coeff_bound=6, time_limit=1.5))
         assert str(exc.value) == (
-            "solver time limit exceeded after 1025 nodes in pass 5 under objective cap 32; "
-            "no solution with objective <= 16"
+            "solver time limit exceeded after 1025 nodes in pass 7 under objective cap 128; "
+            "no solution with objective <= 64"
         )
