@@ -72,46 +72,14 @@ class ExtendedLayout:
             nest.outer_vars.count,
         )
 
-    def tau_offset(self, sid: str) -> int:
-        return self.spans["tau", sid][0]
-
-    def eta_offset(self, aid: str) -> int:
-        return self.spans["eta", aid][0]
-
-    def b_offset(self, sid: str) -> int:
-        return self.spans["b", sid][0]
-
-    def z_offset(self, aid: str) -> int:
-        return self.spans["z", aid][0]
-
-    def a_offset(self, sid: str) -> int:
-        return self.spans["a", sid][0]
-
-    def y_offset(self, aid: str) -> int:
-        return self.spans["y", aid][0]
+    def offset(self, kind: str, key: str) -> int:
+        """Where the block of `kind` for `key` starts."""
+        return self.spans[kind, key][0]
 
     def block(self, x, kind: str, key: str) -> IntVector:
         """The entries of one block of the vector `x`."""
         start, stop = self.spans[kind, key]
         return IntVector(x[start:stop])
-
-    def tau_block(self, x, sid: str) -> IntVector:
-        return self.block(x, "tau", sid)
-
-    def eta_block(self, x, aid: str) -> IntVector:
-        return self.block(x, "eta", aid)
-
-    def b_block(self, x, sid: str) -> IntVector:
-        return self.block(x, "b", sid)
-
-    def z_block(self, x, aid: str) -> IntVector:
-        return self.block(x, "z", aid)
-
-    def a_value(self, x, sid: str) -> int:
-        return x[self.a_offset(sid)]
-
-    def y_value(self, x, aid: str) -> int:
-        return x[self.y_offset(aid)]
 
 
 @dataclass(frozen=True)
@@ -182,27 +150,27 @@ def build_legality_columns(
     for m, (r_mat, omega) in enumerate(vertices(dep.domain)):
         corner = r_mat.matvec(n0) + omega  # vertex at smallest parameters
         cb = _ColumnBuilder(layout)
-        cb.add(layout.tau_offset(dep.target), corner)
+        cb.add(layout.offset("tau", dep.target), corner)
         cb.add(
-            layout.tau_offset(dep.source),
+            layout.offset("tau", dep.source),
             -dep.source_map.matvec(corner) - dep.param_map.matvec(n0) + dep.shift,
         )
-        cb.add(layout.b_offset(dep.target), n0)
-        cb.add(layout.b_offset(dep.source), -n0)
-        cb.add_at(layout.a_offset(dep.target), 1)
-        cb.add_at(layout.a_offset(dep.source), -1)
+        cb.add(layout.offset("b", dep.target), n0)
+        cb.add(layout.offset("b", dep.source), -n0)
+        cb.add_at(layout.offset("a", dep.target), 1)
+        cb.add_at(layout.offset("a", dep.source), -1)
         cols.append(
             cb.build(sense, "legality-const", group, f"dep{dep_index}.v{m}", weight)
         )
         for j in range(e):
             cb = _ColumnBuilder(layout)
-            cb.add(layout.tau_offset(dep.target), r_mat.col(j))
+            cb.add(layout.offset("tau", dep.target), r_mat.col(j))
             cb.add(
-                layout.tau_offset(dep.source),
+                layout.offset("tau", dep.source),
                 -dep.source_map.matvec(r_mat.col(j)) - dep.param_map.col(j),
             )
-            cb.add_at(layout.b_offset(dep.target) + j, 1)
-            cb.add_at(layout.b_offset(dep.source) + j, -1)
+            cb.add_at(layout.offset("b", dep.target) + j, 1)
+            cb.add_at(layout.offset("b", dep.source) + j, -1)
             cols.append(
                 cb.build(sense, "legality-param", group, f"dep{dep_index}.v{m}.N{j}", weight)
             )
@@ -225,19 +193,19 @@ def build_alignment_columns(
     cols = []
     for i in range(stmt.depth):
         cb = _ColumnBuilder(layout)
-        cb.add_at(layout.tau_offset(acc.statement) + i, 1)
-        cb.add(layout.eta_offset(acc.array), -acc.iter_coeffs.col(i))
+        cb.add_at(layout.offset("tau", acc.statement) + i, 1)
+        cb.add(layout.offset("eta", acc.array), -acc.iter_coeffs.col(i))
         cols.append(cb.build(ABS, "align-F", group, f"align-F.{tag}.{i}", weight_f_mat))
     for j in range(e):
         cb = _ColumnBuilder(layout)
-        cb.add_at(layout.b_offset(acc.statement) + j, 1)
-        cb.add(layout.eta_offset(acc.array), -acc.param_coeffs.col(j))
-        cb.add_at(layout.z_offset(acc.array) + j, -1)
+        cb.add_at(layout.offset("b", acc.statement) + j, 1)
+        cb.add(layout.offset("eta", acc.array), -acc.param_coeffs.col(j))
+        cb.add_at(layout.offset("z", acc.array) + j, -1)
         cols.append(cb.build(ABS, "align-G", group, f"align-G.{tag}.{j}", weight_g_mat))
     cb = _ColumnBuilder(layout)
-    cb.add_at(layout.a_offset(acc.statement), 1)
-    cb.add(layout.eta_offset(acc.array), -acc.offset)
-    cb.add_at(layout.y_offset(acc.array), -1)
+    cb.add_at(layout.offset("a", acc.statement), 1)
+    cb.add(layout.offset("eta", acc.array), -acc.offset)
+    cb.add_at(layout.offset("y", acc.array), -1)
     cols.append(cb.build(ABS, "align-f", group, f"align-f.{tag}", weight_offset))
     return cols
 
@@ -299,7 +267,7 @@ def build_space_locality_columns(
     cols = []
     for g, d in enumerate(locality_kernel(acc, last_index_contiguous)):
         cb = _ColumnBuilder(layout)
-        cb.add(layout.tau_offset(acc.statement), d)
+        cb.add(layout.offset("tau", acc.statement), d)
         cols.append(cb.build(ABS, "space-loc", group, f"space.{tag}.{g}", weight))
     return cols
 

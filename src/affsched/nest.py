@@ -231,10 +231,23 @@ def contains_point(domain: Domain, point, n_vals) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise NestError(f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
 def _need(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise NestError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _need_list(obj: dict, key: str, where: str) -> list:
+    value = _need(obj, key, where)
+    if not isinstance(value, list):
+        raise NestError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _parse_bound(obj: dict, e: int, where: str) -> AffineBound:
@@ -245,18 +258,18 @@ def _parse_bound(obj: dict, e: int, where: str) -> AffineBound:
 
 
 def _parse_domain(obj: dict, e: int, where: str) -> Domain:
-    if "box" in obj:
+    if "box" in _object(obj, f"{where}: domain"):
         box = tuple(
             (
                 _parse_bound(_need(pair, "lower", where), e, where),
                 _parse_bound(_need(pair, "upper", where), e, where),
             )
-            for pair in obj["box"]
+            for pair in _need_list(obj, "box", where)
         )
         return Domain(box=box)
     if "vertices" in obj:
         verts = []
-        for v in obj["vertices"]:
+        for v in _need_list(obj, "vertices", where):
             r = IntMatrix(_need(v, "R", where), e)
             omega = IntVector(_need(v, "omega", where))
             if r.nrows != len(omega):
@@ -296,7 +309,7 @@ def load_nest(source) -> LoopNest:
         except json.JSONDecodeError as exc:
             raise NestError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
-    params = _need(doc, "params", "document")
+    params = _need_list(doc, "params", "document")
     names = tuple(_need(p, "name", "params") for p in params)
     if len(set(names)) != len(names):
         raise NestError("duplicate outer variable names")
@@ -304,7 +317,7 @@ def load_nest(source) -> LoopNest:
     e = outer.count
     n0 = outer.minima
 
-    stmts_doc = _need(doc, "statements", "document")
+    stmts_doc = _need_list(doc, "statements", "document")
     if not stmts_doc:
         raise NestError("no statements")
     statements = []
@@ -324,7 +337,7 @@ def load_nest(source) -> LoopNest:
         raise NestError("duplicate statement ids")
 
     arrays = []
-    for a in _need(doc, "arrays", "document"):
+    for a in _need_list(doc, "arrays", "document"):
         aid = _need(a, "id", "arrays")
         dim = int(_need(a, "dim", f"array {aid!r}"))
         if dim < 1:
@@ -336,7 +349,7 @@ def load_nest(source) -> LoopNest:
     nest = LoopNest(outer, tuple(statements), tuple(arrays), (), ())
 
     accesses = []
-    for acc in _need(doc, "accesses", "document"):
+    for acc in _need_list(doc, "accesses", "document"):
         aid = _need(acc, "array", "accesses")
         sid = _need(acc, "statement", "accesses")
         slot = int(_need(acc, "slot", "accesses"))
@@ -363,7 +376,8 @@ def load_nest(source) -> LoopNest:
         raise NestError("duplicate access (array, statement, slot) keys")
 
     dependences = []
-    for i, dep in enumerate(doc.get("dependences", [])):
+    deps_doc = _need_list(doc, "dependences", "document") if "dependences" in doc else []
+    for i, dep in enumerate(deps_doc):
         where = f"dependence #{i}"
         src = nest.statement(_need(dep, "source", where))
         tgt = nest.statement(_need(dep, "target", where))

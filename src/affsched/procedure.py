@@ -84,8 +84,15 @@ class WeightConfig:
     @staticmethod
     def from_doc(doc: dict) -> "WeightConfig":
         return WeightConfig.with_overrides(
-            {k: Fraction(v[0], v[1]) for k, v in doc.items()}
+            {k: _fraction(v, f"plan weight {k!r}") for k, v in doc.items()}
         )
+
+
+def _fraction(pair, what) -> Fraction:
+    """A [numerator, denominator] pair read from a document."""
+    if pair[1] == 0:
+        raise ValueError(f"{what} has denominator 0")
+    return Fraction(pair[0], pair[1])
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def build_recursion_system(
                     acc, nest, layout, weights.space, last_index_contiguous
                 )
             )
-    accumulated = {s.id: [layout.tau_block(x, s.id) for x in xs] for s in nest.statements}
+    accumulated = {s.id: [layout.block(x, "tau", s.id) for x in xs] for s in nest.statements}
     levels_left = nest.max_depth - len(xs)
     l_set = [
         s.id
@@ -315,13 +322,13 @@ def run_procedure(
         statements[s.id] = StatementTransform(
             t_mat,
             IntMatrix.from_rows(rows("b", s.id), e),
-            IntVector(layout.a_value(x, s.id) for x in xs),
+            IntVector(x[layout.offset("a", s.id)] for x in xs),
         )
     arrays = {
         a.id: ArrayAllocation(
             IntMatrix.from_rows(rows("eta", a.id, r_space), a.dim),
             IntMatrix.from_rows(rows("z", a.id, r_space), e),
-            IntVector(layout.y_value(x, a.id) for x in xs[:r_space]),
+            IntVector(x[layout.offset("y", a.id)] for x in xs[:r_space]),
         )
         for a in nest.arrays
     }
@@ -417,45 +424,60 @@ def plan_to_doc(plan: TransformPlan) -> dict:
 def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     """Read a plan document back, each matrix at the width `nest` gives it.
 
-    A missing field, statements or arrays other than the nest's, or a matrix
-    whose width disagrees with the nest raise ValueError.
+    A missing field, statements or arrays other than the nest's, an r_space
+    that is not an int in [0, depth), a matrix or vector whose shape disagrees
+    with the nest and r_space, or a zero denominator raise ValueError.
     """
     e = nest.outer_vars.count
+    n = nest.max_depth
 
     def entries(kind, ids):
         if set(doc[kind]) != set(ids):
             raise ValueError(f"plan {kind} {sorted(doc[kind])} are not the nest's {sorted(ids)}")
         return doc[kind]
 
-    def matrix(entry, key, ncols, where):
+    def matrix(entry, key, nrows, ncols, where):
         try:
-            return IntMatrix(entry[key], ncols)
+            m = IntMatrix(entry[key], ncols)
         except DimensionError as exc:
             raise ValueError(f"plan {where}, field {key!r}: {exc}") from None
+        if m.nrows != nrows:
+            raise ValueError(f"plan {where}, field {key!r}: {m.nrows} rows, expected {nrows}")
+        return m
+
+    def vector(entry, key, length, where):
+        v = IntVector(entry[key])
+        if len(v) != length:
+            raise ValueError(f"plan {where}, field {key!r}: {len(v)} entries, expected {length}")
+        return v
 
     try:
+        r_space = doc["r_space"]
+        # bool is an int subclass, so JSON true would pass isinstance
+        if type(r_space) is not int or not 0 <= r_space < n:
+            raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
         st_docs = entries("statements", [s.id for s in nest.statements])
         statements = {
             s.id: StatementTransform(
-                matrix(st_docs[s.id], "T", s.depth, f"statement {s.id!r}"),
-                matrix(st_docs[s.id], "B", e, f"statement {s.id!r}"),
-                IntVector(st_docs[s.id]["a"]),
+                matrix(st_docs[s.id], "T", n, s.depth, f"statement {s.id!r}"),
+                matrix(st_docs[s.id], "B", n, e, f"statement {s.id!r}"),
+                vector(st_docs[s.id], "a", n, f"statement {s.id!r}"),
             )
             for s in nest.statements
         }
         al_docs = entries("arrays", [a.id for a in nest.arrays])
         arrays = {
             a.id: ArrayAllocation(
-                matrix(al_docs[a.id], "H", a.dim, f"array {a.id!r}"),
-                matrix(al_docs[a.id], "Z", e, f"array {a.id!r}"),
-                IntVector(al_docs[a.id]["y"]),
+                matrix(al_docs[a.id], "H", r_space, a.dim, f"array {a.id!r}"),
+                matrix(al_docs[a.id], "Z", r_space, e, f"array {a.id!r}"),
+                vector(al_docs[a.id], "y", r_space, f"array {a.id!r}"),
             )
             for a in nest.arrays
         }
         diagnostics = [
             RecursionDiagnostics(
                 xi=d["xi"],
-                objective=Fraction(d["objective"][0], d["objective"][1]),
+                objective=_fraction(d["objective"], f"plan objective of recursion {d['xi']}"),
                 slacks=d["slacks"],
                 witnesses={
                     sid: (tuple(w["s"]), w["sign"]) for sid, w in d["witnesses"].items()
@@ -471,7 +493,7 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
         return TransformPlan(
             statements,
             arrays,
-            doc["r_space"],
+            r_space,
             WeightConfig.from_doc(doc["weights"]),
             diagnostics,
             list(doc.get("warnings", [])),

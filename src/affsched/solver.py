@@ -7,15 +7,12 @@ touches, so a parent derives each child's bound from those columns and never
 enters a child that is infeasible or worse than the incumbent.  The search
 runs in passes under a growing objective cap (iterative deepening): a pass
 cuts every subtree whose bound exceeds the cap, so the first pass whose cap
-reaches the optimum finds it without first hunting for an incumbent.  A
-failed pass leaves each subtree it searched a floor, the least bound it cut
-there, and later passes skip a subtree whose floor is above their cap
-(enhanced iterative deepening, Reinefeld & Marsland 1994).  Columns whose
-slack is equal at every x share one row with the sum of their weights, which
-keeps every bound.  Two columns a and b that end at the same variable with
-equal |coefficient| there are also bounded as a pair through c = a +- b,
-which cancels that variable: |a| + |b| >= |c| prices the pair from c's
-interval levels before a and b are fixed.
+reaches the optimum finds it without first hunting for an incumbent.
+Columns whose slack is equal at every x share one row with the sum of their
+weights, which keeps every bound.  Two columns a and b that end at the same
+variable with equal |coefficient| there are also bounded as a pair through
+c = a +- b, which cancels that variable: |a| + |b| >= |c| prices the pair
+from c's interval levels before a and b are fixed.
 
 Rank growth is a disjunction: for each statement that must grow, the new
 schedule row needs sign * s~.x >= 1 for some kernel witness s and sign.  A
@@ -102,7 +99,7 @@ class _Search:
     whose interval lies below zero).  Only the rows that variable k touches
     change between a node and its children, so the parent derives each
     child's bound from those rows alone and skips a child that has a dead
-    column, or whose bound or floor is above the incumbent's objective.
+    column, or whose bound is above the incumbent's objective.
 
     The bound is the sum over columns of weight times d, the distance of the
     column's interval from 0, plus for each pair (a, b, c) with m = min(w_a,
@@ -184,10 +181,6 @@ class _Search:
         # above every objective: what a pass returns for a subtree in which it
         # cut nothing, which therefore holds no feasible vector
         self.none = 1 + sum(w * rest[ri][0] for ri, w in enumerate(weights))
-        # node id -> floor, a proven lower bound on the objective of every
-        # feasible vector below the node; ids are mixed radix over the value
-        # order, the root is 1
-        self.floors = {}
 
     def run(self, cap):
         """One pass under the objective cap `cap` (scaled units).
@@ -198,9 +191,6 @@ class _Search:
         only subtrees worse than the optimum and `best_x` is the least key's
         vector.  If not, `over_cap` is the least bound cut by the cap, or None
         when the cap cut nothing and the box holds no feasible vector at all.
-        A subtree whose floor from an earlier pass is above the cap counts as
-        cut at its floor: under the lower cap that pass cut it at the same
-        nodes, with the floor as their least bound.
         """
         self.passes += 1
         self.cap = cap
@@ -249,13 +239,13 @@ class _Search:
                 return None
         return tuple(options)
 
-    def dfs(self, k=0, lb=0, node=1):
+    def dfs(self, k=0, lb=0):
         """Search below the node at depth k whose objective lower bound is lb.
 
         At the root every partial sum is 0, so each column's interval
         contains 0: the bound is 0 and no column is dead.  While the pass has
         no incumbent, returns the least bound the cap cut below the node, or
-        `none` when it cut nothing there; that value is the subtree's floor.
+        `none` when it cut nothing there.
         """
         self.nodes += 1
         # the first node checks too, so a spent budget stops even a small search
@@ -276,7 +266,6 @@ class _Search:
             self.best_key, self.best_x = key, tuple(self.assign)
             return least
         partial = self.partial
-        floors = self.floors
         columns = self.columns_at[k]
         pairs = self.pairs_at[k]
         touched = self.by_pos[k]
@@ -297,7 +286,7 @@ class _Search:
                            + max(abs(partial[b]) - rest[b][k], 0))
                 if excess > 0:
                     base -= m * excess
-        for cid, v in enumerate(self.values, node * len(self.values)):
+        for v in self.values:
             child = base
             for ri, c, geq, w, _, after in columns:
                 p = partial[ri] + c * v
@@ -315,29 +304,21 @@ class _Search:
                                    + max(abs(partial[b] + cb * v) - sb, 0))
                         if excess > 0:
                             child += m * excess
-                # a floor is never below the child's bound, which only grows
-                # with depth; it decides the skip but never enters lb, whose
-                # value at a leaf is that leaf's objective
-                floor = floors.get(cid, child)
-                if floor > self.best_key[0]:
+                if child > self.best_key[0]:
                     # cut by the cap alone: the next pass needs a cap this high
-                    if floor < least:
-                        least = floor
+                    if child < least:
+                        least = child
                     continue
                 self.assign[k] = v
                 if v:
                     for ri, c in touched:
                         partial[ri] += c * v
-                entered = self.nodes
-                floor = self.dfs(k + 1, child, cid)
+                below = self.dfs(k + 1, child)
                 if v:
                     for ri, c in touched:
                         partial[ri] -= c * v
-                if floor < least:
-                    least = floor
-                # a one-node subtree costs no more to enter again than to look up
-                if self.best_x is None and self.nodes - entered > 1:
-                    floors[cid] = floor
+                if below < least:
+                    least = below
         self.assign[k] = 0
         return least
 

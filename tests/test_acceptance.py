@@ -109,12 +109,12 @@ def test_criterion_5_strict_satisfaction_drop_rule():
         for xi in range(plan.r_space + 1, st.schedule.nrows + 1):
             x = [0] * layout.size
             tau = st.schedule.row(xi - 1)
-            off = layout.tau_offset("S1")
+            off = layout.offset("tau", "S1")
             for i, v in enumerate(tau):
                 x[off + i] = v
             for i, v in enumerate(st.param.row(xi - 1)):
-                x[layout.b_offset("S1") + i] = v
-            x[layout.a_offset("S1")] = st.const[xi - 1]
+                x[layout.offset("b", "S1") + i] = v
+            x[layout.offset("a", "S1")] = st.const[xi - 1]
             if all(c.value(x) >= 1 for c in cols):
                 first_strict = xi
                 break
@@ -213,9 +213,9 @@ def test_criterion_8_constraint_soundness():
             if any(c.value(x) < 0 for c in cols):
                 continue
             feasible += 1
-            tau = layout.tau_block(x, "S1")
-            b = layout.b_block(x, "S1")
-            a = layout.a_value(x, "S1")
+            tau = layout.block(x, "tau", "S1")
+            b = layout.block(x, "b", "S1")
+            a = x[layout.offset("a", "S1")]
             for n in (3, 5):
                 for dep in nest.dependences:
                     for pt in enumerate_domain(dep.domain, [n]):

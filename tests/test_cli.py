@@ -5,7 +5,7 @@ import json
 import pytest
 
 from affsched.cli import EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, EXIT_VIOLATION, main
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, fixture_doc
 
 
 def fixture_path(name):
@@ -92,6 +92,15 @@ class TestSolve:
         assert rc == EXIT_INPUT
         assert "time_limit must be > 0" in capsys.readouterr().err
 
+    def test_field_of_wrong_json_type(self, tmp_path, capsys):
+        doc = fixture_doc("chain")
+        doc["dependences"][0]["domain"] = 3
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(p)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: dependence #0: domain: expected an object, got int\n")
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "p.json"
         rc = main(["solve", "--input", fixture_path("chain"), "--spatial-dims", "0",
@@ -176,6 +185,30 @@ class TestValidate:
         rc = main(["validate", "--input", fixture_path("matmul"), "--plan", str(bad)])
         assert rc == EXIT_INPUT
         assert "misses field 'B'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value", [
+        (("r_space",), "1"),
+        (("r_space",), 2),
+        (("statements", "S1", "a"), [-2]),
+        (("arrays", "u", "y"), []),
+        (("weights", "legality"), [1, 0]),
+    ])
+    def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
+        plan = tmp_path / "plan.json"
+        assert main(["solve", "--input", fixture_path("stencil"), "--out", str(plan)]) == EXIT_OK
+        doc = json.loads(plan.read_text())
+        *path, last = path
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["validate", "--input", fixture_path("stencil"), "--plan", str(plan),
+                   "--params", "N=4"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan ") and err.count("\n") == 1
 
     def test_unwritable_out(self, matmul_plan, tmp_path, capsys):
         out = tmp_path / "missing" / "v.json"

@@ -28,12 +28,12 @@ class TestLayout:
         lay = ExtendedLayout.for_nest(nest)
         # one statement of depth 3, three 2-d arrays, one outer variable
         assert lay.size == 3 + 6 + 1 + 3 + 1 + 3
-        offsets = [lay.tau_offset("S1")]
-        offsets += [lay.eta_offset(a) for a in ("C", "A", "B")]
-        offsets += [lay.b_offset("S1")]
-        offsets += [lay.z_offset(a) for a in ("C", "A", "B")]
-        offsets += [lay.a_offset("S1")]
-        offsets += [lay.y_offset(a) for a in ("C", "A", "B")]
+        offsets = [lay.offset("tau", "S1")]
+        offsets += [lay.offset("eta", a) for a in ("C", "A", "B")]
+        offsets += [lay.offset("b", "S1")]
+        offsets += [lay.offset("z", a) for a in ("C", "A", "B")]
+        offsets += [lay.offset("a", "S1")]
+        offsets += [lay.offset("y", a) for a in ("C", "A", "B")]
         assert offsets == sorted(offsets)
         assert len(set(offsets)) == len(offsets)
 
@@ -41,13 +41,13 @@ class TestLayout:
         nest = fixture_nest("matvec")
         lay = ExtendedLayout.for_nest(nest)
         x = list(range(lay.size))
-        assert tuple(lay.tau_block(x, "S1")) == (0, 1)
-        assert tuple(lay.eta_block(x, "A")) == (
-            x[lay.eta_offset("A")],
-            x[lay.eta_offset("A") + 1],
+        assert tuple(lay.block(x, "tau", "S1")) == (0, 1)
+        assert tuple(lay.block(x, "eta", "A")) == (
+            x[lay.offset("eta", "A")],
+            x[lay.offset("eta", "A") + 1],
         )
-        assert lay.a_value(x, "S1") == x[lay.a_offset("S1")]
-        assert lay.y_value(x, "x") == x[lay.y_offset("x")]
+        assert tuple(lay.block(x, "a", "S1")) == (x[lay.offset("a", "S1")],)
+        assert tuple(lay.block(x, "y", "x")) == (x[lay.offset("y", "x")],)
 
 
 class TestLegalityColumns:
@@ -78,7 +78,7 @@ class TestLegalityColumns:
         assert len(const_cols) == 2  # two domain corners
         for col in const_cols:
             expect = [0] * lay.size
-            expect[lay.tau_offset("S1")] = 1
+            expect[lay.offset("tau", "S1")] = 1
             assert list(col.coeffs) == expect
 
     def test_columns_match_direct_evaluation_at_vertices(self):
@@ -97,20 +97,20 @@ class TestLegalityColumns:
                 ]
                 for _ in range(5):
                     x = [rng.randint(-2, 2) for _ in range(lay.size)]
-                    tau_t = lay.tau_block(x, dep.target)
-                    tau_s = lay.tau_block(x, dep.source)
-                    b_t = lay.b_block(x, dep.target)
-                    b_s = lay.b_block(x, dep.source)
+                    tau_t = lay.block(x, "tau", dep.target)
+                    tau_s = lay.block(x, "tau", dep.source)
+                    b_t = lay.block(x, "b", dep.target)
+                    b_s = lay.block(x, "b", dep.source)
                     for col, (r_mat, omega) in zip(cols, vertices(dep.domain)):
                         v = r_mat.matvec(n0) + omega
                         s = dep.source_point(v, n0)
                         direct = (
                             tau_t.dot(v)
                             + b_t.dot(n0)
-                            + lay.a_value(x, dep.target)
+                            + x[lay.offset("a", dep.target)]
                             - tau_s.dot(s)
                             - b_s.dot(n0)
-                            - lay.a_value(x, dep.source)
+                            - x[lay.offset("a", dep.source)]
                         )
                         assert col.value(x) == direct
 
@@ -130,8 +130,8 @@ class TestAlignmentColumns:
         lay = ExtendedLayout.for_nest(nest)
         acc = nest.access(("a", "S1", 1))
         x = [0] * lay.size
-        x[lay.tau_offset("S1")] = 1  # tau = (1, 0)
-        x[lay.eta_offset("a")] = 1  # eta = (1, 0)
+        x[lay.offset("tau", "S1")] = 1  # tau = (1, 0)
+        x[lay.offset("eta", "a")] = 1  # eta = (1, 0)
         for col in build_alignment_columns(acc, nest, lay):
             assert col.value(x) == 0
 
@@ -140,8 +140,8 @@ class TestAlignmentColumns:
         lay = ExtendedLayout.for_nest(nest)
         acc = nest.access(("x", "S1", 2))  # reads x[i-1]
         x = [0] * lay.size
-        x[lay.tau_offset("S1")] = 1
-        x[lay.eta_offset("x")] = 1
+        x[lay.offset("tau", "S1")] = 1
+        x[lay.offset("eta", "x")] = 1
         cols = build_alignment_columns(acc, nest, lay)
         by_family = {c.family: c for c in cols}
         assert by_family["align-F"].value(x) == 0
@@ -179,7 +179,7 @@ class TestSpaceLocality:
         assert len(cols) == 1
         # the single column is tau . d for d spanning the kernel (0, 1)
         x = [0] * lay.size
-        x[lay.tau_offset("S1") + 1] = 5
+        x[lay.offset("tau", "S1") + 1] = 5
         assert cols[0].value(x) == 5
 
     @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ class TestRankWitnesses:
         wits = rank_witnesses({"S1": []}, ["S1"], lay)
         assert [tuple(w.s) for w in wits["S1"]] == [(0, 1), (1, 0)]
         for w in wits["S1"]:
-            embedded = w.s_tilde[lay.tau_offset("S1"): lay.tau_offset("S1") + 2]
+            embedded = w.s_tilde[lay.offset("tau", "S1"): lay.offset("tau", "S1") + 2]
             assert embedded == tuple(w.s)
 
     def test_candidates_shrink_with_accumulated_rows(self):
@@ -260,9 +260,9 @@ class TestSoundness:
             if any(c.value(x) < 0 for c in all_cols):
                 continue
             found += 1
-            tau = lay.tau_block(x, "S1")
-            b = lay.b_block(x, "S1")
-            a = lay.a_value(x, "S1")
+            tau = lay.block(x, "tau", "S1")
+            b = lay.block(x, "b", "S1")
+            a = x[lay.offset("a", "S1")]
             for n in (3, 5):
                 for dep in nest.dependences:
                     for pt in enumerate_domain(dep.domain, [n]):

@@ -109,6 +109,28 @@ class TestValidationErrors:
         with pytest.raises(NestError, match="produced_by"):
             load_nest(doc)
 
+    @pytest.mark.parametrize("path,value,match", [
+        (("params",), 5, "field 'params' must be a list, got int"),
+        (("params",), [5], "params: expected an object, got int"),
+        (("statements",), {}, "field 'statements' must be a list"),
+        (("arrays",), "x", "field 'arrays' must be a list, got str"),
+        (("accesses",), None, "field 'accesses' must be a list"),
+        (("dependences",), {}, "field 'dependences' must be a list"),
+        (("dependences", 0, "domain"), 3, "dependence #0: domain: expected an object, got int"),
+        (("statements", 0, "domain", "box"), 1, "field 'box' must be a list, got int"),
+        (("statements", 0, "domain", "box", 0), [1], "statement 'S1': expected an object"),
+        (("statements", 0, "domain"), {"vertices": 2}, "field 'vertices' must be a list"),
+    ])
+    def test_field_of_wrong_json_type(self, path, value, match):
+        doc = fixture_doc("chain")
+        *path, last = path
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(NestError, match=match):
+            load_nest(doc)
+
     def test_unknown_statement_in_access(self):
         doc = fixture_doc("vecadd")
         doc["accesses"][0]["statement"] = "nope"

@@ -55,15 +55,12 @@ def cases():
         for r in range(_depth(doc)):
             out[f"{name} r={r}"] = (doc, r, {}, 2)
     # every weighting at bounds 1 and 2 on the single-statement fixtures,
-    # chain23 and jacobi2; jacobi2 r=1 under W3 at bound 2 is left out,
-    # because the search took 4 s on it before columns were bounded in pairs
+    # chain23 and jacobi2
     for wname, overrides in WEIGHTINGS.items():
         for name in FIXTURES[:-1] + ("jacobi2",):
             for r in range(_depth(docs[name])):
                 for bound in (1, 2):
-                    if (name, r, wname, bound) != ("jacobi2", 1, "W3", 2):
-                        out[f"{name} r={r} {wname} bound={bound}"] = (
-                            docs[name], r, overrides, bound)
+                    out[f"{name} r={r} {wname} bound={bound}"] = (docs[name], r, overrides, bound)
     for seed in range(3):
         inst = next(i for i in workloads.multistmt_known_failures(seed) if i.id == "chain(4,2) r=1")
         out[f"chain(4,2) r=1 seed={seed}"] = (json.loads(inst.text), 1, {}, 2)

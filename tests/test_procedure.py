@@ -382,6 +382,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="statement 'S1', field 'B'"):
             plan_from_doc(doc, fixture_nest("stencil"))
 
+    @pytest.mark.parametrize("path,value,match", [
+        (("r_space",), "1", "r_space '1' is not an int"),
+        (("r_space",), 2, r"r_space 2 is not an int in \[0, 2\)"),
+        (("r_space",), True, "r_space True is not an int"),
+        (("statements", "S1", "a"), [0], "field 'a': 1 entries, expected 2"),
+        (("statements", "S1", "T"), [[1, 0]], "field 'T': 1 rows, expected 2"),
+        (("statements", "S1", "B"), [[0]], "field 'B': 1 rows, expected 2"),
+        (("arrays", "u", "H"), [[1, 0], [0, 1]], "field 'H': 2 rows, expected 1"),
+        (("arrays", "u", "Z"), [], "field 'Z': 0 rows, expected 1"),
+        (("arrays", "u", "y"), [0, 0], "field 'y': 2 entries, expected 1"),
+        (("weights", "space"), [1, 0], "weight 'space' has denominator 0"),
+        (("diagnostics", 0, "objective"), [1, 0], "objective of recursion 1 has denominator 0"),
+    ])
+    def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
+        # a short vector would otherwise broadcast over the rows it lacks
+        doc = plan_to_doc(fixture_plan("stencil"))
+        *path, last = path
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match=match):
+            plan_from_doc(doc, fixture_nest("stencil"))
+
     def test_plan_of_another_nest_rejected(self):
         with pytest.raises(ValueError, match="not the nest's"):
             plan_from_doc(plan_to_doc(fixture_plan("chain23", 1)), fixture_nest("matmul"))

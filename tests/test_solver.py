@@ -26,9 +26,8 @@ from affsched.solver import (
     solve,
     verify,
 )
-from affsched.nest import load_nest
 from affsched.validation import brute_force_minimum, first_recursion_system
-from conftest import fixture_nest, perfbench_module
+from conftest import fixture_nest
 
 
 def _layout(name):
@@ -49,7 +48,7 @@ def _recursion_systems(monkeypatch, nest, r_space):
 
 
 def _fresh_passes(system, bound):
-    """solve's cap sequence with a fresh search, and so no floors, per pass:
+    """solve's cap sequence with a fresh search per pass:
     (passes, cap of the last pass, nodes over all passes), or None when the
     box holds no feasible vector."""
     cap, passes, nodes = 0, 0, 0
@@ -71,7 +70,7 @@ class TestBasicSolves:
         sol = solve(system)
         assert sol.objective == 0
         lay = system.layout
-        assert tuple(lay.tau_block(sol.x, "S1")) == (1,)
+        assert tuple(lay.block(sol.x, "tau", "S1")) == (1,)
 
     def test_chain_objective_two(self):
         # the flow dependence needs tau = 1, and both vertex columns then
@@ -80,14 +79,14 @@ class TestBasicSolves:
         sol = solve(system)
         assert sol.objective == 2
         lay = system.layout
-        assert tuple(lay.tau_block(sol.x, "S1")) == (1,)
+        assert tuple(lay.block(sol.x, "tau", "S1")) == (1,)
 
     def test_witness_satisfied(self):
         system = first_recursion_system(fixture_nest("stencil"), r_space=1)
         sol = solve(system)
         assert set(sol.witness_used) == {"S1"}
         s, sign = sol.witness_used["S1"]
-        tau = system.layout.tau_block(sol.x, "S1")
+        tau = system.layout.block(sol.x, "tau", "S1")
         assert sign * tau.dot(s) >= 1
 
     def test_unused_variables_pinned_to_zero(self):
@@ -96,9 +95,9 @@ class TestBasicSolves:
         lay = system.layout
         # allocation coefficients never appear at recursion 1 with r = 0
         for aid in ("a", "b", "c"):
-            assert lay.eta_block(sol.x, aid).is_zero()
-            assert lay.z_block(sol.x, aid).is_zero()
-            assert lay.y_value(sol.x, aid) == 0
+            assert lay.block(sol.x, "eta", aid).is_zero()
+            assert lay.block(sol.x, "z", aid).is_zero()
+            assert sol.x[lay.offset("y", aid)] == 0
 
 
 class TestDeterminism:
@@ -290,9 +289,9 @@ class TestRandomSystems:
 
     @_forty_systems
     @given(_random_systems())
-    def test_floors_keep_the_passes(self, system):
-        # floors skip only subtrees an earlier pass proved to lie above the
-        # cap, so the caps match fresh passes and no more nodes are entered
+    def test_reused_search_matches_fresh_passes(self, system):
+        # a pass keeps nothing from the one before it but its counters, so
+        # one search run pass after pass enters exactly the nodes of fresh ones
         for bound in (1, 2):
             fresh = _fresh_passes(system, bound)
             if fresh is None:
@@ -302,7 +301,7 @@ class TestRandomSystems:
             passes, cap, nodes = fresh
             sol = solve(system, SolverConfig(coeff_bound=bound))
             assert (sol.passes, sol.cap) == (passes, cap)
-            assert sol.nodes <= nodes
+            assert sol.nodes == nodes
 
 
 class TestPairedSystems:
@@ -331,22 +330,6 @@ class TestPairedSystems:
         assert kinds == {"ABS", "GEQ0 sum", "GEQ0 difference"}
 
 
-class TestFloors:
-    @pytest.mark.parametrize("name,r,recursion", [("stencil", 1, 0), ("jacobi2", 1, 1)])
-    def test_fewer_nodes_than_fresh_passes(self, monkeypatch, name, r, recursion):
-        # both recursions fail several passes that re-enter the top of the tree
-        if name == "jacobi2":
-            nest = load_nest(perfbench_module("gen").jacobi2())
-        else:
-            nest = fixture_nest(name)
-        system = _recursion_systems(monkeypatch, nest, r)[recursion]
-        passes, cap, nodes = _fresh_passes(system, 2)
-        sol = solve(system)
-        assert passes > 1
-        assert (sol.passes, sol.cap) == (passes, cap)
-        assert sol.nodes < nodes
-
-
 class TestConstructedSystems:
     def _system(self, columns, witnesses=None):
         lay = _layout("vecadd")
@@ -360,7 +343,7 @@ class TestConstructedSystems:
 
     def test_infeasible_when_witness_conflicts(self):
         lay = _layout("vecadd")
-        t = lay.tau_offset("S1")
+        t = lay.offset("tau", "S1")
         cols = [
             self._column(lay, t, 1, GEQ0),
             self._column(lay, t, -1, GEQ0),
@@ -373,8 +356,8 @@ class TestConstructedSystems:
 
     def test_abs_slack_minimized(self):
         lay = _layout("vecadd")
-        t = lay.tau_offset("S1")
-        a = lay.a_offset("S1")
+        t = lay.offset("tau", "S1")
+        a = lay.offset("a", "S1")
         # forcing tau = 1 via a witness, with an abs column tying a to -tau
         coeffs = [0] * lay.size
         coeffs[t] = 1
@@ -394,7 +377,7 @@ class TestConstructedSystems:
         """Columns a and b over x0 (tau, with a witness x0 >= 1 first) and x1
         (the constant a of S1), given as their (x0, x1) coefficients."""
         lay = _layout("vecadd")
-        x0, x1 = lay.tau_offset("S1"), lay.a_offset("S1")
+        x0, x1 = lay.offset("tau", "S1"), lay.offset("a", "S1")
         cols = []
         for name, (c0, c1), w in zip("ab", (a, b), weights):
             coeffs = [0] * lay.size
@@ -416,9 +399,9 @@ class TestConstructedSystems:
         bounds = {}
         dfs = search.dfs
 
-        def recording_dfs(k=0, lb=0, node=1):
+        def recording_dfs(k=0, lb=0):
             bounds[tuple(search.assign[:k])] = lb
-            return dfs(k, lb, node)
+            return dfs(k, lb)
 
         search.dfs = recording_dfs
         search.run(1 << 40)
@@ -441,7 +424,7 @@ class TestConstructedSystems:
 
     def test_fractional_weights_exact(self):
         lay = _layout("vecadd")
-        t = lay.tau_offset("S1")
+        t = lay.offset("tau", "S1")
         cols = [self._column(lay, t, 1, GEQ0, Fraction(1, 3))]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
@@ -463,7 +446,7 @@ class TestVerify:
         sol = solve(system)
         lay = system.layout
         bad = list(sol.x)
-        bad[lay.tau_offset("S1")] = -1
+        bad[lay.offset("tau", "S1")] = -1
         sol.x = tuple(bad)
         rep = verify(sol, system)
         assert not rep.ok
@@ -501,15 +484,15 @@ class TestConfig:
         assert str(exc.value).endswith("nodes in pass 1 under objective cap 0")
 
     def test_time_limit_reports_proven_bound(self, monkeypatch):
-        # stencil r=1 at bound 6 fails under caps 0, 4, 8, 16, 32 and 64
-        # within 1000 nodes; a clock that ticks once per reading runs out at
-        # the second deadline check, node 1025, in the pass under cap 128
+        # stencil r=1 at bound 6 fails under caps 0, 4, 8, 16 and 32 within
+        # 751 nodes; a clock that ticks once per reading runs out at the
+        # second deadline check, node 1025, in the pass under cap 64
         ticks = iter(range(100))
         monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
         system = first_recursion_system(fixture_nest("stencil"), r_space=1)
         with pytest.raises(SolverTimeout) as exc:
             solve(system, SolverConfig(coeff_bound=6, time_limit=1.5))
         assert str(exc.value) == (
-            "solver time limit exceeded after 1025 nodes in pass 7 under objective cap 128; "
-            "no solution with objective <= 64"
+            "solver time limit exceeded after 1025 nodes in pass 6 under objective cap 64; "
+            "no solution with objective <= 32"
         )
