@@ -1,19 +1,11 @@
 """Affine loop-nest scheduling and data allocation for distributed memory."""
 
-from .algebra import IntMatrix, IntVector, integer_kernel_basis, lex_compare, rank
+from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
 from .nest import LoopNest, enumerate_domain, load_nest, serialize, vertices
 from .solver import SolverConfig
-from .procedure import (
-    TransformPlan,
-    WeightConfig,
-    placement_of,
-    plan_from_doc,
-    plan_to_doc,
-    run_procedure,
-    schedule_of,
-)
+from .procedure import TransformPlan, WeightConfig, plan_from_doc, plan_to_doc, run_procedure
 from .comm import comm_report, detect_broadcast, exchange_requirements
-from .validation import brute_force_best_alignment, validate
+from .validation import validate
 
 __all__ = [
     "IntMatrix",
@@ -22,20 +14,16 @@ __all__ = [
     "SolverConfig",
     "TransformPlan",
     "WeightConfig",
-    "brute_force_best_alignment",
     "comm_report",
     "detect_broadcast",
     "enumerate_domain",
     "exchange_requirements",
     "integer_kernel_basis",
-    "lex_compare",
     "load_nest",
-    "placement_of",
     "plan_from_doc",
     "plan_to_doc",
     "rank",
     "run_procedure",
-    "schedule_of",
     "serialize",
     "validate",
     "vertices",

@@ -228,70 +228,93 @@ def contains_point(domain: Domain, point, n_vals) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON ingestion / serialization.  Field names below are the wire format.
+# The read_* functions also read plan documents; every error they raise
+# names where in the document it happened.
 # ---------------------------------------------------------------------------
 
+_JSON_TYPES = {list: "a list", dict: "an object", str: "a string"}
 
-def _object(obj, where: str) -> dict:
+
+def read_object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise NestError(f"{where}: expected an object, got {type(obj).__name__}")
     return obj
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in _object(obj, where):
-        raise NestError(f"{where}: missing field {key!r}")
-    return obj[key]
-
-
-def _need_list(obj: dict, key: str, where: str) -> list:
-    value = _need(obj, key, where)
-    if not isinstance(value, list):
-        raise NestError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
+def read_field(obj, key: str, where: str, kind: type | None = None):
+    """Required field `key` of the object `obj`, of JSON type `kind` (list, dict, str) if given."""
+    if key not in read_object(obj, where):
+        raise NestError(f"{where} misses field {key!r}")
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise NestError(
+            f"{where}, field {key!r} must be {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
     return value
 
 
-def _parse_bound(obj: dict, e: int, where: str) -> AffineBound:
-    coeffs = IntVector(_need(obj, "coeffs", where))
-    if len(coeffs) != e:
-        raise NestError(f"{where}: bound has {len(coeffs)} coefficients, expected {e}")
-    return AffineBound(coeffs, int(_need(obj, "const", where)))
+def read_int(value, what: str) -> int:
+    # bool is an int subclass, so JSON true would pass isinstance
+    if type(value) is not int:
+        raise NestError(f"{what} {value!r} is not an int")
+    return value
 
 
-def _parse_domain(obj: dict, e: int, where: str) -> Domain:
-    if "box" in _object(obj, f"{where}: domain"):
+def read_vector(obj, key: str, length: int, where: str) -> IntVector:
+    """Field `key` of `obj` as a list of `length` ints."""
+    entries = read_field(obj, key, where, list)
+    what = f"{where}, field {key!r}"
+    if len(entries) != length:
+        raise NestError(f"{what}: {len(entries)} entries, expected {length}")
+    entry = f"{what}: entry"
+    return IntVector(read_int(x, entry) for x in entries)
+
+
+def read_matrix(obj, key: str, nrows: int, ncols: int, where: str) -> IntMatrix:
+    """Field `key` of `obj` as `nrows` lists of `ncols` ints."""
+    rows = read_field(obj, key, where, list)
+    what = f"{where}, field {key!r}"
+    if len(rows) != nrows:
+        raise NestError(f"{what}: {len(rows)} rows, expected {nrows}x{ncols}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != ncols:
+            raise NestError(f"{what}: row {i} is {row!r}, expected {nrows}x{ncols}")
+    entry = f"{what}: entry"
+    return IntMatrix(([read_int(x, entry) for x in row] for row in rows), ncols)
+
+
+def _parse_bound(obj, e: int, where: str) -> AffineBound:
+    const = read_int(read_field(obj, "const", where), f"{where} bound const")
+    return AffineBound(read_vector(obj, "coeffs", e, where), const)
+
+
+def _parse_domain(obj, dim: int, e: int, where: str) -> Domain:
+    """A box, or `dim`-dimensional vertices (R, omega) over `e` outer variables."""
+    if "box" in read_object(obj, f"{where}: domain"):
         box = tuple(
             (
-                _parse_bound(_need(pair, "lower", where), e, where),
-                _parse_bound(_need(pair, "upper", where), e, where),
+                _parse_bound(read_field(pair, "lower", where), e, where),
+                _parse_bound(read_field(pair, "upper", where), e, where),
             )
-            for pair in _need_list(obj, "box", where)
+            for pair in read_field(obj, "box", where, list)
         )
         return Domain(box=box)
     if "vertices" in obj:
-        verts = []
-        for v in _need_list(obj, "vertices", where):
-            r = IntMatrix(_need(v, "R", where), e)
-            omega = IntVector(_need(v, "omega", where))
-            if r.nrows != len(omega):
-                raise NestError(f"{where}: vertex R/omega dimensions differ")
-            verts.append((r, omega))
-        if verts and len({len(om) for _, om in verts}) != 1:
-            raise NestError(f"{where}: vertices of mixed dimensionality")
-        return Domain(explicit_vertices=tuple(verts))
+        verts = tuple(
+            (read_matrix(v, "R", dim, e, where), read_vector(v, "omega", dim, where))
+            for v in read_field(obj, "vertices", where, list)
+        )
+        return Domain(explicit_vertices=verts)
     raise NestError(f"{where}: domain needs 'box' or 'vertices'")
-
-
-def _parse_matrix(obj, nrows: int, ncols: int, where: str) -> IntMatrix:
-    m = IntMatrix(obj, ncols if not obj else None)
-    if m.nrows != nrows or m.ncols != ncols:
-        raise NestError(f"{where}: expected {nrows}x{ncols} matrix, got {m.nrows}x{m.ncols}")
-    return m
 
 
 def load_nest(source) -> LoopNest:
     """Parse and fully validate a loop-nest description.
 
-    `source` is a JSON string, a parsed dict, or a path to a JSON file.
+    `source` is a JSON string, a parsed dict, or a path to a JSON file.  A
+    missing field, a field of the wrong JSON type, a non-integer where an
+    integer is expected, a matrix or vector of the wrong shape, or a nest
+    that is inconsistent at the smallest parameter values raises NestError.
     """
     if isinstance(source, dict):
         doc = source
@@ -309,37 +332,39 @@ def load_nest(source) -> LoopNest:
         except json.JSONDecodeError as exc:
             raise NestError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
-    params = _need_list(doc, "params", "document")
-    names = tuple(_need(p, "name", "params") for p in params)
+    params = read_field(doc, "params", "document", list)
+    names = tuple(read_field(p, "name", "params", str) for p in params)
     if len(set(names)) != len(names):
         raise NestError("duplicate outer variable names")
-    outer = OuterVars(names, IntVector(_need(p, "min", "params") for p in params))
+    minima = IntVector(read_int(read_field(p, "min", "params"), "params min") for p in params)
+    outer = OuterVars(names, minima)
     e = outer.count
     n0 = outer.minima
 
-    stmts_doc = _need_list(doc, "statements", "document")
+    stmts_doc = read_field(doc, "statements", "document", list)
     if not stmts_doc:
         raise NestError("no statements")
     statements = []
     for s in stmts_doc:
-        sid = _need(s, "id", "statements")
+        sid = read_field(s, "id", "statements", str)
         where = f"statement {sid!r}"
-        depth = int(_need(s, "depth", where))
-        dom = _parse_domain(_need(s, "domain", where), e, where)
+        depth = read_int(read_field(s, "depth", where), f"{where} depth")
+        dom = _parse_domain(read_field(s, "domain", where), depth, e, where)
         if dom.dim != depth:
             raise NestError(f"{where}: domain dimensionality {dom.dim} != depth {depth}")
         if dom.box is not None:
             for k, (lo, hi) in enumerate(dom.box):
                 if hi.value_at(n0) < lo.value_at(n0):
                     raise NestError(f"{where}: dimension {k} empty at N^(0)")
-        statements.append(Statement(sid, depth, dom, int(_need(s, "order", where))))
+        order = read_int(read_field(s, "order", where), f"{where} order")
+        statements.append(Statement(sid, depth, dom, order))
     if len({s.id for s in statements}) != len(statements):
         raise NestError("duplicate statement ids")
 
     arrays = []
-    for a in _need_list(doc, "arrays", "document"):
-        aid = _need(a, "id", "arrays")
-        dim = int(_need(a, "dim", f"array {aid!r}"))
+    for a in read_field(doc, "arrays", "document", list):
+        aid = read_field(a, "id", "arrays", str)
+        dim = read_int(read_field(a, "dim", f"array {aid!r}"), f"array {aid!r} dim")
         if dim < 1:
             raise NestError(f"array {aid!r}: dim must be >= 1")
         arrays.append(ArrayDecl(aid, dim))
@@ -349,14 +374,14 @@ def load_nest(source) -> LoopNest:
     nest = LoopNest(outer, tuple(statements), tuple(arrays), (), ())
 
     accesses = []
-    for acc in _need_list(doc, "accesses", "document"):
-        aid = _need(acc, "array", "accesses")
-        sid = _need(acc, "statement", "accesses")
-        slot = int(_need(acc, "slot", "accesses"))
+    for acc in read_field(doc, "accesses", "document", list):
+        aid = read_field(acc, "array", "accesses", str)
+        sid = read_field(acc, "statement", "accesses", str)
+        slot = read_int(read_field(acc, "slot", "accesses"), "accesses slot")
         where = f"access ({aid!r}, {sid!r}, {slot})"
         arr = nest.array(aid)
         stmt = nest.statement(sid)
-        kind = _need(acc, "kind", where)
+        kind = read_field(acc, "kind", where)
         if kind not in ACCESS_KINDS:
             raise NestError(f"{where}: bad kind {kind!r}")
         accesses.append(
@@ -365,44 +390,41 @@ def load_nest(source) -> LoopNest:
                 sid,
                 slot,
                 kind,
-                _parse_matrix(_need(acc, "F", where), arr.dim, stmt.depth, where),
-                _parse_matrix(_need(acc, "G", where), arr.dim, e, where),
-                IntVector(_need(acc, "f", where)),
+                read_matrix(acc, "F", arr.dim, stmt.depth, where),
+                read_matrix(acc, "G", arr.dim, e, where),
+                read_vector(acc, "f", arr.dim, where),
             )
         )
-        if len(accesses[-1].offset) != arr.dim:
-            raise NestError(f"{where}: offset length != array dim")
     if len({a.key for a in accesses}) != len(accesses):
         raise NestError("duplicate access (array, statement, slot) keys")
 
     dependences = []
-    deps_doc = _need_list(doc, "dependences", "document") if "dependences" in doc else []
+    deps_doc = read_field(doc, "dependences", "document", list) if "dependences" in doc else []
     for i, dep in enumerate(deps_doc):
         where = f"dependence #{i}"
-        src = nest.statement(_need(dep, "source", where))
-        tgt = nest.statement(_need(dep, "target", where))
-        kind = _need(dep, "kind", where)
+        src = nest.statement(read_field(dep, "source", where, str))
+        tgt = nest.statement(read_field(dep, "target", where, str))
+        kind = read_field(dep, "kind", where)
         if kind not in DEP_KINDS:
             raise NestError(f"{where}: bad kind {kind!r}")
-        dom = _parse_domain(_need(dep, "domain", where), e, where)
+        dom = _parse_domain(read_field(dep, "domain", where), tgt.depth, e, where)
         if dom.dim != tgt.depth:
             raise NestError(f"{where}: domain dimensionality != target depth")
         produced = None
         if dep.get("produced_by") is not None:
             pb = dep["produced_by"]
-            produced = (_need(pb, "array", where), int(_need(pb, "slot", where)))
+            slot = read_int(read_field(pb, "slot", where), f"{where} produced_by slot")
+            produced = (read_field(pb, "array", where, str), slot)
         d = Dependence(
             src.id,
             tgt.id,
             kind,
-            _parse_matrix(_need(dep, "Phi", where), src.depth, tgt.depth, where),
-            _parse_matrix(_need(dep, "Psi", where), src.depth, e, where),
-            IntVector(_need(dep, "phi", where)),
+            read_matrix(dep, "Phi", src.depth, tgt.depth, where),
+            read_matrix(dep, "Psi", src.depth, e, where),
+            read_vector(dep, "phi", src.depth, where),
             dom,
             produced,
         )
-        if len(d.shift) != src.depth:
-            raise NestError(f"{where}: phi length != source depth")
         if produced is not None:
             acc = next((a for a in accesses if a.key == (produced[0], tgt.id, produced[1])), None)
             if acc is None:

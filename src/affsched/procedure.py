@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import DimensionError, IntMatrix, IntVector, rank
+from .algebra import IntMatrix, IntVector, rank
 from .constraints import (
     ConstraintSystem,
     ExtendedLayout,
@@ -26,7 +26,7 @@ from .constraints import (
     locality_target,
     rank_witnesses,
 )
-from .nest import LoopNest, contains_point
+from .nest import LoopNest, contains_point, read_field, read_int, read_matrix, read_vector
 from .solver import InfeasibleError, SolverConfig, SolverTimeout, solve
 
 
@@ -84,15 +84,16 @@ class WeightConfig:
     @staticmethod
     def from_doc(doc: dict) -> "WeightConfig":
         return WeightConfig.with_overrides(
-            {k: _fraction(v, f"plan weight {k!r}") for k, v in doc.items()}
+            {k: _fraction(doc, k, "plan weights", f"plan weight {k!r}") for k in doc}
         )
 
 
-def _fraction(pair, what) -> Fraction:
-    """A [numerator, denominator] pair read from a document."""
-    if pair[1] == 0:
+def _fraction(obj, key: str, where: str, what: str) -> Fraction:
+    """Field `key` of `obj`, a [numerator, denominator] pair."""
+    num, den = read_vector(obj, key, 2, where)
+    if den == 0:
         raise ValueError(f"{what} has denominator 0")
-    return Fraction(pair[0], pair[1])
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -424,79 +425,60 @@ def plan_to_doc(plan: TransformPlan) -> dict:
 def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     """Read a plan document back, each matrix at the width `nest` gives it.
 
-    A missing field, statements or arrays other than the nest's, an r_space
-    that is not an int in [0, depth), a matrix or vector whose shape disagrees
-    with the nest and r_space, or a zero denominator raise ValueError.
+    A missing field, a field of the wrong JSON type, a non-integer where an
+    integer is expected, statements or arrays other than the nest's, an
+    r_space outside [0, depth), a matrix or vector whose shape disagrees with
+    the nest and r_space, or a zero denominator raise ValueError.
     """
     e = nest.outer_vars.count
     n = nest.max_depth
-
-    def entries(kind, ids):
-        if set(doc[kind]) != set(ids):
-            raise ValueError(f"plan {kind} {sorted(doc[kind])} are not the nest's {sorted(ids)}")
-        return doc[kind]
-
-    def matrix(entry, key, nrows, ncols, where):
-        try:
-            m = IntMatrix(entry[key], ncols)
-        except DimensionError as exc:
-            raise ValueError(f"plan {where}, field {key!r}: {exc}") from None
-        if m.nrows != nrows:
-            raise ValueError(f"plan {where}, field {key!r}: {m.nrows} rows, expected {nrows}")
-        return m
-
-    def vector(entry, key, length, where):
-        v = IntVector(entry[key])
-        if len(v) != length:
-            raise ValueError(f"plan {where}, field {key!r}: {len(v)} entries, expected {length}")
-        return v
-
-    try:
-        r_space = doc["r_space"]
-        # bool is an int subclass, so JSON true would pass isinstance
-        if type(r_space) is not int or not 0 <= r_space < n:
-            raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
-        st_docs = entries("statements", [s.id for s in nest.statements])
-        statements = {
-            s.id: StatementTransform(
-                matrix(st_docs[s.id], "T", n, s.depth, f"statement {s.id!r}"),
-                matrix(st_docs[s.id], "B", n, e, f"statement {s.id!r}"),
-                vector(st_docs[s.id], "a", n, f"statement {s.id!r}"),
-            )
-            for s in nest.statements
-        }
-        al_docs = entries("arrays", [a.id for a in nest.arrays])
-        arrays = {
-            a.id: ArrayAllocation(
-                matrix(al_docs[a.id], "H", r_space, a.dim, f"array {a.id!r}"),
-                matrix(al_docs[a.id], "Z", r_space, e, f"array {a.id!r}"),
-                vector(al_docs[a.id], "y", r_space, f"array {a.id!r}"),
-            )
-            for a in nest.arrays
-        }
-        diagnostics = [
-            RecursionDiagnostics(
-                xi=d["xi"],
-                objective=_fraction(d["objective"], f"plan objective of recursion {d['xi']}"),
-                slacks=d["slacks"],
-                witnesses={
-                    sid: (tuple(w["s"]), w["sign"]) for sid, w in d["witnesses"].items()
-                },
-                active_dependences=d["active_dependences"],
-                active_in_dependences=d["active_in_dependences"],
-                dropped_dependences=d["dropped_dependences"],
-                dropped_in_dependences=d["dropped_in_dependences"],
-                active_space_accesses=[tuple(k) for k in d["active_space_accesses"]],
-            )
-            for d in doc.get("diagnostics", [])
-        ]
-        return TransformPlan(
-            statements,
-            arrays,
-            r_space,
-            WeightConfig.from_doc(doc["weights"]),
-            diagnostics,
-            list(doc.get("warnings", [])),
+    r_space = read_int(read_field(doc, "r_space", "plan document"), "plan r_space")
+    if not 0 <= r_space < n:
+        raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
+    for kind, items in (("statements", nest.statements), ("arrays", nest.arrays)):
+        ids = sorted(x.id for x in items)
+        if sorted(read_field(doc, kind, "plan document", dict)) != ids:
+            raise ValueError(f"plan {kind} {sorted(doc[kind])} are not the nest's {ids}")
+    statements = {
+        s.id: StatementTransform(
+            read_matrix(doc["statements"][s.id], "T", n, s.depth, f"plan statement {s.id!r}"),
+            read_matrix(doc["statements"][s.id], "B", n, e, f"plan statement {s.id!r}"),
+            read_vector(doc["statements"][s.id], "a", n, f"plan statement {s.id!r}"),
         )
-    except KeyError as exc:
-        raise ValueError(f"plan document misses field {exc}") from None
+        for s in nest.statements
+    }
+    arrays = {
+        a.id: ArrayAllocation(
+            read_matrix(doc["arrays"][a.id], "H", r_space, a.dim, f"plan array {a.id!r}"),
+            read_matrix(doc["arrays"][a.id], "Z", r_space, e, f"plan array {a.id!r}"),
+            read_vector(doc["arrays"][a.id], "y", r_space, f"plan array {a.id!r}"),
+        )
+        for a in nest.arrays
+    }
+    diagnostics = []
+    diags = read_field(doc, "diagnostics", "plan document", list) if "diagnostics" in doc else []
+    for i, d in enumerate(diags):
+        where = f"plan diagnostics #{i}"
+        xi = read_int(read_field(d, "xi", where), f"{where} xi")
+        spaces = read_field(d, "active_space_accesses", where, list)
+        if not all(isinstance(k, list) for k in spaces):
+            raise ValueError(f"{where}, field 'active_space_accesses' must hold lists")
+        diagnostics.append(
+            RecursionDiagnostics(
+                xi=xi,
+                objective=_fraction(d, "objective", where, f"plan objective of recursion {xi}"),
+                slacks=read_field(d, "slacks", where, dict),
+                witnesses={
+                    sid: (tuple(read_field(w, "s", where, list)), read_field(w, "sign", where))
+                    for sid, w in read_field(d, "witnesses", where, dict).items()
+                },
+                active_dependences=read_field(d, "active_dependences", where, list),
+                active_in_dependences=read_field(d, "active_in_dependences", where, list),
+                dropped_dependences=read_field(d, "dropped_dependences", where, list),
+                dropped_in_dependences=read_field(d, "dropped_in_dependences", where, list),
+                active_space_accesses=[tuple(k) for k in spaces],
+            )
+        )
+    warnings = read_field(doc, "warnings", "plan document", list) if "warnings" in doc else []
+    weights = WeightConfig.from_doc(read_field(doc, "weights", "plan document", dict))
+    return TransformPlan(statements, arrays, r_space, weights, diagnostics, list(warnings))

@@ -101,6 +101,27 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: dependence #0: domain: expected an object, got int\n")
 
+    @pytest.mark.parametrize("path,value", [
+        (("statements", 0, "depth"), [1]),
+        (("statements", 0, "id"), ["S1"]),
+        (("statements", 0, "domain", "box", 0, "lower", "coeffs"), 5),
+        (("accesses", 0, "F"), 3),
+        (("arrays", 0, "dim"), 1.5),
+        (("params", 0, "min"), "4"),
+    ])
+    def test_malformed_nest_field(self, tmp_path, capsys, path, value):
+        doc = fixture_doc("chain")
+        *path, last = path
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(p), "--spatial-dims", "0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "p.json"
         rc = main(["solve", "--input", fixture_path("chain"), "--spatial-dims", "0",
@@ -192,6 +213,11 @@ class TestValidate:
         (("statements", "S1", "a"), [-2]),
         (("arrays", "u", "y"), []),
         (("weights", "legality"), [1, 0]),
+        (("statements", "S1", "a"), [1.5, 0]),
+        (("statements", "S1", "T"), 5),
+        (("weights",), [1]),
+        (("warnings",), 3),
+        (("diagnostics", 0, "witnesses"), [1]),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"

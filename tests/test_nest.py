@@ -120,6 +120,19 @@ class TestValidationErrors:
         (("statements", 0, "domain", "box"), 1, "field 'box' must be a list, got int"),
         (("statements", 0, "domain", "box", 0), [1], "statement 'S1': expected an object"),
         (("statements", 0, "domain"), {"vertices": 2}, "field 'vertices' must be a list"),
+        (("statements", 0, "depth"), [1], r"statement 'S1' depth \[1\] is not an int"),
+        (("statements", 0, "order"), None, "statement 'S1' order None is not an int"),
+        (("statements", 0, "id"), ["S1"], "field 'id' must be a string, got list"),
+        (("statements", 0, "domain", "box", 0, "lower", "coeffs"), 5,
+         "field 'coeffs' must be a list, got int"),
+        (("accesses", 0, "F"), 3, "field 'F' must be a list, got int"),
+        (("accesses", 0, "f"), 3, "field 'f' must be a list, got int"),
+        # non-integers are rejected, not truncated to the int they start with
+        (("arrays", 0, "dim"), 1.5, "array 'x' dim 1.5 is not an int"),
+        (("arrays", 0, "dim"), "1", "array 'x' dim '1' is not an int"),
+        (("params", 0, "min"), "4", "params min '4' is not an int"),
+        (("accesses", 1, "f"), [-1.0], "field 'f': entry -1.0 is not an int"),
+        (("dependences", 0, "Phi"), [[True]], "field 'Phi': entry True is not an int"),
     ])
     def test_field_of_wrong_json_type(self, path, value, match):
         doc = fixture_doc("chain")

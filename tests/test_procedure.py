@@ -394,6 +394,24 @@ class TestSerialization:
         (("arrays", "u", "y"), [0, 0], "field 'y': 2 entries, expected 1"),
         (("weights", "space"), [1, 0], "weight 'space' has denominator 0"),
         (("diagnostics", 0, "objective"), [1, 0], "objective of recursion 1 has denominator 0"),
+        # non-integers are rejected, not truncated into another plan
+        (("statements", "S1", "a"), [1.5, 0], "field 'a': entry 1.5 is not an int"),
+        (("statements", "S1", "a"), [True, 0], "field 'a': entry True is not an int"),
+        (("arrays", "u", "H"), [[1, 0.0]], "field 'H': entry 0.0 is not an int"),
+        (("weights", "space"), [2.5, 1], "field 'space': entry 2.5 is not an int"),
+        # fields of the wrong JSON type
+        (("statements", "S1", "T"), 5, "field 'T' must be a list, got int"),
+        (("statements", "S1", "T"), [[1, 0], 0], "field 'T': row 1 is 0, expected 2x2"),
+        (("statements", "S1", "a"), 5, "field 'a' must be a list, got int"),
+        (("weights", "space"), 5, "field 'space' must be a list, got int"),
+        (("weights",), [1], "field 'weights' must be an object, got list"),
+        (("statements",), ["S1"], "field 'statements' must be an object, got list"),
+        (("warnings",), 3, "field 'warnings' must be a list, got int"),
+        (("diagnostics",), 3, "field 'diagnostics' must be a list, got int"),
+        (("diagnostics", 0, "objective"), 3, "field 'objective' must be a list, got int"),
+        (("diagnostics", 0, "witnesses"), [1], "field 'witnesses' must be an object, got list"),
+        (("diagnostics", 0, "active_space_accesses"), [1],
+         "field 'active_space_accesses' must hold lists"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks
