@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
@@ -121,18 +117,6 @@ class IntMatrix:
         """Matrix with the given rows; `ncols` is the width when there are none."""
         rows = tuple(tuple(v) for v in vectors)
         return IntMatrix(rows, None if rows else ncols)
-
-
-def lex_compare(a, b) -> int:
-    """Lexicographic order; returns LESS, EQUAL or GREATER."""
-    if len(a) != len(b):
-        raise DimensionError(f"lex_compare: lengths differ ({len(a)} vs {len(b)})")
-    for x, y in zip(a, b):
-        if x < y:
-            return LESS
-        if x > y:
-            return GREATER
-    return EQUAL
 
 
 def _column_eliminate(m: IntMatrix):

@@ -103,7 +103,7 @@ def _write_json(doc, path):
         print(text, end="")
 
 
-def _print_plan_summary(nest, plan, report):
+def _print_plan_summary(plan, report):
     print(f"spatial dimensions: {plan.r_space}")
     for sid, st in plan.statements.items():
         print(f"statement {sid}:")
@@ -150,8 +150,6 @@ def cmd_solve(args) -> int:
             r_space=args.spatial_dims,
             weights=weights,
             solver_cfg=cfg,
-            guard_indep_drop=args.guard_indep_drop,
-            last_index_contiguous=not args.first_index_contiguous,
         )
     except ProcedureError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -163,7 +161,7 @@ def cmd_solve(args) -> int:
     doc = plan_to_doc(plan)
     doc["comm_report"] = report
     _write_json(doc, args.out)
-    _print_plan_summary(nest, plan, report)
+    _print_plan_summary(plan, report)
     return EXIT_OK
 
 
@@ -190,7 +188,7 @@ def cmd_report(args) -> int:
     plan = plan_from_doc(_read_json(args.plan, "plan"), nest)
     report = comm_report(plan, nest)
     _write_json(report, args.out)
-    _print_plan_summary(nest, plan, report)
+    _print_plan_summary(plan, report)
     return EXIT_OK
 
 
@@ -207,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--bound", type=int, default=2)
     p_solve.add_argument("--time-limit", type=float, default=None)
     p_solve.add_argument("--weight", action="append", metavar="FAMILY=VALUE")
-    p_solve.add_argument("--guard-indep-drop", action="store_true")
-    p_solve.add_argument("--first-index-contiguous", action="store_true")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 

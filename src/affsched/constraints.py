@@ -210,36 +210,34 @@ def build_alignment_columns(
     return cols
 
 
-def truncated_access_matrix(acc: Access, last_index_contiguous: bool = True) -> IntMatrix:
-    """Access matrix with the contiguous-index row removed."""
-    drop = acc.iter_coeffs.nrows - 1 if last_index_contiguous else 0
-    return acc.iter_coeffs.drop_row(drop)
+def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[IntVector]] | None:
+    """The row-locality rule of one access: (target rank, kernel), or None.
 
-
-def locality_kernel(acc: Access, last_index_contiguous: bool = True) -> list[IntVector]:
-    return integer_kernel_basis(truncated_access_matrix(acc, last_index_contiguous))
-
-
-def locality_target(
-    acc: Access, nest: LoopNest, last_index_contiguous: bool = True
-) -> int | None:
-    """Rank the row-confined schedule rows of an access must reach, or None.
-
-    The one row-locality rule: a 2+-dimensional array whose truncated access
-    matrix has rank strictly between 0 (one row whatever the schedule) and
-    the statement depth (never confined).
+    Arrays are row-major: the last index is the contiguous one, so the
+    operations that fix every other index touch one row.  Dropping the last
+    row of the access matrix leaves the row matrix.  Schedule rows constant
+    along its integer `kernel` keep an access within one row; once they reach
+    its rank, `target`, the access is row-confined.  Only a 2+-dimensional
+    array whose row matrix has rank strictly between 0 (one row whatever the
+    schedule) and the statement depth (never confined) has a rule.  The
+    procedure and the validator both read it from here.
     """
     if nest.array(acc.array).dim < 2:
         return None
-    target = rank(truncated_access_matrix(acc, last_index_contiguous))
-    return target if 0 < target < nest.statement(acc.statement).depth else None
+    row_matrix = acc.iter_coeffs.drop_row(acc.iter_coeffs.nrows - 1)
+    target = rank(row_matrix)
+    if not 0 < target < nest.statement(acc.statement).depth:
+        return None
+    return target, integer_kernel_basis(row_matrix)
 
 
-def locality_depth(rows, kernel, target: int) -> int | None:
-    """Level (1-based) at which the rows constant along `kernel` reach rank `target`.
+def locality_depth(rows, rule: tuple[int, list[IntVector]]) -> int | None:
+    """Level (1-based) at which `rows` confine an access with `row_locality` `rule`.
 
-    None if they never do.
+    Counts only the rows constant along the rule's kernel; None if they never
+    reach its target rank.
     """
+    target, kernel = rule
     kept = []
     for level, tau in enumerate(rows, 1):
         if all(sum(t * d for t, d in zip(tau, u)) == 0 for u in kernel):
@@ -251,21 +249,15 @@ def locality_depth(rows, kernel, target: int) -> int | None:
 
 def build_space_locality_columns(
     acc: Access,
-    nest: LoopNest,
+    kernel: list[IntVector],
     layout: ExtendedLayout,
     weight: Fraction = Fraction(1),
-    last_index_contiguous: bool = True,
 ) -> list[ConstraintColumn]:
-    """Row-locality columns for one access, one per locality kernel vector.
-
-    Accesses without a `locality_target` contribute nothing.
-    """
-    if locality_target(acc, nest, last_index_contiguous) is None:
-        return []
+    """Row-locality columns for one access, one per vector of its `row_locality` kernel."""
     group = ("acc", acc.key)
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     cols = []
-    for g, d in enumerate(locality_kernel(acc, last_index_contiguous)):
+    for g, d in enumerate(kernel):
         cb = _ColumnBuilder(layout)
         cb.add(layout.offset("tau", acc.statement), d)
         cols.append(cb.build(ABS, "space-loc", group, f"space.{tag}.{g}", weight))

@@ -220,10 +220,12 @@ def enumerate_domain(domain: Domain, n_vals, cap: int = DEFAULT_ENUM_CAP) -> np.
 def contains_point(domain: Domain, point, n_vals) -> bool:
     if domain.box is None:
         raise EnumerationError("containment check needs a box domain")
-    return all(
-        lo.value_at(n_vals) <= x <= hi.value_at(n_vals)
-        for x, (lo, hi) in zip(point, domain.box)
-    )
+    return _within([(lo.value_at(n_vals), hi.value_at(n_vals)) for lo, hi in domain.box], point)
+
+
+def _within(bounds, point) -> bool:
+    """Whether `point` lies in the box of integer (lo, hi) `bounds`."""
+    return all(lo <= x <= hi for x, (lo, hi) in zip(point, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +347,7 @@ def load_nest(source) -> LoopNest:
     if not stmts_doc:
         raise NestError("no statements")
     statements = []
+    box0 = {}  # statement id -> (lo, hi) per dimension at N^(0); None for vertices
     for s in stmts_doc:
         sid = read_field(s, "id", "statements", str)
         where = f"statement {sid!r}"
@@ -352,9 +355,11 @@ def load_nest(source) -> LoopNest:
         dom = _parse_domain(read_field(s, "domain", where), depth, e, where)
         if dom.dim != depth:
             raise NestError(f"{where}: domain dimensionality {dom.dim} != depth {depth}")
+        box0[sid] = None
         if dom.box is not None:
-            for k, (lo, hi) in enumerate(dom.box):
-                if hi.value_at(n0) < lo.value_at(n0):
+            box0[sid] = [(lo.value_at(n0), hi.value_at(n0)) for lo, hi in dom.box]
+            for k, (lo, hi) in enumerate(box0[sid]):
+                if hi < lo:
                     raise NestError(f"{where}: dimension {k} empty at N^(0)")
         order = read_int(read_field(s, "order", where), f"{where} order")
         statements.append(Statement(sid, depth, dom, order))
@@ -431,13 +436,13 @@ def load_nest(source) -> LoopNest:
                 raise NestError(f"{where}: produced_by does not name an access of the target")
         # every vertex of the dependence domain must map into the source
         # domain and lie inside the target domain (checked at N^(0))
-        if src.domain.box is not None and tgt.domain.box is not None:
+        if box0[src.id] is not None and box0[tgt.id] is not None:
             for r, omega in vertices(dom):
                 v = r.matvec(n0) + omega
-                if not contains_point(tgt.domain, v, n0):
+                if not _within(box0[tgt.id], v):
                     raise NestError(f"{where}: vertex {tuple(v)} outside target domain at N^(0)")
                 ipt = d.source_point(v, n0)
-                if not contains_point(src.domain, ipt, n0):
+                if not _within(box0[src.id], ipt):
                     raise NestError(
                         f"{where}: source image {tuple(ipt)} outside source domain at N^(0)"
                     )

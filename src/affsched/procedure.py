@@ -22,9 +22,8 @@ from .constraints import (
     build_legality_columns,
     build_space_locality_columns,
     locality_depth,
-    locality_kernel,
-    locality_target,
     rank_witnesses,
+    row_locality,
 )
 from .nest import LoopNest, contains_point, read_field, read_int, read_matrix, read_vector
 from .solver import InfeasibleError, SolverConfig, SolverTimeout, solve
@@ -145,13 +144,15 @@ def build_recursion_system(
     weights: WeightConfig,
     active_deps,
     active_in_deps,
-    active_space,
-    last_index_contiguous: bool = True,
+    active_space: dict,
 ) -> ConstraintSystem:
     """Assemble the optimization system of recursion len(xs) + 1.
 
     `xs` holds the solution vectors of the earlier recursions; the rank
-    witnesses come from the schedule rows read off them.
+    witnesses come from the schedule rows read off them.  `active_space`
+    maps the key of each access not yet row-confined to its `row_locality`
+    (target, kernel), in the order of `nest.accesses`; each kernel vector
+    gives one locality column.
     """
     xi = len(xs) + 1
     columns = []
@@ -175,13 +176,10 @@ def build_recursion_system(
                     weights.align_offset,
                 )
             )
-    for acc in nest.accesses:
-        if acc.key in active_space:
-            columns.extend(
-                build_space_locality_columns(
-                    acc, nest, layout, weights.space, last_index_contiguous
-                )
-            )
+    for key, (_, kernel) in active_space.items():
+        columns.extend(
+            build_space_locality_columns(nest.access(key), kernel, layout, weights.space)
+        )
     accumulated = {s.id: [layout.block(x, "tau", s.id) for x in xs] for s in nest.statements}
     levels_left = nest.max_depth - len(xs)
     l_set = [
@@ -192,20 +190,17 @@ def build_recursion_system(
     return ConstraintSystem(layout, columns, rank_witnesses(accumulated, l_set, layout))
 
 
-def initial_sets(nest: LoopNest, last_index_contiguous: bool = True):
+def initial_sets(nest: LoopNest):
     """The bookkeeping sets before the first recursion.
 
     Returns the non-`in` dependences, the `in` dependences, and for every
-    access with a row-locality target its (target rank, locality kernel).
+    access with a `row_locality` rule, in the order of `nest.accesses`, its
+    key mapped to that (target, kernel).
     """
     active_deps = [i for i, d in enumerate(nest.dependences) if d.kind != "in"]
     active_in_deps = [i for i, d in enumerate(nest.dependences) if d.kind == "in"]
-    space = {}
-    for acc in nest.accesses:
-        target = locality_target(acc, nest, last_index_contiguous)
-        if target is not None:
-            space[acc.key] = (target, locality_kernel(acc, last_index_contiguous))
-    return active_deps, active_in_deps, space
+    rules = ((acc.key, row_locality(acc, nest)) for acc in nest.accesses)
+    return active_deps, active_in_deps, {key: rule for key, rule in rules if rule}
 
 
 def run_procedure(
@@ -213,8 +208,6 @@ def run_procedure(
     r_space: int = 1,
     weights: WeightConfig | None = None,
     solver_cfg: SolverConfig | None = None,
-    guard_indep_drop: bool = False,
-    last_index_contiguous: bool = True,
 ) -> TransformPlan:
     """Execute all recursions and assemble the transform plan.
 
@@ -229,8 +222,7 @@ def run_procedure(
     solver_cfg = solver_cfg or SolverConfig()
     layout = ExtendedLayout.for_nest(nest)
 
-    active_deps, active_in_deps, space = initial_sets(nest, last_index_contiguous)
-    active_space = set(space)
+    active_deps, active_in_deps, active_space = initial_sets(nest)
     xs: list[tuple[int, ...]] = []
 
     def rows(kind, key, upto=None):
@@ -249,7 +241,6 @@ def run_procedure(
             active_deps,
             active_in_deps,
             active_space,
-            last_index_contiguous,
         )
         try:
             sol = solve(system, solver_cfg)
@@ -285,17 +276,15 @@ def run_procedure(
             if any(v != 0 for v in vals):
                 ever_positive[i] = True
         for i in list(active_in_deps):
-            if guard_indep_drop and xi <= r_space:
-                continue
             vals = by_group.get(("dep", i), [])
             if vals and all(abs(v) >= 1 for v in vals):
                 active_in_deps.remove(i)
                 dropped_in.append(i)
 
         active_space = {
-            key
-            for key, (target, kernel) in space.items()
-            if locality_depth(rows("tau", nest.access(key).statement), kernel, target) is None
+            key: rule
+            for key, rule in active_space.items()
+            if locality_depth(rows("tau", nest.access(key).statement), rule) is None
         }
 
         diagnostics.append(

@@ -30,8 +30,7 @@ from .constraints import (
     ConstraintSystem,
     ExtendedLayout,
     locality_depth,
-    locality_kernel,
-    locality_target,
+    row_locality,
 )
 from .nest import (
     DEFAULT_ENUM_CAP,
@@ -89,22 +88,16 @@ class ValidationReport:
         }
 
 
-def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc,
-                           last_index_contiguous: bool = True) -> int | None:
-    """Schedule prefix length after which the access is row-confined.
+def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc) -> int | None:
+    """Schedule prefix length after which the access is row-confined, or None.
 
-    Accumulates plan schedule rows that are constant along the kernel of the
-    truncated access matrix until their rank reaches that matrix's rank;
-    returns the 1-based level of the last row needed, or None.
+    Reads the plan's schedule rows under the access's `row_locality` rule,
+    the one the procedure optimised for.
     """
-    target = locality_target(acc, nest, last_index_contiguous)
-    if target is None:
+    rule = row_locality(acc, nest)
+    if rule is None:
         return None
-    return locality_depth(
-        plan.statements[acc.statement].schedule.rows,
-        locality_kernel(acc, last_index_contiguous),
-        target,
-    )
+    return locality_depth(plan.statements[acc.statement].schedule.rows, rule)
 
 
 def _affine(points: np.ndarray, coeffs: IntMatrix, params: IntMatrix, const, n_vals) -> np.ndarray:
@@ -162,7 +155,6 @@ def validate(
     plan: TransformPlan,
     n_vals,
     cap: int = DEFAULT_ENUM_CAP,
-    last_index_contiguous: bool = True,
 ) -> ValidationReport:
     """Brute-force re-check of every claim a plan makes, at concrete parameters."""
     n_vals = IntVector(n_vals)
@@ -245,14 +237,13 @@ def validate(
         for i in np.argsort(first_count):
             report.reuse_histogram[int(values[i])] = int(n[i])
 
-    contiguous = -1 if last_index_contiguous else 0
     for acc in nest.accesses:
-        depth_claim = claimed_locality_depth(plan, nest, acc, last_index_contiguous)
+        depth_claim = claimed_locality_depth(plan, nest, acc)
         if depth_claim is None:
             continue
         points, sched = ops(acc.statement)
         prefix = _distinct_rows(sched[:, :depth_claim])[0]
-        rest = np.delete(index(acc, points), contiguous, axis=1)
+        rest = index(acc, points)[:, :-1]  # the row: every index but the contiguous last
         first = _distinct_rows(np.column_stack([prefix, rest]))[1]
         report.row_locality[acc.key] = {
             "claimed_depth": depth_claim, "metric": int(np.bincount(prefix[first]).max())
@@ -325,13 +316,11 @@ def first_recursion_system(
     nest: LoopNest,
     r_space: int,
     weights: WeightConfig | None = None,
-    last_index_contiguous: bool = True,
 ):
     """The optimization system of recursion 1 with all sets at their initial value."""
-    active, active_in, space = initial_sets(nest, last_index_contiguous)
     return build_recursion_system(
         nest, ExtendedLayout.for_nest(nest), [], r_space, weights or WeightConfig(),
-        active, active_in, set(space), last_index_contiguous,
+        *initial_sets(nest),
     )
 
 
@@ -340,10 +329,9 @@ def brute_force_best_alignment(
     r_space: int,
     bound: int = 1,
     weights: WeightConfig | None = None,
-    last_index_contiguous: bool = True,
 ) -> Fraction:
     """Exhaustive minimum of the recursion-1 objective over the coefficient box."""
-    system = first_recursion_system(nest, r_space, weights, last_index_contiguous)
+    system = first_recursion_system(nest, r_space, weights)
     return brute_force_minimum(system, bound)
 
 

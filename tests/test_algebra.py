@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, integer kernels, lexicographic order."""
+"""Exact linear algebra: rank, integer kernels."""
 
 import itertools
 import random
@@ -7,14 +7,10 @@ from fractions import Fraction
 import pytest
 
 from affsched.algebra import (
-    EQUAL,
-    GREATER,
-    LESS,
     DimensionError,
     IntMatrix,
     IntVector,
     integer_kernel_basis,
-    lex_compare,
     rank,
 )
 
@@ -104,28 +100,6 @@ class TestVectorMatrix:
     def test_from_rows_width(self):
         assert IntMatrix.from_rows([], 3) == IntMatrix((), 3)
         assert IntMatrix.from_rows([]).ncols == 0
-
-
-class TestLexCompare:
-    def test_basic(self):
-        assert lex_compare((1, 2), (1, 3)) == LESS
-        assert lex_compare((2, 0), (1, 9)) == GREATER
-        assert lex_compare((1, 2), (1, 2)) == EQUAL
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            lex_compare((1,), (1, 2))
-
-    def test_total_order_properties(self):
-        rng = random.Random(7)
-        vecs = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(60)]
-        for a in vecs:
-            for b in vecs:
-                c = lex_compare(a, b)
-                assert c == -lex_compare(b, a)
-                assert (c == EQUAL) == (a == b)
-                # agreement with Python tuple order
-                assert c == ((a > b) - (a < b))
 
 
 class TestRank:

@@ -13,12 +13,11 @@ from affsched.constraints import (
     build_alignment_columns,
     build_legality_columns,
     build_space_locality_columns,
-    locality_kernel,
-    locality_target,
     rank_witnesses,
-    truncated_access_matrix,
+    row_locality,
 )
 from affsched.nest import enumerate_domain, load_nest, vertices
+from affsched.procedure import initial_sets
 from conftest import fixture_doc, fixture_nest
 
 
@@ -164,9 +163,8 @@ class TestAlignmentColumns:
 class TestSpaceLocality:
     def test_one_dimensional_arrays_contribute_nothing(self):
         nest = fixture_nest("chain")
-        lay = ExtendedLayout.for_nest(nest)
-        assert locality_target(nest.accesses[0], nest) is None
-        assert build_space_locality_columns(nest.accesses[0], nest, lay) == []
+        assert row_locality(nest.accesses[0], nest) is None
+        assert nest.accesses[0].key not in initial_sets(nest)[2]
 
     def test_full_rank_truncation_contributes_nothing(self):
         # stencil u access: truncated matrix [[1, 0]] over a depth-2
@@ -174,8 +172,9 @@ class TestSpaceLocality:
         # matvec A access where truncation leaves rank 1 over depth 2 too
         nest = fixture_nest("stencil")
         lay = ExtendedLayout.for_nest(nest)
-        assert locality_target(nest.accesses[0], nest) == 1
-        cols = build_space_locality_columns(nest.accesses[0], nest, lay)
+        target, kernel = row_locality(nest.accesses[0], nest)
+        assert target == 1
+        cols = build_space_locality_columns(nest.accesses[0], kernel, lay)
         assert len(cols) == 1
         # the single column is tau . d for d spanning the kernel (0, 1)
         x = [0] * lay.size
@@ -199,23 +198,20 @@ class TestSpaceLocality:
         )
         nest = load_nest(doc)
         acc = nest.access(("R", "S1", 9))
-        assert locality_target(acc, nest) == target
-        cols = build_space_locality_columns(acc, nest, ExtendedLayout.for_nest(nest))
-        assert (cols == []) == (target is None)
+        rule = row_locality(acc, nest)
+        assert (rule[0] if rule else None) == target
+        assert initial_sets(nest)[2].get(acc.key) == rule
 
     def test_truncation_side(self):
+        # B[k][j]: the last index j is contiguous, the row matrix is [[0, 0, 1]]
         nest = fixture_nest("matmul")
-        acc = nest.access(("B", "S1", 1))
-        last = truncated_access_matrix(acc, last_index_contiguous=True)
-        first = truncated_access_matrix(acc, last_index_contiguous=False)
-        assert last.rows == ((0, 0, 1),)
-        assert first.rows == ((0, 1, 0),)
+        target, kernel = row_locality(nest.access(("B", "S1", 1)), nest)
+        assert (target, [tuple(v) for v in kernel]) == (1, [(0, 1, 0), (1, 0, 0)])
 
     def test_locality_kernel(self):
         nest = fixture_nest("matmul")
-        acc = nest.access(("C", "S1", 1))
-        kern = locality_kernel(acc)
-        assert [tuple(v) for v in kern] == [(0, 0, 1), (0, 1, 0)]
+        _, kernel = row_locality(nest.access(("C", "S1", 1)), nest)
+        assert [tuple(v) for v in kernel] == [(0, 0, 1), (0, 1, 0)]
 
 
 class TestRankWitnesses:

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from affsched.algebra import EQUAL, LESS, IntMatrix, lex_compare, rank
+from affsched.algebra import IntMatrix, rank
 from affsched.cli import EXIT_INPUT, main
 from affsched.comm import comm_report
 from affsched.nest import EnumerationError, load_nest
 from affsched.procedure import (
     WeightConfig,
+    initial_sets,
     placement_of,
     plan_from_doc,
     run_procedure,
@@ -219,6 +220,22 @@ class TestRowLocality:
         report = validate(nest, shuffled, [3])
         assert report.row_locality[("C", "S1", 1)]["metric"] == 1
 
+    @pytest.mark.parametrize(
+        "name, r",
+        [(name, r) for name in FIXTURE_NAMES + ("chain23", "chain42")
+         for r in range(fixture_nest(name).max_depth)],
+    )
+    def test_procedure_and_validator_read_one_rule(self, name, r):
+        # an access keeps its locality columns after recursion xi exactly when
+        # it has a rule and the validator's claimed depth lies beyond xi
+        nest, plan = fixture_nest(name), fixture_plan(name, r)
+        ruled = initial_sets(nest)[2]
+        for acc in nest.accesses:
+            depth = claimed_locality_depth(plan, nest, acc)
+            for d in plan.diagnostics:
+                active = acc.key in ruled and (depth is None or d.xi < depth)
+                assert (acc.key in d.active_space_accesses) == active
+
 
 class TestBroadcastChecks:
     def test_matmul_confirmed(self):
@@ -408,11 +425,11 @@ def _box_points(domain, n_vals):
     )
 
 
-def scalar_validate(nest, plan, n_vals, last_index_contiguous=True):
+def scalar_validate(nest, plan, n_vals):
     """Per-point reference for `validate`, sharing none of its array code.
 
     Every operation is evaluated alone through `schedule_of` and every
-    owner through `placement_of`; pairs are ordered with `lex_compare`.
+    owner through `placement_of`; pairs are ordered as Python tuples.
     """
     r = plan.r_space
     report = ValidationReport(n_vals=tuple(n_vals))
@@ -435,12 +452,12 @@ def scalar_validate(nest, plan, n_vals, last_index_contiguous=True):
         tie_ok = dep.source == dep.target or order[dep.source] < order[dep.target]
         for point in _box_points(dep.domain, n_vals):
             src = tuple(dep.source_point(point, n_vals))
-            cmp = lex_compare(schedule_of(plan, nest, dep.target, point, n_vals),
-                              schedule_of(plan, nest, dep.source, src, n_vals))
+            later = tuple(schedule_of(plan, nest, dep.target, point, n_vals))
+            earlier = tuple(schedule_of(plan, nest, dep.source, src, n_vals))
             pair = ((di,), src, point)
-            if cmp == LESS or (cmp == EQUAL and not tie_ok):
+            if later < earlier or (later == earlier and not tie_ok):
                 report.legality_violations.append(pair)
-            elif cmp == EQUAL:
+            elif later == earlier:
                 report.lex_equal_warnings.append(pair)
 
     reuse = {}
@@ -459,14 +476,13 @@ def scalar_validate(nest, plan, n_vals, last_index_contiguous=True):
         report.reuse_histogram[len(times)] = report.reuse_histogram.get(len(times), 0) + 1
 
     for acc in nest.accesses:
-        depth = claimed_locality_depth(plan, nest, acc, last_index_contiguous)
+        depth = claimed_locality_depth(plan, nest, acc)
         if depth is None:
             continue
         groups = {}
         for point, vec in ops[acc.statement].items():
-            elem = list(acc.index_at(point, n_vals))
-            del elem[-1 if last_index_contiguous else 0]
-            groups.setdefault(vec[:depth], set()).add(tuple(elem))
+            elem = tuple(acc.index_at(point, n_vals))
+            groups.setdefault(vec[:depth], set()).add(elem[:-1])
         metric = max(len(g) for g in groups.values())
         report.row_locality[acc.key] = {"claimed_depth": depth, "metric": metric}
 
@@ -490,7 +506,7 @@ def scalar_validate(nest, plan, n_vals, last_index_contiguous=True):
             for rs in readers.values()
         )
         single = all(
-            sum(lex_compare(wt, min(t for _, t in rs)) == LESS for wt in writes.get(elem, ())) <= 1
+            sum(wt < min(t for _, t in rs) for wt in writes.get(elem, ())) <= 1
             for elem, rs in readers.items()
         )
         report.broadcast_checks[acc.key] = {
