@@ -1,9 +1,13 @@
-"""Pinned plans: the sha256 of each case's plan document.
+"""Pinned plans and reports: the sha256 of each case's documents.
 
 A solver change that must not move any plan (a faster search, a tighter
 bound) is checked against `tests/data/plan_digests.json` rather than
-against a second checkout.  Rewrite the file only for a deliberate plan
-change, from a checkout whose plans are the intended ones:
+against a second checkout.  `tests/data/report_digests.json` pins, per
+case, the plan's communication report and its validation reports at
+N^(0)+2 and N^(0)+4, so a change to `comm_report` or `validate` that moves
+a byte of their output fails here too.  Rewrite the files only for a
+deliberate change, from a checkout whose plans and reports are the
+intended ones:
 
     PYTHONPATH=src python tests/test_plan_digests.py --write
 """
@@ -14,12 +18,18 @@ import pathlib
 import sys
 from fractions import Fraction
 
+import pytest
+
+from affsched.comm import comm_report
 from affsched.nest import load_nest
 from affsched.procedure import WeightConfig, plan_to_doc, run_procedure
 from affsched.solver import SolverConfig
+from affsched.validation import validate
 from conftest import fixture_doc, perfbench_module
 
-DIGESTS = pathlib.Path(__file__).resolve().parent / "data" / "plan_digests.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+DIGESTS = DATA / "plan_digests.json"
+REPORT_DIGESTS = DATA / "report_digests.json"
 
 FIXTURES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul", "chain23", "chain42")
 
@@ -69,24 +79,52 @@ def cases():
     return out
 
 
-def digest(doc, r, overrides, bound):
-    plan = run_procedure(load_nest(doc), r_space=r,
+def _sha(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def digests(doc, r, overrides, bound):
+    """The sha256 of the plan document, and per report name that of the report."""
+    nest = load_nest(doc)
+    plan = run_procedure(nest, r_space=r,
                          weights=WeightConfig.with_overrides(overrides),
                          solver_cfg=SolverConfig(coeff_bound=bound))
-    return hashlib.sha256(json.dumps(plan_to_doc(plan), sort_keys=True).encode()).hexdigest()
+    reports = {"comm_report": _sha(comm_report(plan, nest))}
+    for k in (2, 4):
+        n_vals = [m + k for m in nest.outer_vars.minima]
+        reports[f"validate N0+{k}"] = _sha(validate(nest, plan, n_vals).to_doc())
+    return _sha(plan_to_doc(plan)), reports
 
 
-def test_plans_match_pinned_digests():
-    pinned = json.loads(DIGESTS.read_text())
-    computed = {cid: digest(*case) for cid, case in cases().items()}
-    assert sorted(computed) == sorted(pinned)
-    changed = [cid for cid in computed if computed[cid] != pinned[cid]]
-    assert changed == []
+def all_digests():
+    """(case id -> plan digest, case id -> report digests) over every case."""
+    plans, reports = {}, {}
+    for cid, case in cases().items():
+        plans[cid], reports[cid] = digests(*case)
+    return plans, reports
+
+
+def _changed(got, pinned):
+    assert sorted(got) == sorted(pinned)
+    return [cid for cid in got if got[cid] != pinned[cid]]
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return all_digests()
+
+
+def test_plans_match_pinned_digests(computed):
+    assert _changed(computed[0], json.loads(DIGESTS.read_text())) == []
+
+
+def test_reports_match_pinned_digests(computed):
+    assert _changed(computed[1], json.loads(REPORT_DIGESTS.read_text())) == []
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_plan_digests.py --write")
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps({cid: digest(*c) for cid, c in cases().items()},
-                                  indent=1, sort_keys=True) + "\n")
+    DATA.mkdir(exist_ok=True)
+    for path, pinned in zip((DIGESTS, REPORT_DIGESTS), all_digests()):
+        path.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
