@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from .comm import comm_report
-from .nest import DEFAULT_ENUM_CAP, load_nest
+from .nest import load_nest
 from .procedure import (
     ProcedureError,
     WeightConfig,
@@ -169,7 +169,7 @@ def cmd_validate(args) -> int:
     nest = load_nest(_read_json(args.input, "input"))
     plan = plan_from_doc(_read_json(args.plan, "plan"), nest)
     settings = _parse_params(nest, args.params)
-    reports = [validate(nest, plan, setting, cap=args.cap) for setting in settings]
+    reports = [validate(nest, plan, setting) for setting in settings]
     doc = {"reports": [r.to_doc() for r in reports]}
     _write_json(doc, args.out)
     ok = all(r.passed for r in reports)
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--input", required=True)
     p_val.add_argument("--plan", required=True)
     p_val.add_argument("--params", action="append", metavar="NAME=VALUE[,...]")
-    p_val.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p_val.add_argument("--out", default=None)
     p_val.set_defaults(func=cmd_validate)
 

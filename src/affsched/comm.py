@@ -10,9 +10,7 @@ be written or the producing flow dependences must preserve the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import IntVector, integer_kernel_basis
+from .algebra import integer_kernel_basis
 from .nest import LoopNest
 from .procedure import TransformPlan
 
@@ -22,24 +20,11 @@ INELIGIBLE_WRITE_PRESENT = "write-present"
 INELIGIBLE_FLOW_KERNEL = "flow-kernel"
 
 
-@dataclass(frozen=True)
-class ExchangeRequirement:
-    access: tuple[str, str, int]  # (array, statement, slot)
-    reasons: tuple[str, ...]  # slack families that are nonzero: F | G | f
-    per_recursion: dict[int, dict[str, tuple[int, ...]]]  # xi -> family -> slack vector
+def alignment_slacks(plan: TransformPlan, nest: LoopNest, acc) -> dict[str, dict[str, list]]:
+    """Exact per-recursion misalignment of one access, from the plan alone.
 
-
-@dataclass(frozen=True)
-class BroadcastFinding:
-    access: tuple[str, str, int]
-    kernel_basis: tuple[IntVector, ...]
-    eligible: bool
-    failed_condition: str | None
-    nondegeneracy_pending: bool  # existential clause left to enumeration
-
-
-def alignment_slacks(plan: TransformPlan, nest: LoopNest, acc) -> dict[int, dict[str, tuple]]:
-    """Exact per-recursion misalignment of one access, from the plan alone."""
+    Recursion level (as a string) -> slack family (F, G, f) -> slack vector.
+    """
     out = {}
     st = plan.statements[acc.statement]
     al = plan.arrays[acc.array]
@@ -53,16 +38,20 @@ def alignment_slacks(plan: TransformPlan, nest: LoopNest, acc) -> dict[int, dict
         slack_f_mat = tau - acc.iter_coeffs.vecmat(eta)
         slack_g_mat = b - acc.param_coeffs.vecmat(eta) - z
         slack_off = a - eta.dot(acc.offset) - y
-        out[xi] = {
-            "F": tuple(slack_f_mat),
-            "G": tuple(slack_g_mat),
-            "f": (slack_off,),
+        out[str(xi)] = {
+            "F": list(slack_f_mat),
+            "G": list(slack_g_mat),
+            "f": [slack_off],
         }
     return out
 
 
-def exchange_requirements(plan: TransformPlan, nest: LoopNest) -> list[ExchangeRequirement]:
-    """Reads whose operands are not guaranteed local to the executing processor."""
+def exchange_requirements(plan: TransformPlan, nest: LoopNest) -> list[dict]:
+    """Reads whose operands are not guaranteed local to the executing processor.
+
+    Each is the report's exchange entry: the access, the slack families
+    that are nonzero (`reasons`) and the slacks themselves.
+    """
     out = []
     for acc in nest.accesses:
         if acc.kind != "read":
@@ -73,24 +62,34 @@ def exchange_requirements(plan: TransformPlan, nest: LoopNest) -> list[ExchangeR
             if any(any(v != 0 for v in per[fam]) for per in slacks.values()):
                 reasons.append(fam)
         if reasons:
-            out.append(ExchangeRequirement(acc.key, tuple(reasons), slacks))
+            out.append({"access": list(acc.key), "reasons": reasons, "slacks": slacks})
     return out
 
 
-def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> BroadcastFinding:
+def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
     """Test the broadcast-eligibility conditions for one read access."""
     acc = nest.access(access_key)
     if acc.kind != "read":
         raise ValueError(f"broadcast detection applies to reads, {access_key!r} is a write")
-    kernel = tuple(integer_kernel_basis(acc.iter_coeffs))
+    kernel = integer_kernel_basis(acc.iter_coeffs)
+
+    def finding(failed_condition: str | None) -> dict:
+        return {
+            "access": list(acc.key),
+            "eligible": failed_condition is None,
+            "failed_condition": failed_condition,
+            "kernel_basis": [list(u) for u in kernel],
+            "nondegeneracy_pending": bool(kernel),  # existential clause left to enumeration
+        }
+
     if not kernel:
-        return BroadcastFinding(acc.key, kernel, False, INELIGIBLE_DEGENERATE, False)
+        return finding(INELIGIBLE_DEGENERATE)
 
     st = plan.statements[acc.statement]
     for xi in range(plan.r_space + 1, plan.depth + 1):
         tau = st.schedule.row(xi - 1)
         if any(tau.dot(u) != 0 for u in kernel):
-            return BroadcastFinding(acc.key, kernel, False, INELIGIBLE_TIME_VARIANCE, True)
+            return finding(INELIGIBLE_TIME_VARIANCE)
 
     written = any(a.array == acc.array and a.kind == "write" for a in nest.accesses)
     if written:
@@ -102,40 +101,17 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> Broadca
             and d.produced_by == (acc.array, acc.slot)
         ]
         if not producing:
-            return BroadcastFinding(acc.key, kernel, False, INELIGIBLE_WRITE_PRESENT, True)
+            return finding(INELIGIBLE_WRITE_PRESENT)
         for d in producing:
             if any(not d.source_map.matvec(u).is_zero() for u in kernel):
-                return BroadcastFinding(acc.key, kernel, False, INELIGIBLE_FLOW_KERNEL, True)
-    return BroadcastFinding(acc.key, kernel, True, None, True)
+                return finding(INELIGIBLE_FLOW_KERNEL)
+    return finding(None)
 
 
 def comm_report(plan: TransformPlan, nest: LoopNest) -> dict:
     """Machine-readable communication report for a plan."""
     exchanges = exchange_requirements(plan, nest)
-    broadcasts = []
-    for ex in exchanges:
-        finding = detect_broadcast(plan, nest, ex.access)
-        broadcasts.append(finding)
     return {
-        "exchanges": [
-            {
-                "access": list(ex.access),
-                "reasons": list(ex.reasons),
-                "slacks": {
-                    str(xi): {fam: list(v) for fam, v in per.items()}
-                    for xi, per in ex.per_recursion.items()
-                },
-            }
-            for ex in exchanges
-        ],
-        "broadcasts": [
-            {
-                "access": list(b.access),
-                "eligible": b.eligible,
-                "failed_condition": b.failed_condition,
-                "kernel_basis": [list(u) for u in b.kernel_basis],
-                "nondegeneracy_pending": b.nondegeneracy_pending,
-            }
-            for b in broadcasts
-        ],
+        "exchanges": exchanges,
+        "broadcasts": [detect_broadcast(plan, nest, ex["access"]) for ex in exchanges],
     }

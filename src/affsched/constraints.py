@@ -18,15 +18,6 @@ from .nest import Access, Dependence, LoopNest, vertices
 GEQ0 = "geq0"
 ABS = "abs"
 
-FAMILIES = (
-    "legality-const",
-    "legality-param",
-    "align-F",
-    "align-G",
-    "align-f",
-    "space-loc",
-)
-
 
 @dataclass(frozen=True)
 class ExtendedLayout:

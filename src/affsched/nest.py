@@ -193,7 +193,7 @@ def vertices(domain: Domain) -> list[tuple[IntMatrix, IntVector]]:
     return out
 
 
-def enumerate_domain(domain: Domain, n_vals, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
     """All integer points of a box domain at concrete parameters, lex order.
 
     Returns an int64 array of shape (points, dim), one point per row.
@@ -207,8 +207,8 @@ def enumerate_domain(domain: Domain, n_vals, cap: int = DEFAULT_ENUM_CAP) -> np.
         if b < a:
             raise EnumerationError(f"empty domain at N={tuple(n_vals)}: [{a}..{b}]")
         total *= b - a + 1
-        if total > cap:
-            raise EnumerationError(f"domain has more than {cap} points")
+        if total > DEFAULT_ENUM_CAP:
+            raise EnumerationError(f"domain has more than {DEFAULT_ENUM_CAP} points")
         if max(-a, b) >= INT64_SAFE:
             raise EnumerationError(f"domain bound beyond 2**62 at N={tuple(n_vals)}: [{a}..{b}]")
         lows.append(a)

@@ -59,8 +59,6 @@ class WeightConfig:
     align_offset: Fraction = Fraction(64)
     space: Fraction = Fraction(2)
 
-    OVERRIDE_KEYS = tuple(fam for fam, _ in _FAMILY_FIELDS)
-
     @staticmethod
     def with_overrides(overrides: dict[str, Fraction] | None) -> "WeightConfig":
         kw = {}

@@ -29,7 +29,7 @@ earliest satisfied option.  No floating point anywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -67,15 +67,6 @@ class Solution:
     nodes: int  # search nodes entered over all passes; deterministic for a given system
     passes: int  # capped passes run, the last one successful
     cap: Fraction  # objective cap of the last pass
-
-
-@dataclass
-class VerifyReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _value_order(bound: int):
@@ -408,35 +399,3 @@ def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution
                 f"{cfg.coeff_bound}]; consider raising the bound"
             )
         cap, failed = max(search.over_cap, 2 * cap), cap
-
-
-def verify(solution: Solution, system: ConstraintSystem) -> VerifyReport:
-    """Re-evaluate every column exactly, independent of the search path."""
-    rep = VerifyReport()
-    x = solution.x
-    obj = Fraction(0)
-    for col in system.columns:
-        v = col.value(x)
-        if col.sense == GEQ0 and v < 0:
-            rep.violations.append(f"column {col.label}: value {v} < 0")
-        slack = abs(v) if col.sense == ABS else v
-        obj += col.weight * slack
-        if solution.slacks.get(col.label) != slack:
-            rep.violations.append(
-                f"column {col.label}: recorded slack {solution.slacks.get(col.label)} != {slack}"
-            )
-    for sid, (s, sign) in solution.witness_used.items():
-        cands = system.witnesses.get(sid, [])
-        match = next((w for w in cands if w.s == s), None)
-        if match is None:
-            rep.violations.append(f"statement {sid}: witness not among candidates")
-            continue
-        v = sum(c * xv for c, xv in zip(match.s_tilde, x))
-        if sign * v < 1:
-            rep.violations.append(f"statement {sid}: witness product {v} violates sign {sign}")
-    for sid in system.witnesses:
-        if sid not in solution.witness_used:
-            rep.violations.append(f"statement {sid}: no witness recorded")
-    if obj != solution.objective:
-        rep.violations.append(f"objective mismatch: recorded {solution.objective}, actual {obj}")
-    return rep

@@ -147,8 +147,8 @@ def test_criterion_7_broadcast():
         nest = fixture_nest("matmul")
         plan = fixture_plan("matmul", 1)
         finding = detect_broadcast(plan, nest, ("B", "S1", 1))
-        assert finding.eligible
-        kernel = finding.kernel_basis
+        assert finding["eligible"]
+        kernel = finding["kernel_basis"]
 
         # kernel conditions on the time rows hold exactly
         st = plan.statements["S1"]
@@ -179,14 +179,14 @@ def test_criterion_7_broadcast():
         f = detect_broadcast(
             fixture_plan("stencil", 1), fixture_nest("stencil"), ("u", "S1", 2)
         )
-        assert (f.eligible, f.failed_condition) == (False, "degenerate")
+        assert (f["eligible"], f["failed_condition"]) == (False, "degenerate")
 
         f = detect_broadcast(
             with_schedule(plan, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
             nest,
             ("B", "S1", 1),
         )
-        assert (f.eligible, f.failed_condition) == (False, "time-variance")
+        assert (f["eligible"], f["failed_condition"]) == (False, "time-variance")
 
         mv_nest = fixture_nest("matvec")
         f = detect_broadcast(
@@ -194,7 +194,7 @@ def test_criterion_7_broadcast():
             mv_nest,
             ("y", "S1", 2),
         )
-        assert (f.eligible, f.failed_condition) == (False, "flow-kernel")
+        assert (f["eligible"], f["failed_condition"]) == (False, "flow-kernel")
 
 
 def test_criterion_8_constraint_soundness():

@@ -34,25 +34,25 @@ class TestExchanges:
 
     def test_stencil_single_offset_exchange(self):
         reqs = exchange_requirements(fixture_plan("stencil"), fixture_nest("stencil"))
-        assert [(r.access, r.reasons) for r in reqs] == [(("u", "S1", 2), ("f",))]
+        assert [(r["access"], r["reasons"]) for r in reqs] == [(["u", "S1", 2], ["f"])]
 
     def test_matvec_operand_exchange(self):
         reqs = exchange_requirements(fixture_plan("matvec"), fixture_nest("matvec"))
-        assert [(r.access, r.reasons) for r in reqs] == [(("x", "S1", 1), ("F",))]
+        assert [(r["access"], r["reasons"]) for r in reqs] == [(["x", "S1", 1], ["F"])]
 
     def test_matmul_slack_values(self):
         plan = fixture_plan("matmul")
         nest = fixture_nest("matmul")
         slacks = alignment_slacks(plan, nest, nest.access(("B", "S1", 1)))
-        assert slacks[1]["F"] == (1, 0, 0)
-        assert slacks[1]["G"] == (0,)
-        assert slacks[1]["f"] == (0,)
+        assert slacks["1"]["F"] == [1, 0, 0]
+        assert slacks["1"]["G"] == [0]
+        assert slacks["1"]["f"] == [0]
         aligned = alignment_slacks(plan, nest, nest.access(("C", "S1", 2)))
-        assert aligned[1] == {"F": (0, 0, 0), "G": (0,), "f": (0,)}
+        assert aligned["1"] == {"F": [0, 0, 0], "G": [0], "f": [0]}
 
     def test_writes_are_not_exchanges(self):
         reqs = exchange_requirements(fixture_plan("matmul"), fixture_nest("matmul"))
-        assert all(fixture_nest("matmul").access(r.access).kind == "read" for r in reqs)
+        assert all(fixture_nest("matmul").access(r["access"]).kind == "read" for r in reqs)
 
 
 class TestBroadcastPositive:
@@ -60,17 +60,17 @@ class TestBroadcastPositive:
         finding = detect_broadcast(
             fixture_plan("matmul"), fixture_nest("matmul"), ("B", "S1", 1)
         )
-        assert finding.eligible
-        assert finding.failed_condition is None
-        assert [tuple(u) for u in finding.kernel_basis] == [(1, 0, 0)]
-        assert finding.nondegeneracy_pending
+        assert finding["eligible"]
+        assert finding["failed_condition"] is None
+        assert finding["kernel_basis"] == [[1, 0, 0]]
+        assert finding["nondegeneracy_pending"]
 
     def test_matvec_x_operand(self):
         finding = detect_broadcast(
             fixture_plan("matvec"), fixture_nest("matvec"), ("x", "S1", 1)
         )
-        assert finding.eligible
-        assert [tuple(u) for u in finding.kernel_basis] == [(1, 0)]
+        assert finding["eligible"]
+        assert finding["kernel_basis"] == [[1, 0]]
 
 
 class TestBroadcastNegative:
@@ -79,8 +79,8 @@ class TestBroadcastNegative:
         finding = detect_broadcast(
             fixture_plan("stencil"), fixture_nest("stencil"), ("u", "S1", 2)
         )
-        assert not finding.eligible
-        assert finding.failed_condition == INELIGIBLE_DEGENERATE
+        assert not finding["eligible"]
+        assert finding["failed_condition"] == INELIGIBLE_DEGENERATE
 
     def test_time_variance(self):
         # move the kernel direction into a time level
@@ -88,16 +88,16 @@ class TestBroadcastNegative:
             fixture_plan("matmul"), "S1", [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         )
         finding = detect_broadcast(plan, fixture_nest("matmul"), ("B", "S1", 1))
-        assert not finding.eligible
-        assert finding.failed_condition == INELIGIBLE_TIME_VARIANCE
+        assert not finding["eligible"]
+        assert finding["failed_condition"] == INELIGIBLE_TIME_VARIANCE
 
     def test_flow_kernel(self):
         # the y operand is written, and its producing dependence moves along
         # the access kernel
         plan = _with_schedule(fixture_plan("matvec"), "S1", [[0, 1], [1, 0]])
         finding = detect_broadcast(plan, fixture_nest("matvec"), ("y", "S1", 2))
-        assert not finding.eligible
-        assert finding.failed_condition == INELIGIBLE_FLOW_KERNEL
+        assert not finding["eligible"]
+        assert finding["failed_condition"] == INELIGIBLE_FLOW_KERNEL
 
     def test_write_present(self):
         # same schedule, but no flow dependence claims to produce the operand
@@ -106,8 +106,8 @@ class TestBroadcastNegative:
         nest = load_nest(doc)
         plan = _with_schedule(run_procedure(nest, r_space=1), "S1", [[0, 1], [1, 0]])
         finding = detect_broadcast(plan, nest, ("y", "S1", 2))
-        assert not finding.eligible
-        assert finding.failed_condition == INELIGIBLE_WRITE_PRESENT
+        assert not finding["eligible"]
+        assert finding["failed_condition"] == INELIGIBLE_WRITE_PRESENT
 
     def test_write_access_rejected(self):
         with pytest.raises(ValueError, match="read"):

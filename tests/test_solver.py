@@ -1,6 +1,6 @@
 """Branch-and-bound solver: optimality, determinism, verification."""
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,14 +20,55 @@ from affsched.constraints import (
 )
 from affsched.solver import (
     InfeasibleError,
+    Solution,
     SolverConfig,
     SolverTimeout,
     _Search,
     solve,
-    verify,
 )
 from affsched.validation import brute_force_minimum, first_recursion_system
 from conftest import fixture_nest
+
+
+@dataclass
+class VerifyReport:
+    violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def verify(solution: Solution, system: ConstraintSystem) -> VerifyReport:
+    """Re-evaluate every column exactly, independent of the search path."""
+    rep = VerifyReport()
+    x = solution.x
+    obj = Fraction(0)
+    for col in system.columns:
+        v = col.value(x)
+        if col.sense == GEQ0 and v < 0:
+            rep.violations.append(f"column {col.label}: value {v} < 0")
+        slack = abs(v) if col.sense == ABS else v
+        obj += col.weight * slack
+        if solution.slacks.get(col.label) != slack:
+            rep.violations.append(
+                f"column {col.label}: recorded slack {solution.slacks.get(col.label)} != {slack}"
+            )
+    for sid, (s, sign) in solution.witness_used.items():
+        cands = system.witnesses.get(sid, [])
+        match = next((w for w in cands if w.s == s), None)
+        if match is None:
+            rep.violations.append(f"statement {sid}: witness not among candidates")
+            continue
+        v = sum(c * xv for c, xv in zip(match.s_tilde, x))
+        if sign * v < 1:
+            rep.violations.append(f"statement {sid}: witness product {v} violates sign {sign}")
+    for sid in system.witnesses:
+        if sid not in solution.witness_used:
+            rep.violations.append(f"statement {sid}: no witness recorded")
+    if obj != solution.objective:
+        rep.violations.append(f"objective mismatch: recorded {solution.objective}, actual {obj}")
+    return rep
 
 
 def _layout(name):
