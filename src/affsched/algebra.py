@@ -3,13 +3,17 @@
 All schedule and allocation computations are exact statements over Z and Q,
 so nothing here ever touches floating point.  Rationals are plain
 ``fractions.Fraction`` (always reduced, positive denominator); vectors and
-matrices are small immutable wrappers around tuples of Python ints.
+matrices are small immutable wrappers around tuples of Python ints.  Their
+entries go through ``operator.index``: Python and numpy integers are stored
+as Python ints, and a float, string or Fraction entry raises TypeError
+instead of being truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 
 class DimensionError(ValueError):
@@ -21,7 +25,7 @@ class IntVector:
     entries: tuple[int, ...]
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(int(x) for x in entries))
+        object.__setattr__(self, "entries", tuple(map(index, entries)))
 
     def __len__(self):
         return len(self.entries)
@@ -60,7 +64,7 @@ class IntMatrix:
     ncols: int
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(index, r)) for r in rows)
         if rows:
             widths = {len(r) for r in rows}
             if len(widths) != 1:
@@ -72,7 +76,7 @@ class IntMatrix:
         elif ncols is None:
             ncols = 0
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ncols", int(ncols))
+        object.__setattr__(self, "ncols", index(ncols))
 
     @property
     def nrows(self) -> int:

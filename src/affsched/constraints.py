@@ -5,12 +5,16 @@ every statement, the allocation row of every array, the parameter rows b and
 z, and the constant terms a and y.  Every legality, alignment and locality
 requirement becomes a linear form over that vector, kept as an explicit
 integer column so the solver and the diagnostics can evaluate it exactly.
+The layout is the same in every recursion, so a column does not depend on
+the recursion: the procedure builds each family once per run and selects
+the active ones per recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
 from .nest import Access, Dependence, LoopNest, vertices
@@ -104,20 +108,17 @@ class ConstraintSystem:
     witnesses: dict[str, list[RankWitness]]  # statement id -> candidates
 
 
-class _ColumnBuilder:
-    def __init__(self, layout: ExtendedLayout):
-        self.layout = layout
-        self.coeffs = [0] * layout.size
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
-    def add(self, offset: int, vec):
-        for i, v in enumerate(vec):
-            self.coeffs[offset + i] += v
 
-    def add_at(self, index: int, v: int):
-        self.coeffs[index] += v
-
-    def build(self, sense, family, group, label, weight) -> ConstraintColumn:
-        return ConstraintColumn(tuple(self.coeffs), sense, family, group, label, weight)
+def _column(layout, parts, sense, family, group, label, weight) -> ConstraintColumn:
+    """A column whose coefficients are the sum of `parts`, (offset, entries) pairs."""
+    coeffs = [0] * layout.size
+    for start, entries in parts:
+        for i, v in enumerate(entries, start):
+            coeffs[i] += v
+    return ConstraintColumn(tuple(coeffs), sense, family, group, label, weight)
 
 
 def build_legality_columns(
@@ -134,37 +135,27 @@ def build_legality_columns(
     `abs` (slack to be minimized) for in-dependences.
     """
     sense = ABS if dep.kind == "in" else GEQ0
-    n0 = nest.outer_vars.minima
-    e = nest.outer_vars.count
+    n0 = nest.outer_vars.minima.entries
     group = ("dep", dep_index)
+    tau_t, tau_s = layout.offset("tau", dep.target), layout.offset("tau", dep.source)
+    b_t, b_s = layout.offset("b", dep.target), layout.offset("b", dep.source)
+    phi, psi = dep.source_map.rows, dep.param_map.rows
+    # source-side constant of every vertex: shift - Psi·N^(0)
+    base = [h - _dot(q, n0) for h, q in zip(dep.shift, psi)]
+    fixed = [(b_t, n0), (b_s, [-v for v in n0]),
+             (layout.offset("a", dep.target), (1,)), (layout.offset("a", dep.source), (-1,))]
     cols = []
     for m, (r_mat, omega) in enumerate(vertices(dep.domain)):
-        corner = r_mat.matvec(n0) + omega  # vertex at smallest parameters
-        cb = _ColumnBuilder(layout)
-        cb.add(layout.offset("tau", dep.target), corner)
-        cb.add(
-            layout.offset("tau", dep.source),
-            -dep.source_map.matvec(corner) - dep.param_map.matvec(n0) + dep.shift,
-        )
-        cb.add(layout.offset("b", dep.target), n0)
-        cb.add(layout.offset("b", dep.source), -n0)
-        cb.add_at(layout.offset("a", dep.target), 1)
-        cb.add_at(layout.offset("a", dep.source), -1)
-        cols.append(
-            cb.build(sense, "legality-const", group, f"dep{dep_index}.v{m}", weight)
-        )
-        for j in range(e):
-            cb = _ColumnBuilder(layout)
-            cb.add(layout.offset("tau", dep.target), r_mat.col(j))
-            cb.add(
-                layout.offset("tau", dep.source),
-                -dep.source_map.matvec(r_mat.col(j)) - dep.param_map.col(j),
-            )
-            cb.add_at(layout.offset("b", dep.target) + j, 1)
-            cb.add_at(layout.offset("b", dep.source) + j, -1)
-            cols.append(
-                cb.build(sense, "legality-param", group, f"dep{dep_index}.v{m}.N{j}", weight)
-            )
+        corner = [_dot(r, n0) + w for r, w in zip(r_mat.rows, omega)]  # vertex at N^(0)
+        parts = [(tau_t, corner), (tau_s, [c - _dot(p, corner) for p, c in zip(phi, base)])]
+        cols.append(_column(layout, parts + fixed, sense, "legality-const", group,
+                            f"dep{dep_index}.v{m}", weight))
+        for j in range(len(n0)):
+            r_col = [r[j] for r in r_mat.rows]
+            parts = [(tau_t, r_col), (tau_s, [-_dot(p, r_col) - q[j] for p, q in zip(phi, psi)]),
+                     (b_t + j, (1,)), (b_s + j, (-1,))]
+            cols.append(_column(layout, parts, sense, "legality-param", group,
+                                f"dep{dep_index}.v{m}.N{j}", weight))
     return cols
 
 
@@ -177,27 +168,25 @@ def build_alignment_columns(
     weight_offset: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
     """Communication-free allocation columns for one access (abs slacks)."""
-    stmt = nest.statement(acc.statement)
-    e = nest.outer_vars.count
     group = ("acc", acc.key)
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
-    cols = []
-    for i in range(stmt.depth):
-        cb = _ColumnBuilder(layout)
-        cb.add_at(layout.offset("tau", acc.statement) + i, 1)
-        cb.add(layout.offset("eta", acc.array), -acc.iter_coeffs.col(i))
-        cols.append(cb.build(ABS, "align-F", group, f"align-F.{tag}.{i}", weight_f_mat))
-    for j in range(e):
-        cb = _ColumnBuilder(layout)
-        cb.add_at(layout.offset("b", acc.statement) + j, 1)
-        cb.add(layout.offset("eta", acc.array), -acc.param_coeffs.col(j))
-        cb.add_at(layout.offset("z", acc.array) + j, -1)
-        cols.append(cb.build(ABS, "align-G", group, f"align-G.{tag}.{j}", weight_g_mat))
-    cb = _ColumnBuilder(layout)
-    cb.add_at(layout.offset("a", acc.statement), 1)
-    cb.add(layout.offset("eta", acc.array), -acc.offset)
-    cb.add_at(layout.offset("y", acc.array), -1)
-    cols.append(cb.build(ABS, "align-f", group, f"align-f.{tag}", weight_offset))
+    eta = layout.offset("eta", acc.array)
+    tau, b = layout.offset("tau", acc.statement), layout.offset("b", acc.statement)
+    cols = [
+        _column(layout, [(tau + i, (1,)), (eta, [-r[i] for r in acc.iter_coeffs.rows])],
+                ABS, "align-F", group, f"align-F.{tag}.{i}", weight_f_mat)
+        for i in range(nest.statement(acc.statement).depth)
+    ]
+    z = layout.offset("z", acc.array)
+    cols += [
+        _column(layout, [(b + j, (1,)), (eta, [-r[j] for r in acc.param_coeffs.rows]),
+                         (z + j, (-1,))],
+                ABS, "align-G", group, f"align-G.{tag}.{j}", weight_g_mat)
+        for j in range(nest.outer_vars.count)
+    ]
+    parts = [(layout.offset("a", acc.statement), (1,)), (eta, [-v for v in acc.offset]),
+             (layout.offset("y", acc.array), (-1,))]
+    cols.append(_column(layout, parts, ABS, "align-f", group, f"align-f.{tag}", weight_offset))
     return cols
 
 
@@ -247,12 +236,11 @@ def build_space_locality_columns(
     """Row-locality columns for one access, one per vector of its `row_locality` kernel."""
     group = ("acc", acc.key)
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
-    cols = []
-    for g, d in enumerate(kernel):
-        cb = _ColumnBuilder(layout)
-        cb.add(layout.offset("tau", acc.statement), d)
-        cols.append(cb.build(ABS, "space-loc", group, f"space.{tag}.{g}", weight))
-    return cols
+    tau = layout.offset("tau", acc.statement)
+    return [
+        _column(layout, [(tau, d)], ABS, "space-loc", group, f"space.{tag}.{g}", weight)
+        for g, d in enumerate(kernel)
+    ]
 
 
 def rank_witnesses(

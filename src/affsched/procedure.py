@@ -1,8 +1,9 @@
 """Recursive driver computing the full schedule and allocation transform.
 
-Runs one recursion per transformed loop level.  Each recursion assembles the
-active constraint families, solves for the extended coefficient vector, then
-updates the bookkeeping sets: strictly satisfied dependences stop
+Runs one recursion per transformed loop level.  The constraint columns of
+every dependence and access are built once per run; each recursion selects
+the active families from them, solves for the extended coefficient vector,
+then updates the bookkeeping sets: strictly satisfied dependences stop
 constraining later levels, accesses whose row-locality rank is reached stop
 contributing locality columns, and statements whose schedule rank must still
 grow are forced through the rank witnesses.
@@ -143,6 +144,7 @@ def build_recursion_system(
     active_deps,
     active_in_deps,
     active_space: dict,
+    table: dict | None = None,
 ) -> ConstraintSystem:
     """Assemble the optimization system of recursion len(xs) + 1.
 
@@ -150,33 +152,33 @@ def build_recursion_system(
     witnesses come from the schedule rows read off them.  `active_space`
     maps the key of each access not yet row-confined to its `row_locality`
     (target, kernel), in the order of `nest.accesses`; each kernel vector
-    gives one locality column.
+    gives one locality column.  `table` holds the columns of one run, built
+    on first use: per dependence its legality columns, per access its
+    alignment and its locality columns.  Each recursion only selects the
+    active families from it.
     """
-    xi = len(xs) + 1
+    table = {} if table is None else table
+
+    def family(key, build, *args):
+        if key not in table:
+            table[key] = build(*args)
+        return table[key]
+
     columns = []
-    for i in active_deps:
-        columns.extend(
-            build_legality_columns(nest.dependences[i], i, nest, layout, weights.legality)
-        )
-    for i in active_in_deps:
-        columns.extend(
-            build_legality_columns(nest.dependences[i], i, nest, layout, weights.indep)
-        )
-    if xi <= r_space:
+    for i in [*active_deps, *active_in_deps]:
+        dep = nest.dependences[i]
+        weight = weights.indep if dep.kind == "in" else weights.legality
+        columns += family(("dep", i), build_legality_columns, dep, i, nest, layout, weight)
+    if len(xs) < r_space:
         for acc in nest.accesses:
-            columns.extend(
-                build_alignment_columns(
-                    acc,
-                    nest,
-                    layout,
-                    weights.align_f_mat,
-                    weights.align_g_mat,
-                    weights.align_offset,
-                )
+            columns += family(
+                ("align", acc.key), build_alignment_columns, acc, nest, layout,
+                weights.align_f_mat, weights.align_g_mat, weights.align_offset,
             )
     for key, (_, kernel) in active_space.items():
-        columns.extend(
-            build_space_locality_columns(nest.access(key), kernel, layout, weights.space)
+        columns += family(
+            ("space", key), build_space_locality_columns,
+            nest.access(key), kernel, layout, weights.space,
         )
     accumulated = {s.id: [layout.block(x, "tau", s.id) for x in xs] for s in nest.statements}
     levels_left = nest.max_depth - len(xs)
@@ -222,6 +224,7 @@ def run_procedure(
 
     active_deps, active_in_deps, active_space = initial_sets(nest)
     xs: list[tuple[int, ...]] = []
+    table: dict = {}
 
     def rows(kind, key, upto=None):
         return [layout.block(x, kind, key) for x in xs[:upto]]
@@ -239,6 +242,7 @@ def run_procedure(
             active_deps,
             active_in_deps,
             active_space,
+            table,
         )
         try:
             sol = solve(system, solver_cfg)

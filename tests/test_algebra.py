@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from affsched.algebra import (
@@ -100,6 +101,23 @@ class TestVectorMatrix:
     def test_from_rows_width(self):
         assert IntMatrix.from_rows([], 3) == IntMatrix((), 3)
         assert IntMatrix.from_rows([]).ncols == 0
+
+    @pytest.mark.parametrize("entries", [[1.5], [2.0], ["7"], [Fraction(3)]], ids=repr)
+    def test_vector_rejects_non_integers(self, entries):
+        # truncating 1.5 to 1 would solve or validate a problem nobody posed
+        with pytest.raises(TypeError):
+            IntVector(entries)
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1]], [[1, "2"]]], ids=repr)
+    def test_matrix_rejects_non_integers(self, rows):
+        with pytest.raises(TypeError):
+            IntMatrix(rows)
+
+    def test_integer_kinds_stored_as_python_ints(self):
+        v = IntVector(np.array([3, -1], dtype=np.int64))
+        m = IntMatrix(np.array([[1, 2]], dtype=np.int32), np.int64(2))
+        assert v == IntVector([3, -1]) and m == IntMatrix([[1, 2]])
+        assert {type(x) for x in v.entries + m.rows[0] + (m.ncols,)} == {int}
 
 
 class TestRank:

@@ -5,6 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from affsched import procedure
+from affsched.constraints import (
+    build_alignment_columns,
+    build_legality_columns,
+    build_space_locality_columns,
+)
 from affsched.nest import load_nest
 from affsched.procedure import (
     ProcedureError,
@@ -338,6 +344,70 @@ def _every_fixture_r():
     for name in FIXTURE_NAMES + ("chain23",):
         depth = max(s["depth"] for s in fixture_doc(name)["statements"])
         yield from ((name, r) for r in range(depth))
+
+
+def _reference_columns(nest, layout, xs, r_space, weights, deps, in_deps, space):
+    """One recursion's columns, every family rebuilt from the column builders."""
+    columns = []
+    for i in deps:
+        columns += build_legality_columns(nest.dependences[i], i, nest, layout, weights.legality)
+    for i in in_deps:
+        columns += build_legality_columns(nest.dependences[i], i, nest, layout, weights.indep)
+    if len(xs) + 1 <= r_space:
+        for acc in nest.accesses:
+            columns += build_alignment_columns(
+                acc, nest, layout, weights.align_f_mat, weights.align_g_mat, weights.align_offset
+            )
+    for key, (_, kernel) in space.items():
+        columns += build_space_locality_columns(nest.access(key), kernel, layout, weights.space)
+    return columns
+
+
+class TestColumnTable:
+    """Each run builds its columns once; every recursion selects from them."""
+
+    @pytest.mark.parametrize(
+        "name, r",
+        [*_every_fixture_r(), ("chain42", 1), ("jacobi2", 0), ("jacobi2", 1)],
+        ids=str,
+    )
+    def test_recursions_select_the_rebuilt_columns(self, name, r, monkeypatch):
+        doc = perfbench_module("gen").jacobi2() if name == "jacobi2" else fixture_doc(name)
+        nest = load_nest(doc)
+        build = procedure.build_recursion_system
+        calls = []
+
+        def recording(nest, layout, xs, r_space, weights, deps, in_deps, space, table):
+            system = build(nest, layout, xs, r_space, weights, deps, in_deps, space, table)
+            # the bookkeeping sets change after the call: keep them as they were
+            args = (nest, layout, list(xs), r_space, weights,
+                    list(deps), list(in_deps), dict(space))
+            calls.append((args, system))
+            return system
+
+        monkeypatch.setattr(procedure, "build_recursion_system", recording)
+        run_procedure(nest, r_space=r)
+        assert len(calls) == nest.max_depth
+        for args, system in calls:
+            reference = _reference_columns(*args)
+            assert len(system.columns) == len(reference)
+            for got, want in zip(system.columns, reference):
+                assert got == want
+
+    def test_each_dependence_built_once_per_run(self, monkeypatch):
+        build = procedure.build_legality_columns
+        built = []
+
+        def counting(dep, i, *args):
+            built.append(i)
+            return build(dep, i, *args)
+
+        monkeypatch.setattr(procedure, "build_legality_columns", counting)
+        plan = run_procedure(fixture_nest("matmul"), r_space=1)
+        # the three recursions hold 3, 2 and 1 active dependences
+        active = [d.active_dependences + d.active_in_dependences for d in plan.diagnostics]
+        assert active == [[0, 1, 2], [0, 1], [1]]
+        assert built == [0, 1, 2]
 
 
 class TestSerialization:

@@ -157,6 +157,12 @@ class TestLegality:
         with pytest.raises(ValueError, match="minima"):
             validate(fixture_nest("chain"), fixture_plan("chain"), [1])
 
+    @pytest.mark.parametrize("n_vals", [[6.7], ["7"], [6.0]], ids=repr)
+    def test_non_integer_params_rejected(self, n_vals):
+        # a size that is not an integer is not truncated to one
+        with pytest.raises(TypeError):
+            validate(fixture_nest("stencil"), fixture_plan("stencil", 1), n_vals)
+
 
 class TestCommunicationCounts:
     def test_communication_free(self):
