@@ -1,6 +1,7 @@
 """Loop-nest ingestion, validation, vertices and enumeration."""
 
 import copy
+import re
 
 import pytest
 
@@ -101,6 +102,37 @@ class TestValidationErrors:
         # shift so the source image falls before the first iteration
         doc["dependences"][0]["phi"] = [5]
         with pytest.raises(NestError, match="source image"):
+            load_nest(doc)
+
+    @pytest.mark.parametrize("phi, domain, message", [
+        # box: corners (1, 0), (1, 3), (2, 0), (2, 3) at N^(0) = 2
+        ([1, 0], {"box": [
+            {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}},
+            {"lower": {"coeffs": [0], "const": 0}, "upper": {"coeffs": [1], "const": 1}},
+        ]}, "vertex (1, 0) outside target domain at N^(0)"),
+        # vertices (2, 1), (2, 3), (3, 1) at N^(0) = 2
+        ([1, 0], {"vertices": [
+            {"R": [[0], [0]], "omega": [2, 1]},
+            {"R": [[1], [1]], "omega": [0, 1]},
+            {"R": [[0], [0]], "omega": [3, 1]},
+        ]}, "vertex (2, 3) outside target domain at N^(0)"),
+        # box: every corner's source image (i - 1, j + 1) leaves the domain
+        ([1, -1], {"box": [
+            {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}},
+            {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}},
+        ]}, "source image (0, 2) outside source domain at N^(0)"),
+        # vertices (2, 1), (1, 2), (1, 1): images (1, 1), (0, 2), (0, 1)
+        ([1, 0], {"vertices": [
+            {"R": [[0], [0]], "omega": [2, 1]},
+            {"R": [[0], [1]], "omega": [1, 0]},
+            {"R": [[0], [0]], "omega": [1, 1]},
+        ]}, "source image (0, 2) outside source domain at N^(0)"),
+    ], ids=["target-box", "target-vertices", "source-box", "source-vertices"])
+    def test_dependence_domain_error_names_first_bad_corner(self, phi, domain, message):
+        doc = fixture_doc("stencil")
+        doc["dependences"][0]["phi"] = phi
+        doc["dependences"][0]["domain"] = domain
+        with pytest.raises(NestError, match=f"^{re.escape('dependence #0: ' + message)}$"):
             load_nest(doc)
 
     def test_produced_by_must_resolve(self):

@@ -5,9 +5,11 @@ bound) is checked against `tests/data/plan_digests.json` rather than
 against a second checkout.  `tests/data/report_digests.json` pins, per
 case, the plan's communication report and its validation reports at
 N^(0)+2 and N^(0)+4, so a change to `comm_report` or `validate` that moves
-a byte of their output fails here too.  Rewrite the files only for a
-deliberate change, from a checkout whose plans and reports are the
-intended ones:
+a byte of their output fails here too.  `tests/data/search_counts.json` pins,
+per case, the (nodes, passes) of each recursion's search, so a change meant
+to leave the search alone (a cheaper set-up) cannot move it unnoticed.
+Rewrite the files only for a deliberate change, from a checkout whose plans,
+reports and searches are the intended ones:
 
     PYTHONPATH=src python tests/test_plan_digests.py --write
 """
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from affsched import procedure
 from affsched.comm import comm_report
 from affsched.nest import load_nest
 from affsched.procedure import WeightConfig, plan_to_doc, run_procedure
@@ -30,6 +33,7 @@ from conftest import fixture_doc, perfbench_module
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 DIGESTS = DATA / "plan_digests.json"
 REPORT_DIGESTS = DATA / "report_digests.json"
+SEARCH_COUNTS = DATA / "search_counts.json"
 
 FIXTURES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul", "chain23", "chain42")
 
@@ -84,24 +88,38 @@ def _sha(doc):
 
 
 def digests(doc, r, overrides, bound):
-    """The sha256 of the plan document, and per report name that of the report."""
+    """The sha256 of the plan document, per report name that of the report,
+    and the [nodes, passes] of each recursion's search."""
     nest = load_nest(doc)
-    plan = run_procedure(nest, r_space=r,
-                         weights=WeightConfig.with_overrides(overrides),
-                         solver_cfg=SolverConfig(coeff_bound=bound))
+    searches = []
+    solve = procedure.solve
+
+    def counting(system, cfg):
+        sol = solve(system, cfg)
+        searches.append([sol.nodes, sol.passes])
+        return sol
+
+    procedure.solve = counting
+    try:
+        plan = run_procedure(nest, r_space=r,
+                             weights=WeightConfig.with_overrides(overrides),
+                             solver_cfg=SolverConfig(coeff_bound=bound))
+    finally:
+        procedure.solve = solve
     reports = {"comm_report": _sha(comm_report(plan, nest))}
     for k in (2, 4):
         n_vals = [m + k for m in nest.outer_vars.minima]
         reports[f"validate N0+{k}"] = _sha(validate(nest, plan, n_vals).to_doc())
-    return _sha(plan_to_doc(plan)), reports
+    return _sha(plan_to_doc(plan)), reports, searches
 
 
 def all_digests():
-    """(case id -> plan digest, case id -> report digests) over every case."""
-    plans, reports = {}, {}
+    """(case id -> plan digest, case id -> report digests, case id -> search
+    counts) over every case."""
+    plans, reports, searches = {}, {}, {}
     for cid, case in cases().items():
-        plans[cid], reports[cid] = digests(*case)
-    return plans, reports
+        plans[cid], reports[cid], searches[cid] = digests(*case)
+    return plans, reports, searches
 
 
 def _changed(got, pinned):
@@ -122,9 +140,13 @@ def test_reports_match_pinned_digests(computed):
     assert _changed(computed[1], json.loads(REPORT_DIGESTS.read_text())) == []
 
 
+def test_searches_match_pinned_counts(computed):
+    assert _changed(computed[2], json.loads(SEARCH_COUNTS.read_text())) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_plan_digests.py --write")
     DATA.mkdir(exist_ok=True)
-    for path, pinned in zip((DIGESTS, REPORT_DIGESTS), all_digests()):
+    for path, pinned in zip((DIGESTS, REPORT_DIGESTS, SEARCH_COUNTS), all_digests()):
         path.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
