@@ -13,11 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
+from operator import index, mul
 
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
+
+
+def dot(u, v) -> int:
+    """Dot product of two int sequences of one length, unchecked."""
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ For recursion xi the unknowns are, in fixed block order: the schedule row of
 every statement, the allocation row of every array, the parameter rows b and
 z, and the constant terms a and y.  Every legality, alignment and locality
 requirement becomes a linear form over that vector, kept as an explicit
-integer column so the solver and the diagnostics can evaluate it exactly.
-The layout is the same in every recursion, so a column does not depend on
+integer column so the solver and the diagnostics can evaluate it exactly;
+each column also carries its nonzero terms, which evaluation and the
+solver's set-up read.  The layout is the same in every recursion, so a column does not depend on
 the recursion: the procedure builds each family once per run and selects
 the active ones per recursion.
 """
@@ -14,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 
-from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
+from .algebra import IntMatrix, IntVector, dot, integer_kernel_basis, rank
 from .nest import Access, Dependence, LoopNest, vertices
 
 GEQ0 = "geq0"
@@ -85,9 +85,14 @@ class ConstraintColumn:
     group: tuple  # drop-rule / bookkeeping group, e.g. ("dep", i) or ("acc", key)
     label: str
     weight: Fraction
+    # the nonzero (index, coefficient) pairs of `coeffs`, in index order
+    terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple([(i, c) for i, c in enumerate(self.coeffs) if c]))
 
     def value(self, x) -> int:
-        return sum(c * v for c, v in zip(self.coeffs, x) if c)
+        return sum(c * x[i] for i, c in self.terms)
 
     def slack(self, x) -> int:
         v = self.value(x)
@@ -108,17 +113,18 @@ class ConstraintSystem:
     witnesses: dict[str, list[RankWitness]]  # statement id -> candidates
 
 
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
+def _add(coeffs: list, parts) -> list:
+    """Add `parts`, (offset, entries) pairs, to the dense `coeffs` in place."""
+    for start, entries in parts:
+        for i, v in enumerate(entries, start):
+            coeffs[i] += v
+    return coeffs
 
 
 def _column(layout, parts, sense, family, group, label, weight) -> ConstraintColumn:
     """A column whose coefficients are the sum of `parts`, (offset, entries) pairs."""
-    coeffs = [0] * layout.size
-    for start, entries in parts:
-        for i, v in enumerate(entries, start):
-            coeffs[i] += v
-    return ConstraintColumn(tuple(coeffs), sense, family, group, label, weight)
+    return ConstraintColumn(tuple(_add([0] * layout.size, parts)), sense, family, group, label,
+                            weight)
 
 
 def build_legality_columns(
@@ -141,21 +147,27 @@ def build_legality_columns(
     b_t, b_s = layout.offset("b", dep.target), layout.offset("b", dep.source)
     phi, psi = dep.source_map.rows, dep.param_map.rows
     # source-side constant of every vertex: shift - Psi·N^(0)
-    base = [h - _dot(q, n0) for h, q in zip(dep.shift, psi)]
-    fixed = [(b_t, n0), (b_s, [-v for v in n0]),
-             (layout.offset("a", dep.target), (1,)), (layout.offset("a", dep.source), (-1,))]
+    base = [h - dot(q, n0) for h, q in zip(dep.shift, psi)]
+    # the b and a entries, the same in every constant column and, per outer
+    # variable, in every parameter column
+    const = _add([0] * layout.size, [
+        (b_t, n0), (b_s, [-v for v in n0]),
+        (layout.offset("a", dep.target), (1,)), (layout.offset("a", dep.source), (-1,)),
+    ])
+    params = [_add([0] * layout.size, [(b_t + j, (1,)), (b_s + j, (-1,))]) for j in range(len(n0))]
     cols = []
-    for m, (r_mat, omega) in enumerate(vertices(dep.domain)):
-        corner = [_dot(r, n0) + w for r, w in zip(r_mat.rows, omega)]  # vertex at N^(0)
-        parts = [(tau_t, corner), (tau_s, [c - _dot(p, corner) for p, c in zip(phi, base)])]
-        cols.append(_column(layout, parts + fixed, sense, "legality-const", group,
-                            f"dep{dep_index}.v{m}", weight))
-        for j in range(len(n0)):
-            r_col = [r[j] for r in r_mat.rows]
-            parts = [(tau_t, r_col), (tau_s, [-_dot(p, r_col) - q[j] for p, q in zip(phi, psi)]),
-                     (b_t + j, (1,)), (b_s + j, (-1,))]
-            cols.append(_column(layout, parts, sense, "legality-param", group,
-                                f"dep{dep_index}.v{m}.N{j}", weight))
+    for m, (r_rows, omega) in enumerate(vertices(dep.domain)):
+        corner = [dot(r, n0) + w for r, w in zip(r_rows, omega)]  # vertex at N^(0)
+        coeffs = _add(const[:], [(tau_t, corner),
+                                 (tau_s, [c - dot(p, corner) for p, c in zip(phi, base)])])
+        cols.append(ConstraintColumn(tuple(coeffs), sense, "legality-const", group,
+                                     f"dep{dep_index}.v{m}", weight))
+        for j, fixed in enumerate(params):
+            r_col = [r[j] for r in r_rows]
+            coeffs = _add(fixed[:], [(tau_t, r_col),
+                                     (tau_s, [-dot(p, r_col) - q[j] for p, q in zip(phi, psi)])])
+            cols.append(ConstraintColumn(tuple(coeffs), sense, "legality-param", group,
+                                         f"dep{dep_index}.v{m}.N{j}", weight))
     return cols
 
 
@@ -205,10 +217,11 @@ def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[IntVector]] | N
     if nest.array(acc.array).dim < 2:
         return None
     row_matrix = acc.iter_coeffs.drop_row(acc.iter_coeffs.nrows - 1)
-    target = rank(row_matrix)
+    kernel = integer_kernel_basis(row_matrix)
+    target = row_matrix.ncols - len(kernel)  # its rank
     if not 0 < target < nest.statement(acc.statement).depth:
         return None
-    return target, integer_kernel_basis(row_matrix)
+    return target, kernel
 
 
 def locality_depth(rows, rule: tuple[int, list[IntVector]]) -> int | None:
@@ -220,9 +233,10 @@ def locality_depth(rows, rule: tuple[int, list[IntVector]]) -> int | None:
     target, kernel = rule
     kept = []
     for level, tau in enumerate(rows, 1):
-        if all(sum(t * d for t, d in zip(tau, u)) == 0 for u in kernel):
+        if all(dot(tau, u) == 0 for u in kernel):
             kept.append(tau)
-            if rank(IntMatrix.from_rows(kept)) == target:
+            # fewer rows than `target` cannot reach it
+            if len(kept) >= target and rank(IntMatrix.from_rows(kept)) == target:
                 return level
     return None
 

@@ -3,8 +3,8 @@
 A nest consists of statements with parametric box (or explicit-vertex)
 iteration domains, array declarations, affine accesses and affine
 dependences.  Dependences are *input*: deriving them from accesses is out of
-scope, but `load_nest` cross-checks every dependence numerically at the
-smallest parameter values.
+scope, but `load_nest` cross-checks every dependence on plain ints at the
+smallest parameter values N^(0), where each domain's bounds are evaluated once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IntMatrix, IntVector
+from .algebra import IntMatrix, IntVector, dot
 
 DEP_KINDS = ("flow", "anti", "out", "in")
 ACCESS_KINDS = ("read", "write")
@@ -101,9 +101,6 @@ class Access:
     def key(self) -> tuple[str, str, int]:
         return (self.array, self.statement, self.slot)
 
-    def index_at(self, point, n_vals) -> IntVector:
-        return self.iter_coeffs.matvec(point) + self.param_coeffs.matvec(n_vals) + self.offset
-
 
 @dataclass(frozen=True)
 class Dependence:
@@ -115,13 +112,6 @@ class Dependence:
     shift: IntVector  # length depth(source)
     domain: Domain  # subset of the target statement's domain
     produced_by: tuple[str, int] | None = None  # (array, read slot) for flow deps
-
-    def source_point(self, target_point, n_vals) -> IntVector:
-        return (
-            self.source_map.matvec(target_point)
-            + self.param_map.matvec(n_vals)
-            - self.shift
-        )
 
 
 @dataclass(frozen=True)
@@ -168,29 +158,26 @@ class LoopNest:
         )
 
 
-def vertices(domain: Domain) -> list[tuple[IntMatrix, IntVector]]:
-    """Parametric vertices (R, omega) with v = R*N + omega.
+def vertices(domain: Domain) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Parametric vertices (R, omega) with v = R*N + omega, as int tuples (R by rows).
 
     Box domains yield the corner combinations of lower/upper bounds,
     deduplicated; explicit vertex lists pass through unchanged.
     """
     if domain.explicit_vertices is not None:
-        return list(domain.explicit_vertices)
-    out = []
-    seen = set()
-    for choice in itertools.product((0, 1), repeat=len(domain.box)):
-        r_rows = []
-        omega = []
-        for pick, (lo, hi) in zip(choice, domain.box):
-            bound = hi if pick else lo
-            r_rows.append(tuple(bound.param_coeffs))
-            omega.append(bound.constant)
-        e = len(domain.box[0][0].param_coeffs) if domain.box else 0
-        key = (tuple(r_rows), tuple(omega))
-        if key not in seen:
-            seen.add(key)
-            out.append((IntMatrix(r_rows, e), IntVector(omega)))
-    return out
+        return [(r.rows, omega.entries) for r, omega in domain.explicit_vertices]
+    picks = [[(b.param_coeffs.entries, b.constant) for b in pair] for pair in domain.box]
+    return [(tuple(r for r, _ in corner), tuple(w for _, w in corner))
+            for corner in dict.fromkeys(itertools.product(*picks))]
+
+
+def _corners_at(domain: Domain, n_vals) -> list[tuple[int, ...]]:
+    """The `vertices` of `domain` at `n_vals`, in their order; a box corner may repeat."""
+    if domain.box is not None:
+        return list(itertools.product(*[(lo.value_at(n_vals), hi.value_at(n_vals))
+                                        for lo, hi in domain.box]))
+    return [tuple(dot(r, n_vals) + w for r, w in zip(rows, omega))
+            for rows, omega in vertices(domain)]
 
 
 def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
@@ -341,7 +328,7 @@ def load_nest(source) -> LoopNest:
     minima = IntVector(read_int(read_field(p, "min", "params"), "params min") for p in params)
     outer = OuterVars(names, minima)
     e = outer.count
-    n0 = outer.minima
+    n0 = outer.minima.entries
 
     stmts_doc = read_field(doc, "statements", "document", list)
     if not stmts_doc:
@@ -435,17 +422,16 @@ def load_nest(source) -> LoopNest:
             if acc is None:
                 raise NestError(f"{where}: produced_by does not name an access of the target")
         # every vertex of the dependence domain must map into the source
-        # domain and lie inside the target domain (checked at N^(0))
+        # domain and lie inside the target domain (checked at N^(0)); the
+        # source image is Phi v - (phi - Psi N^(0))
         if box0[src.id] is not None and box0[tgt.id] is not None:
-            for r, omega in vertices(dom):
-                v = r.matvec(n0) + omega
+            base = [h - dot(q, n0) for h, q in zip(d.shift, d.param_map.rows)]
+            for v in _corners_at(dom, n0):
                 if not _within(box0[tgt.id], v):
-                    raise NestError(f"{where}: vertex {tuple(v)} outside target domain at N^(0)")
-                ipt = d.source_point(v, n0)
+                    raise NestError(f"{where}: vertex {v} outside target domain at N^(0)")
+                ipt = tuple(dot(p, v) - c for p, c in zip(d.source_map.rows, base))
                 if not _within(box0[src.id], ipt):
-                    raise NestError(
-                        f"{where}: source image {tuple(ipt)} outside source domain at N^(0)"
-                    )
+                    raise NestError(f"{where}: source image {ipt} outside source domain at N^(0)")
         dependences.append(d)
 
     return LoopNest(outer, tuple(statements), tuple(arrays), tuple(accesses), tuple(dependences))

@@ -8,11 +8,13 @@ enters a child that is infeasible or worse than the incumbent.  The search
 runs in passes under a growing objective cap (iterative deepening): a pass
 cuts every subtree whose bound exceeds the cap, so the first pass whose cap
 reaches the optimum finds it without first hunting for an incumbent.
-Columns whose slack is equal at every x share one row with the sum of their
-weights, which keeps every bound.  Two columns a and b that end at the same
-variable with equal |coefficient| there are also bounded as a pair through
-c = a +- b, which cancels that variable: |a| + |b| >= |c| prices the pair
-from c's interval levels before a and b are fixed.
+Set-up reads each column's nonzero terms, not its dense coefficients:
+columns whose slack is equal at every x share one row with the sum of their
+weights (scaled to integers once), which keeps every bound, and a zero
+column gets no row.  Two columns a and b that end at the same variable with
+equal |coefficient| there are also bounded as a pair through c = a +- b,
+which cancels that variable: |a| + |b| >= |c| prices the pair from c's
+interval levels before a and b are fixed.
 
 Rank growth is a disjunction: for each statement that must grow, the new
 schedule row needs sign * s~.x >= 1 for some kernel witness s and sign.  A
@@ -31,6 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .algebra import IntVector
@@ -51,6 +54,9 @@ class SolverConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
+        # bool is an int subclass; a float bound would fail deep in the search
+        if type(self.coeff_bound) is not int:
+            raise TypeError(f"coeff_bound {self.coeff_bound!r} is not an int")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
         # written so that NaN fails too
@@ -105,28 +111,46 @@ class _Search:
     def __init__(self, system: ConstraintSystem, bound, deadline):
         self.system = system
         self.deadline = deadline
-        self.used = used = _used_variables(system)
-        self.scale = _weight_scale(system)
-        self.nvars = len(used)
+        self.scale = scale = _weight_scale(system)
         self.values = _value_order(bound)
         # columns whose slack is equal at every x share one row weighted by the
         # sum of their weights: equal rows, and for ABS columns also opposite
-        # rows; every interval bound keeps its value
+        # rows; every interval bound keeps its value.  A zero column, whose
+        # slack is 0 at every x, needs no row.
         merged = {}
         for col in system.columns:
-            row = col.coeffs
-            if col.sense == ABS and next((c for c in row if c), 0) < 0:
-                row = tuple(-c for c in row)
-            key = (row, col.sense == GEQ0)
-            merged[key] = merged.get(key, 0) + int(col.weight * self.scale)
-        rows = [row for row, _ in merged]
+            terms = col.terms
+            if not terms:
+                continue
+            if terms[0][1] < 0 and col.sense == ABS:
+                terms = tuple((i, -c) for i, c in terms)
+            key = (terms, col.sense == GEQ0)
+            w = col.weight
+            merged[key] = merged.get(key, 0) + w.numerator * (scale // w.denominator)
+        # variables in no row and no witness stay 0, the others are searched in
+        # layout order; `nonzero` holds each row's (position, coefficient) terms
+        used = {i for terms, _ in merged for i, _ in terms}
+        for cands in system.witnesses.values():
+            for w in cands:
+                used.update(i for i, c in enumerate(w.s_tilde) if c)
+        self.used = used = sorted(used)
+        self.nvars = nvars = len(used)
+        pos = {g: k for k, g in enumerate(used)}
+        nonzero = [tuple((pos[i], c) for i, c in terms) for terms, _ in merged]
         geq = [g for _, g in merged]
         weights = list(merged.values())
+        # the same rows with an entry per used variable
+        rows = []
+        for terms in nonzero:
+            row = [0] * nvars
+            for k, c in terms:
+                row[k] = c
+            rows.append(row)
         # paired columns: each pair's combination c = a +- b joins the rows
         # with weight 0; a GEQ0 pair's sum a + b must be >= 0, so c is then a
         # column of its own for the dead check
         pairs = []
-        for a, b, c, is_sum in _pair_rows(rows, geq, used):
+        for a, b, c, is_sum in _pair_rows(rows, nonzero, geq):
             pairs.append((a, b, len(rows), min(weights[a], weights[b])))
             rows.append(c)
             geq.append(geq[a] and is_sum)
@@ -138,19 +162,17 @@ class _Search:
         for sid in self.statements:
             cands = system.witnesses[sid]
             self.witness_rows.append(range(len(rows), len(rows) + len(cands)))
-            rows.extend(w.s_tilde for w in cands)
+            rows.extend([w.s_tilde[g] for g in used] for w in cands)
+        nonzero += [tuple((k, c) for k, c in enumerate(row) if c) for row in rows[len(nonzero):]]
         # rest[r][k]: max |contribution| of variables k.. to row r
         self.rest = rest = []
         self.by_pos = [[] for _ in used]
-        for ri, row in enumerate(rows):
-            arr = [0] * (self.nvars + 1)
-            for k, g in enumerate(used):
-                if row[g]:
-                    arr[k] = abs(row[g]) * bound
-                    self.by_pos[k].append((ri, row[g]))
-            for k in range(self.nvars - 1, -1, -1):
-                arr[k] += arr[k + 1]
-            rest.append(arr)
+        for ri, terms in enumerate(nonzero):
+            spread = [0] * (nvars + 1)
+            for k, c in terms:
+                spread[k] = abs(c) * bound
+                self.by_pos[k].append((ri, c))
+            rest.append(list(accumulate(reversed(spread)))[::-1])
         # per depth, the columns and the pairs variable k touches, with their
         # coefficients and spreads (before and after k is assigned; a pair
         # only after)
@@ -159,14 +181,13 @@ class _Search:
              for ri, c in touched if ri < ncols and (weights[ri] or geq[ri])]
             for k, touched in enumerate(self.by_pos)
         ]
-        self.pairs_at = [
-            [(a, rows[a][g], rest[a][k + 1], b, rows[b][g], rest[b][k + 1],
-              c, rows[c][g], rest[c][k + 1], m)
-             for a, b, c, m in pairs if rows[a][g] or rows[b][g] or rows[c][g]]
-            for k, g in enumerate(used)
-        ]
+        self.pairs_at = [[] for _ in used]
+        for a, b, c, m in pairs:
+            for k in sorted({k for ri in (a, b, c) for k, _ in nonzero[ri]}):
+                self.pairs_at[k].append((a, rows[a][k], rest[a][k + 1], b, rows[b][k],
+                                         rest[b][k + 1], c, rows[c][k], rest[c][k + 1], m))
         self.partial = [0] * len(rows)
-        self.assign = [0] * self.nvars
+        self.assign = [0] * nvars
         self.nodes = 0
         self.passes = 0
         # above every objective: what a pass returns for a subtree in which it
@@ -314,40 +335,23 @@ class _Search:
         return least
 
 
-def _used_variables(system: ConstraintSystem):
-    used = set()
-    for col in system.columns:
-        for i, c in enumerate(col.coeffs):
-            if c:
-                used.add(i)
-    for cands in system.witnesses.values():
-        for w in cands:
-            for i, c in enumerate(w.s_tilde):
-                if c:
-                    used.add(i)
-    return sorted(used)
-
-
-def _pair_rows(rows, geq, used):
+def _pair_rows(rows, nonzero, geq):
     """Disjoint pairs of rows of one sense that end at the same variable (in
     search order) with equal |coefficient| there, as (a, b, c, is_sum): c is
     a - b or, for opposite coefficients, a + b, so it cancels that variable.
+    `rows` hold an entry per variable and `nonzero` their nonzero terms.
     Pairs whose c ends the most positions earlier are taken first, ties by
     row index; a pair whose c is zero is never taken."""
-    # rows in search order, so that only the tail that c cancels is scanned
-    ordered = [[row[g] for g in used] for row in rows]
     buckets = {}
-    for ri, row in enumerate(ordered):
-        k = len(row) - 1
-        while k >= 0 and not row[k]:
-            k -= 1
-        if k >= 0:
-            buckets.setdefault((geq[ri], k, abs(row[k])), []).append(ri)
+    for ri, terms in enumerate(nonzero):
+        if terms:
+            k, c = terms[-1]
+            buckets.setdefault((geq[ri], k, abs(c)), []).append(ri)
     candidates = []
     for (_, k, _), members in buckets.items():
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                ra, rb = ordered[a], ordered[b]
+                ra, rb = rows[a], rows[b]
                 sign = -1 if ra[k] == rb[k] else 1
                 j = k - 1
                 while j >= 0 and ra[j] + sign * rb[j] == 0:
@@ -359,14 +363,13 @@ def _pair_rows(rows, geq, used):
     for _, a, b, sign in candidates:
         if a not in taken and b not in taken:
             taken.update((a, b))
-            c = tuple(x + sign * y for x, y in zip(rows[a], rows[b]))
+            c = [x + sign * y for x, y in zip(rows[a], rows[b])]
             pairs.append((a, b, c, sign > 0))
     return pairs
 
 
 def _weight_scale(system: ConstraintSystem) -> int:
-    denoms = [col.weight.denominator for col in system.columns]
-    return lcm(*denoms) if denoms else 1
+    return lcm(*{col.weight.denominator for col in system.columns})
 
 
 def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution:

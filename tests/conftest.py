@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from affsched.algebra import dot
 from affsched.nest import load_nest
 from affsched.procedure import run_procedure
 
@@ -43,6 +44,22 @@ def fixture_plan(name, r_space=None, **kwargs):
     if key not in _plan_cache:
         _plan_cache[key] = run_procedure(fixture_nest(name), r_space=r_space, **kwargs)
     return _plan_cache[key]
+
+
+def index_at(acc, point, n_vals):
+    """The element the access `acc` touches at operation `point`, as an IntVector."""
+    return acc.iter_coeffs.matvec(point) + acc.param_coeffs.matvec(n_vals) + acc.offset
+
+
+def source_point(dep, target_point, n_vals):
+    """The source operation of the dependence `dep` at `target_point`, as an IntVector."""
+    return dep.source_map.matvec(target_point) + dep.param_map.matvec(n_vals) - dep.shift
+
+
+def vertex_at(vertex, n_vals):
+    """A parametric vertex (R rows, omega) of `nest.vertices` at concrete parameters."""
+    rows, omega = vertex
+    return tuple(dot(r, n_vals) + w for r, w in zip(rows, omega))
 
 
 def perfbench_module(name):

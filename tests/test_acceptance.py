@@ -19,7 +19,7 @@ from affsched.validation import (
     first_recursion_system,
     validate,
 )
-from conftest import DEFAULT_R, fixture_nest, fixture_plan
+from conftest import DEFAULT_R, fixture_nest, fixture_plan, index_at, source_point
 from test_algebra import rank_oracle
 
 
@@ -163,7 +163,7 @@ def test_criterion_7_broadcast():
         acc = nest.access(("B", "S1", 1))
         by_elem = {}
         for point in enumerate_domain(nest.statements[0].domain, [3]):
-            elem = tuple(acc.index_at(point, [3]))
+            elem = tuple(index_at(acc, point, [3]))
             t = tuple(schedule_of(plan, nest, "S1", point, [3]))[plan.r_space:]
             by_elem.setdefault(elem, set()).add(t)
         assert all(len(times) == 1 for times in by_elem.values())
@@ -219,7 +219,7 @@ def test_criterion_8_constraint_soundness():
             for n in (3, 5):
                 for dep in nest.dependences:
                     for pt in enumerate_domain(dep.domain, [n]):
-                        src = dep.source_point(pt, [n])
+                        src = source_point(dep, pt, [n])
                         diff = (tau.dot(pt) + b.dot([n]) + a) - (
                             tau.dot(src) + b.dot([n]) + a
                         )

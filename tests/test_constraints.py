@@ -1,15 +1,21 @@
 """Constraint-column construction: layout, legality, alignment, locality."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affsched.algebra import IntVector
 from affsched.constraints import (
     ABS,
     GEQ0,
+    ConstraintColumn,
     ExtendedLayout,
+    _column,
     build_alignment_columns,
     build_legality_columns,
     build_space_locality_columns,
@@ -18,7 +24,7 @@ from affsched.constraints import (
 )
 from affsched.nest import enumerate_domain, load_nest, vertices
 from affsched.procedure import initial_sets
-from conftest import fixture_doc, fixture_nest
+from conftest import fixture_doc, fixture_nest, source_point, vertex_at
 
 
 class TestLayout:
@@ -47,6 +53,31 @@ class TestLayout:
         )
         assert tuple(lay.block(x, "a", "S1")) == (x[lay.offset("a", "S1")],)
         assert tuple(lay.block(x, "y", "x")) == (x[lay.offset("y", "x")],)
+
+
+@st.composite
+def _coeffs_and_vector(draw):
+    size = draw(st.integers(0, 12))
+    entries = st.lists(st.integers(-6, 6), min_size=size, max_size=size)
+    coeffs = draw(st.one_of(st.just([0] * size), entries))
+    return tuple(coeffs), tuple(draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size)))
+
+
+class TestColumnTerms:
+    @given(_coeffs_and_vector(), st.sampled_from([GEQ0, ABS]))
+    def test_terms_agree_with_dense_coefficients(self, drawn, sense):
+        coeffs, x = drawn
+        col = ConstraintColumn(coeffs, sense, "f", ("g", 0), "c", Fraction(1))
+        dense = sum(c * v for c, v in zip(coeffs, x))
+        assert col.value(x) == dense
+        assert col.slack(x) == (abs(dense) if sense == ABS else dense)
+        assert col.terms == tuple((i, c) for i, c in enumerate(coeffs) if c)
+        # a builder's column and a rebuilt column carry the same terms
+        built = _column(SimpleNamespace(size=len(coeffs)), [(0, coeffs)], sense, "f", ("g", 0),
+                        "c", Fraction(1))
+        assert built == col and built.terms == col.terms
+        negated = dataclasses.replace(col, coeffs=tuple(-c for c in coeffs))
+        assert negated.terms == tuple((i, -c) for i, c in col.terms)
 
 
 class TestLegalityColumns:
@@ -80,6 +111,20 @@ class TestLegalityColumns:
             expect[lay.offset("tau", "S1")] = 1
             assert list(col.coeffs) == expect
 
+    def test_explicit_vertices_give_the_box_columns(self):
+        # the stencil's first dependence domain, written out as its corners
+        doc = fixture_doc("stencil")
+        box = load_nest(doc)
+        dep = box.dependences[0]
+        doc["dependences"][0]["domain"] = {"vertices": [
+            {"R": [list(r) for r in rows], "omega": list(omega)}
+            for rows, omega in vertices(dep.domain)
+        ]}
+        explicit = load_nest(doc)
+        lay = ExtendedLayout.for_nest(box)
+        assert (build_legality_columns(explicit.dependences[0], 0, explicit, lay)
+                == build_legality_columns(dep, 0, box, lay))
+
     def test_columns_match_direct_evaluation_at_vertices(self):
         # the value of each constant column equals the schedule difference
         # evaluated at the corresponding vertex with the smallest parameters
@@ -100,9 +145,9 @@ class TestLegalityColumns:
                     tau_s = lay.block(x, "tau", dep.source)
                     b_t = lay.block(x, "b", dep.target)
                     b_s = lay.block(x, "b", dep.source)
-                    for col, (r_mat, omega) in zip(cols, vertices(dep.domain)):
-                        v = r_mat.matvec(n0) + omega
-                        s = dep.source_point(v, n0)
+                    for col, vertex in zip(cols, vertices(dep.domain)):
+                        v = vertex_at(vertex, n0)
+                        s = source_point(dep, v, n0)
                         direct = (
                             tau_t.dot(v)
                             + b_t.dot(n0)
@@ -262,7 +307,7 @@ class TestSoundness:
             for n in (3, 5):
                 for dep in nest.dependences:
                     for pt in enumerate_domain(dep.domain, [n]):
-                        src = dep.source_point(pt, [n])
+                        src = source_point(dep, pt, [n])
                         t_target = tau.dot(pt) + b.dot([n]) + a
                         t_source = tau.dot(src) + b.dot([n]) + a
                         assert t_target - t_source >= 0

@@ -14,7 +14,14 @@ from affsched.nest import (
     serialize,
     vertices,
 )
-from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest
+from conftest import (
+    FIXTURE_NAMES,
+    fixture_doc,
+    fixture_nest,
+    index_at,
+    source_point,
+    vertex_at,
+)
 
 
 class TestLoading:
@@ -187,7 +194,7 @@ class TestVertices:
     def test_chain_vertices(self):
         nest = fixture_nest("chain")
         verts = vertices(nest.statements[0].domain)
-        evaluated = sorted(tuple(r.matvec([5]) + om) for r, om in verts)
+        evaluated = sorted(vertex_at(v, [5]) for v in verts)
         assert evaluated == [(1,), (5,)]
 
     def test_square_domain_has_four_corners(self):
@@ -243,12 +250,12 @@ class TestAccessAndDependence:
     def test_index_at(self):
         nest = fixture_nest("stencil")
         acc = nest.access(("u", "S1", 2))
-        assert tuple(acc.index_at([3, 4], [9])) == (2, 4)
+        assert tuple(index_at(acc, [3, 4], [9])) == (2, 4)
 
     def test_source_point(self):
         nest = fixture_nest("chain")
         dep = nest.dependences[0]
-        assert tuple(dep.source_point([4], [9])) == (3,)
+        assert tuple(source_point(dep, [4], [9])) == (3,)
 
     def test_lookup_errors(self):
         nest = fixture_nest("vecadd")

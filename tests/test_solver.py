@@ -513,6 +513,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(coeff_bound=0)
 
+    @pytest.mark.parametrize("bound", [2.0, 1.5, True, Fraction(2)], ids=repr)
+    def test_non_int_bound(self, bound):
+        # a float bound would fail deep in the value order, and True would run
+        # as bound 1
+        with pytest.raises(TypeError, match=r"^coeff_bound .* is not an int$"):
+            SolverConfig(coeff_bound=bound)
+
     @pytest.mark.parametrize("limit", [float("nan"), 0, -1])
     def test_bad_time_limit(self, limit):
         with pytest.raises(ValueError, match="time_limit must be > 0"):

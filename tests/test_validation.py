@@ -26,7 +26,14 @@ from affsched.validation import (
     claimed_locality_depth,
     validate,
 )
-from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest, fixture_plan
+from conftest import (
+    FIXTURE_NAMES,
+    fixture_doc,
+    fixture_nest,
+    fixture_plan,
+    index_at,
+    source_point,
+)
 
 
 def _with_schedule(plan, sid, rows):
@@ -457,7 +464,7 @@ def scalar_validate(nest, plan, n_vals):
             continue
         tie_ok = dep.source == dep.target or order[dep.source] < order[dep.target]
         for point in _box_points(dep.domain, n_vals):
-            src = tuple(dep.source_point(point, n_vals))
+            src = tuple(source_point(dep, point, n_vals))
             later = tuple(schedule_of(plan, nest, dep.target, point, n_vals))
             earlier = tuple(schedule_of(plan, nest, dep.source, src, n_vals))
             pair = ((di,), src, point)
@@ -472,7 +479,7 @@ def scalar_validate(nest, plan, n_vals):
             continue
         transfers = set()
         for point, vec in ops[acc.statement].items():
-            elem = tuple(acc.index_at(point, n_vals))
+            elem = tuple(index_at(acc, point, n_vals))
             reuse.setdefault((acc.array, elem, vec[:r]), set()).add(vec[r:])
             if tuple(placement_of(plan, acc.array, elem, n_vals)) != vec[:r]:
                 transfers.add((elem, vec))
@@ -487,7 +494,7 @@ def scalar_validate(nest, plan, n_vals):
             continue
         groups = {}
         for point, vec in ops[acc.statement].items():
-            elem = tuple(acc.index_at(point, n_vals))
+            elem = tuple(index_at(acc, point, n_vals))
             groups.setdefault(vec[:depth], set()).add(elem[:-1])
         metric = max(len(g) for g in groups.values())
         report.row_locality[acc.key] = {"claimed_depth": depth, "metric": metric}
@@ -499,12 +506,12 @@ def scalar_validate(nest, plan, n_vals):
         own = ops[acc.statement]
         readers = {}
         for point, vec in own.items():
-            readers.setdefault(tuple(acc.index_at(point, n_vals)), []).append((point, vec[r:]))
+            readers.setdefault(tuple(index_at(acc, point, n_vals)), []).append((point, vec[r:]))
         writes = {}
         for w in nest.accesses:
             if w.array == acc.array and w.kind == "write":
                 for point, vec in ops[w.statement].items():
-                    writes.setdefault(tuple(w.index_at(point, n_vals)), []).append(vec[r:])
+                    writes.setdefault(tuple(index_at(w, point, n_vals)), []).append(vec[r:])
         uniform = all(len({t for _, t in rs}) == 1 for rs in readers.values())
         nondegenerate = all(
             any(all(tuple(a + b for a, b in zip(p, u)) in own for u in entry["kernel_basis"])
