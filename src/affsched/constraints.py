@@ -6,9 +6,9 @@ z, and the constant terms a and y.  Every legality, alignment and locality
 requirement becomes a linear form over that vector, kept as an explicit
 integer column so the solver and the diagnostics can evaluate it exactly;
 each column also carries its nonzero terms, which evaluation and the
-solver's set-up read.  The layout is the same in every recursion, so a column does not depend on
-the recursion: the procedure builds each family once per run and selects
-the active ones per recursion.
+solver's set-up read.  The layout is the same in every recursion, so a
+column does not depend on the recursion: the procedure builds each family
+once per run and selects the active ones per recursion.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ class ExtendedLayout:
         """Where the block of `kind` for `key` starts."""
         return self.spans[kind, key][0]
 
-    def block(self, x, kind: str, key: str) -> IntVector:
+    def block(self, x, kind: str, key: str) -> tuple[int, ...]:
         """The entries of one block of the vector `x`."""
         start, stop = self.spans[kind, key]
-        return IntVector(x[start:stop])
+        return tuple(x[start:stop])
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def build_space_locality_columns(
 
 
 def rank_witnesses(
-    accumulated_rows: dict[str, list[IntVector]],
+    accumulated_rows: dict[str, list[tuple[int, ...]]],
     l_set,
     layout: ExtendedLayout,
 ) -> dict[str, list[RankWitness]]:

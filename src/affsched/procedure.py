@@ -180,8 +180,7 @@ def build_recursion_system(
             ("space", key), build_space_locality_columns,
             nest.access(key), kernel, layout, weights.space,
         )
-    accumulated = {s.id: [x[slice(*layout.spans["tau", s.id])] for x in xs]
-                   for s in nest.statements}
+    accumulated = {s.id: [layout.block(x, "tau", s.id) for x in xs] for s in nest.statements}
     levels_left = nest.max_depth - len(xs)
     l_set = [
         s.id
@@ -228,8 +227,7 @@ def run_procedure(
     table: dict = {}
 
     def rows(kind, key, upto=None):
-        start, stop = layout.spans[kind, key]
-        return [x[start:stop] for x in xs[:upto]]
+        return [layout.block(x, kind, key) for x in xs[:upto]]
 
     diagnostics = []
     ever_positive: dict[int, bool] = {i: False for i in active_deps}

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from affsched.algebra import IntMatrix, integer_kernel_basis, rank
+from affsched.algebra import IntMatrix, IntVector, integer_kernel_basis, rank
 from affsched.comm import detect_broadcast
 from affsched.constraints import ExtendedLayout, build_legality_columns
 from affsched.nest import enumerate_domain
@@ -213,8 +213,8 @@ def test_criterion_8_constraint_soundness():
             if any(c.value(x) < 0 for c in cols):
                 continue
             feasible += 1
-            tau = layout.block(x, "tau", "S1")
-            b = layout.block(x, "b", "S1")
+            tau = IntVector(layout.block(x, "tau", "S1"))
+            b = IntVector(layout.block(x, "b", "S1"))
             a = x[layout.offset("a", "S1")]
             for n in (3, 5):
                 for dep in nest.dependences:

@@ -141,10 +141,10 @@ class TestLegalityColumns:
                 ]
                 for _ in range(5):
                     x = [rng.randint(-2, 2) for _ in range(lay.size)]
-                    tau_t = lay.block(x, "tau", dep.target)
-                    tau_s = lay.block(x, "tau", dep.source)
-                    b_t = lay.block(x, "b", dep.target)
-                    b_s = lay.block(x, "b", dep.source)
+                    tau_t = IntVector(lay.block(x, "tau", dep.target))
+                    tau_s = IntVector(lay.block(x, "tau", dep.source))
+                    b_t = IntVector(lay.block(x, "b", dep.target))
+                    b_s = IntVector(lay.block(x, "b", dep.source))
                     for col, vertex in zip(cols, vertices(dep.domain)):
                         v = vertex_at(vertex, n0)
                         s = source_point(dep, v, n0)
@@ -301,8 +301,8 @@ class TestSoundness:
             if any(c.value(x) < 0 for c in all_cols):
                 continue
             found += 1
-            tau = lay.block(x, "tau", "S1")
-            b = lay.block(x, "b", "S1")
+            tau = IntVector(lay.block(x, "tau", "S1"))
+            b = IntVector(lay.block(x, "b", "S1"))
             a = x[lay.offset("a", "S1")]
             for n in (3, 5):
                 for dep in nest.dependences:
