@@ -339,8 +339,8 @@ def _pair_rows(rows, nonzero, geq):
     """Disjoint pairs of rows of one sense that end at the same variable (in
     search order) with equal |coefficient| there, as (a, b, c, is_sum): c is
     a - b or, for opposite coefficients, a + b, so it cancels that variable.
-    `rows` hold an entry per variable and `nonzero` their nonzero terms,
-    never none.
+    `rows` hold an entry per variable and `nonzero` their (never empty)
+    nonzero terms.
     Pairs whose c ends the most positions earlier are taken first, ties by
     row index; a pair whose c is zero is never taken."""
     buckets = {}
