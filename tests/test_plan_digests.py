@@ -6,12 +6,14 @@ against a second checkout.  `tests/data/report_digests.json` pins, per
 case, the plan's communication report and its validation reports at
 N^(0)+2 and N^(0)+4, so a change to `comm_report` or `validate` that moves
 a byte of their output fails here too.  `tests/data/search_counts.json` pins,
-per case, the (nodes, passes) of each recursion's search, so a change meant
-to leave the search alone (a cheaper set-up) cannot move it unnoticed.
-Rewrite the files only for a deliberate change, from a checkout whose plans,
-reports and searches are the intended ones:
+per case, the (nodes, passes, objective) of each recursion's search, so a
+change meant to leave the search alone (a cheaper set-up, fewer columns)
+cannot move it unnoticed.  Rewrite the files only for a deliberate change,
+from a checkout whose plans, reports and searches are the intended ones:
 
     PYTHONPATH=src python tests/test_plan_digests.py --write
+
+It prints, per file, the ids of the cases whose pins changed.
 """
 
 import hashlib
@@ -89,14 +91,14 @@ def _sha(doc):
 
 def digests(doc, r, overrides, bound):
     """The sha256 of the plan document, per report name that of the report,
-    and the [nodes, passes] of each recursion's search."""
+    and the [nodes, passes, objective] of each recursion's search."""
     nest = load_nest(doc)
     searches = []
     solve = procedure.solve
 
     def counting(system, cfg):
         sol = solve(system, cfg)
-        searches.append([sol.nodes, sol.passes])
+        searches.append([sol.nodes, sol.passes, str(sol.objective)])
         return sol
 
     procedure.solve = counting
@@ -149,4 +151,9 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_plan_digests.py --write")
     DATA.mkdir(exist_ok=True)
     for path, pinned in zip((DIGESTS, REPORT_DIGESTS, SEARCH_COUNTS), all_digests()):
+        old = json.loads(path.read_text()) if path.exists() else {}
+        changed = sorted(cid for cid in pinned if old.get(cid) != pinned[cid])
+        print(f"{path.name}: {len(changed)} of {len(pinned)} cases changed")
+        for cid in changed:
+            print(f"  {cid}")
         path.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
