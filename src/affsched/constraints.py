@@ -6,9 +6,10 @@ z, and the constant terms a and y.  Every legality, alignment and locality
 requirement becomes a linear form over that vector, kept as an explicit
 integer column so the solver and the diagnostics can evaluate it exactly;
 each column also carries its nonzero terms, which evaluation and the
-solver's set-up read.  The layout is the same in every recursion, so a
-column does not depend on the recursion: the procedure builds each family
-once per run and selects the active ones per recursion.
+solver's set-up read.  A legality form that several vertices share is one
+column, weighted by their number.  The layout is the same in every
+recursion, so a column does not depend on the recursion: the procedure
+builds each family once per run and selects the active ones per recursion.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class ConstraintColumn:
     coeffs: tuple[int, ...]
     sense: str  # GEQ0 | ABS
     family: str
-    group: tuple  # drop-rule / bookkeeping group, e.g. ("dep", i) or ("acc", key)
     label: str
     weight: Fraction
     # the nonzero (index, coefficient) pairs of `coeffs`, in index order
@@ -121,10 +121,9 @@ def _add(coeffs: list, parts) -> list:
     return coeffs
 
 
-def _column(layout, parts, sense, family, group, label, weight) -> ConstraintColumn:
+def _column(layout, parts, sense, family, label, weight) -> ConstraintColumn:
     """A column whose coefficients are the sum of `parts`, (offset, entries) pairs."""
-    return ConstraintColumn(tuple(_add([0] * layout.size, parts)), sense, family, group, label,
-                            weight)
+    return ConstraintColumn(tuple(_add([0] * layout.size, parts)), sense, family, label, weight)
 
 
 def build_legality_columns(
@@ -136,13 +135,17 @@ def build_legality_columns(
 ) -> list[ConstraintColumn]:
     """Columns making t_xi(target) - t_xi(source) nonnegative on a dependence.
 
-    One constant column per domain vertex plus one column per vertex and
-    outer variable.  The sense is `geq0` for flow/anti/out dependences and
+    Every domain vertex gives a constant form, and every vertex and outer
+    variable a parameter form.  Each distinct (family, form) is one column,
+    in order of first occurrence, labelled by its first vertex and weighted
+    `weight` times the number of forms it stands for.  A zero parameter form
+    (all of a uniform dependence's) gets no column; a zero constant form
+    keeps one, whose value 0 keeps the procedure from dropping the
+    dependence.  The sense is `geq0` for flow/anti/out dependences and
     `abs` (slack to be minimized) for in-dependences.
     """
     sense = ABS if dep.kind == "in" else GEQ0
     n0 = nest.outer_vars.minima.entries
-    group = ("dep", dep_index)
     tau_t, tau_s = layout.offset("tau", dep.target), layout.offset("tau", dep.source)
     b_t, b_s = layout.offset("b", dep.target), layout.offset("b", dep.source)
     phi, psi = dep.source_map.rows, dep.param_map.rows
@@ -155,20 +158,25 @@ def build_legality_columns(
         (layout.offset("a", dep.target), (1,)), (layout.offset("a", dep.source), (-1,)),
     ])
     params = [_add([0] * layout.size, [(b_t + j, (1,)), (b_s + j, (-1,))]) for j in range(len(n0))]
-    cols = []
+    forms = {}  # (family, coeffs) -> [label of its first vertex, number of forms]
+
+    def add(family, coeffs, label):
+        forms.setdefault((family, tuple(coeffs)), [label, 0])[1] += 1
+
     for m, (r_rows, omega) in enumerate(vertices(dep.domain)):
         corner = [dot(r, n0) + w for r, w in zip(r_rows, omega)]  # vertex at N^(0)
-        coeffs = _add(const[:], [(tau_t, corner),
-                                 (tau_s, [c - dot(p, corner) for p, c in zip(phi, base)])])
-        cols.append(ConstraintColumn(tuple(coeffs), sense, "legality-const", group,
-                                     f"dep{dep_index}.v{m}", weight))
+        add("legality-const",
+            _add(const[:], [(tau_t, corner),
+                            (tau_s, [c - dot(p, corner) for p, c in zip(phi, base)])]),
+            f"dep{dep_index}.v{m}")
         for j, fixed in enumerate(params):
             r_col = [r[j] for r in r_rows]
             coeffs = _add(fixed[:], [(tau_t, r_col),
                                      (tau_s, [-dot(p, r_col) - q[j] for p, q in zip(phi, psi)])])
-            cols.append(ConstraintColumn(tuple(coeffs), sense, "legality-param", group,
-                                         f"dep{dep_index}.v{m}.N{j}", weight))
-    return cols
+            if any(coeffs):
+                add("legality-param", coeffs, f"dep{dep_index}.v{m}.N{j}")
+    return [ConstraintColumn(coeffs, sense, family, label, weight * count)
+            for (family, coeffs), (label, count) in forms.items()]
 
 
 def build_alignment_columns(
@@ -180,25 +188,24 @@ def build_alignment_columns(
     weight_offset: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
     """Communication-free allocation columns for one access (abs slacks)."""
-    group = ("acc", acc.key)
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     eta = layout.offset("eta", acc.array)
     tau, b = layout.offset("tau", acc.statement), layout.offset("b", acc.statement)
     cols = [
         _column(layout, [(tau + i, (1,)), (eta, [-r[i] for r in acc.iter_coeffs.rows])],
-                ABS, "align-F", group, f"align-F.{tag}.{i}", weight_f_mat)
+                ABS, "align-F", f"align-F.{tag}.{i}", weight_f_mat)
         for i in range(nest.statement(acc.statement).depth)
     ]
     z = layout.offset("z", acc.array)
     cols += [
         _column(layout, [(b + j, (1,)), (eta, [-r[j] for r in acc.param_coeffs.rows]),
                          (z + j, (-1,))],
-                ABS, "align-G", group, f"align-G.{tag}.{j}", weight_g_mat)
+                ABS, "align-G", f"align-G.{tag}.{j}", weight_g_mat)
         for j in range(nest.outer_vars.count)
     ]
     parts = [(layout.offset("a", acc.statement), (1,)), (eta, [-v for v in acc.offset]),
              (layout.offset("y", acc.array), (-1,))]
-    cols.append(_column(layout, parts, ABS, "align-f", group, f"align-f.{tag}", weight_offset))
+    cols.append(_column(layout, parts, ABS, "align-f", f"align-f.{tag}", weight_offset))
     return cols
 
 
@@ -248,34 +255,35 @@ def build_space_locality_columns(
     weight: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
     """Row-locality columns for one access, one per vector of its `row_locality` kernel."""
-    group = ("acc", acc.key)
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     tau = layout.offset("tau", acc.statement)
     return [
-        _column(layout, [(tau, d)], ABS, "space-loc", group, f"space.{tag}.{g}", weight)
+        _column(layout, [(tau, d)], ABS, "space-loc", f"space.{tag}.{g}", weight)
         for g, d in enumerate(kernel)
     ]
 
 
 def rank_witnesses(
     accumulated_rows: dict[str, list[tuple[int, ...]]],
-    l_set,
+    levels_left: int,
     layout: ExtendedLayout,
 ) -> dict[str, list[RankWitness]]:
     """Candidate rank-growth witnesses per statement that must grow this turn.
 
     Candidates are the integer kernel basis of the rows accumulated so far
-    (all unit vectors on the first recursion).  Forcing the new schedule row
-    to have nonzero product with any kernel vector grows the rank by one.
+    (all unit vectors on the first recursion).  A statement must grow when
+    its kernel has `levels_left` vectors, one per level still to come;
+    forcing the new schedule row to have nonzero product with any kernel
+    vector grows the rank by one.
     """
     out: dict[str, list[RankWitness]] = {}
-    for sid in l_set:
+    for sid in layout.statement_ids:
         start, stop = layout.spans["tau", sid]
         basis = integer_kernel_basis(
             IntMatrix.from_rows(accumulated_rows.get(sid, []), stop - start)
         )
-        if not basis:
-            raise ValueError(f"statement {sid!r}: accumulated rows already have full rank")
+        if len(basis) != levels_left:
+            continue
         out[sid] = [
             RankWitness(sid, s, (0,) * start + tuple(s) + (0,) * (layout.size - stop))
             for s in basis

@@ -181,13 +181,8 @@ def build_recursion_system(
             nest.access(key), kernel, layout, weights.space,
         )
     accumulated = {s.id: [layout.block(x, "tau", s.id) for x in xs] for s in nest.statements}
-    levels_left = nest.max_depth - len(xs)
-    l_set = [
-        s.id
-        for s in nest.statements
-        if s.depth - rank(IntMatrix.from_rows(accumulated[s.id], s.depth)) == levels_left
-    ]
-    return ConstraintSystem(layout, columns, rank_witnesses(accumulated, l_set, layout))
+    witnesses = rank_witnesses(accumulated, nest.max_depth - len(xs), layout)
+    return ConstraintSystem(layout, columns, witnesses)
 
 
 def initial_sets(nest: LoopNest):
@@ -230,7 +225,7 @@ def run_procedure(
         return [layout.block(x, kind, key) for x in xs[:upto]]
 
     diagnostics = []
-    ever_positive: dict[int, bool] = {i: False for i in active_deps}
+    ever_positive: set[int] = set()  # dependences ever scheduled apart at some vertex
 
     for xi in range(1, n + 1):
         system = build_recursion_system(
@@ -261,27 +256,15 @@ def run_procedure(
         x = sol.x
         xs.append(x)
 
-        by_group: dict[tuple, list] = {}
-        for col in system.columns:
-            if col.family == "legality-const":
-                by_group.setdefault(col.group, []).append(col.value(x))
+        # per active dependence, the values at x of its constant forms
+        const = {i: [col.value(x) for col in table["dep", i] if col.family == "legality-const"]
+                 for i in active_deps + active_in_deps}
 
-        dropped, dropped_in = [], []
-        if xi >= r_space + 1:
-            for i in list(active_deps):
-                vals = by_group.get(("dep", i), [])
-                if vals and all(v >= 1 for v in vals):
-                    active_deps.remove(i)
-                    dropped.append(i)
-        for i in active_deps:
-            vals = by_group.get(("dep", i), [])
-            if any(v != 0 for v in vals):
-                ever_positive[i] = True
-        for i in list(active_in_deps):
-            vals = by_group.get(("dep", i), [])
-            if vals and all(abs(v) >= 1 for v in vals):
-                active_in_deps.remove(i)
-                dropped_in.append(i)
+        dropped = [i for i in active_deps if xi > r_space and all(v >= 1 for v in const[i])]
+        dropped_in = [i for i in active_in_deps if all(abs(v) >= 1 for v in const[i])]
+        active_deps = [i for i in active_deps if i not in dropped]
+        active_in_deps = [i for i in active_in_deps if i not in dropped_in]
+        ever_positive.update(i for i in active_deps if any(const[i]))
 
         active_space = {
             key: rule
@@ -327,7 +310,7 @@ def run_procedure(
 
     warnings = []
     for i in active_deps:
-        if not ever_positive[i]:
+        if i not in ever_positive:
             d = nest.dependences[i]
             verdict = (
                 "correctness relies on textual order"

@@ -24,7 +24,55 @@ from affsched.constraints import (
 )
 from affsched.nest import enumerate_domain, load_nest, vertices
 from affsched.procedure import initial_sets
-from conftest import fixture_doc, fixture_nest, source_point, vertex_at
+from conftest import fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at
+
+FIXTURES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul", "chain23", "chain42")
+
+
+def _all_nests():
+    """Every fixture nest and jacobi2, by name."""
+    nests = {name: fixture_nest(name) for name in FIXTURES}
+    nests["jacobi2"] = load_nest(perfbench_module("gen").jacobi2())
+    return nests
+
+
+def _difference(dep, lay, x, vertex, n_vals):
+    """t(target) - t(source) under the coefficient vector `x`, evaluated
+    directly at the dependence's `vertex` and parameters `n_vals`."""
+    v = vertex_at(vertex, n_vals)
+    s = source_point(dep, v, n_vals)
+
+    def t(sid, point):
+        return (IntVector(lay.block(x, "tau", sid)).dot(point)
+                + IntVector(lay.block(x, "b", sid)).dot(n_vals) + x[lay.offset("a", sid)])
+
+    return t(dep.target, v) - t(dep.source, s)
+
+
+def _direct_forms(dep, nest, lay):
+    """Per vertex, (constant form, [parameter form per outer variable]) as
+    linear forms over the extended vector: functions of x, evaluated directly.
+
+    The constant form is the difference at N^(0); the parameter form of
+    outer variable j is what one more unit of N_j adds to it.
+    """
+    n0 = list(nest.outer_vars.minima)
+    steps = [[m + (k == j) for k, m in enumerate(n0)] for j in range(len(n0))]
+    out = []
+    for vertex in vertices(dep.domain):
+        def const(x, vertex=vertex):
+            return _difference(dep, lay, x, vertex, n0)
+
+        def param(x, n, vertex=vertex):
+            return _difference(dep, lay, x, vertex, n) - _difference(dep, lay, x, vertex, n0)
+
+        out.append((const, [lambda x, n=n, param=param: param(x, n) for n in steps]))
+    return out
+
+
+def _coefficients(form, size):
+    """The coefficient vector of the linear `form`, read off at unit vectors."""
+    return tuple(form([int(k == i) for k in range(size)]) for i in range(size))
 
 
 class TestLayout:
@@ -67,14 +115,14 @@ class TestColumnTerms:
     @given(_coeffs_and_vector(), st.sampled_from([GEQ0, ABS]))
     def test_terms_agree_with_dense_coefficients(self, drawn, sense):
         coeffs, x = drawn
-        col = ConstraintColumn(coeffs, sense, "f", ("g", 0), "c", Fraction(1))
+        col = ConstraintColumn(coeffs, sense, "f", "c", Fraction(1))
         dense = sum(c * v for c, v in zip(coeffs, x))
         assert col.value(x) == dense
         assert col.slack(x) == (abs(dense) if sense == ABS else dense)
         assert col.terms == tuple((i, c) for i, c in enumerate(coeffs) if c)
         # a builder's column and a rebuilt column carry the same terms
-        built = _column(SimpleNamespace(size=len(coeffs)), [(0, coeffs)], sense, "f", ("g", 0),
-                        "c", Fraction(1))
+        built = _column(SimpleNamespace(size=len(coeffs)), [(0, coeffs)], sense, "f", "c",
+                        Fraction(1))
         assert built == col and built.terms == col.terms
         negated = dataclasses.replace(col, coeffs=tuple(-c for c in coeffs))
         assert negated.terms == tuple((i, -c) for i, c in col.terms)
@@ -82,14 +130,42 @@ class TestColumnTerms:
 
 class TestLegalityColumns:
     def test_column_count_law(self):
-        for name in ("chain", "stencil", "matmul"):
-            nest = fixture_nest(name)
+        # one column per distinct constant form and per distinct nonzero
+        # parameter form, in order of first occurrence
+        for name, nest in _all_nests().items():
             lay = ExtendedLayout.for_nest(nest)
-            e = nest.outer_vars.count
             for i, dep in enumerate(nest.dependences):
+                forms = []
+                for const, params in _direct_forms(dep, nest, lay):
+                    forms.append(("legality-const", _coefficients(const, lay.size)))
+                    forms += [("legality-param", _coefficients(p, lay.size)) for p in params]
+                distinct = [f for f in dict.fromkeys(forms)
+                            if f[0] == "legality-const" or any(f[1])]
                 cols = build_legality_columns(dep, i, nest, lay)
-                nverts = len(vertices(dep.domain))
-                assert len(cols) == nverts * (1 + e)
+                assert [(c.family, c.coeffs) for c in cols] == distinct, (name, i)
+
+    def test_no_zero_parameter_columns(self):
+        for name, nest in _all_nests().items():
+            lay = ExtendedLayout.for_nest(nest)
+            for i, dep in enumerate(nest.dependences):
+                for col in build_legality_columns(dep, i, nest, lay):
+                    assert col.family == "legality-const" or col.terms, (name, col.label)
+
+    def test_multiplicity_weights(self):
+        # the weighted slack of the built columns is that of every per-vertex
+        # and per-(vertex, outer variable) form, each weighted once
+        rng = random.Random(16)
+        weight = Fraction(3, 2)
+        for name, nest in _all_nests().items():
+            lay = ExtendedLayout.for_nest(nest)
+            for i, dep in enumerate(nest.dependences):
+                cols = build_legality_columns(dep, i, nest, lay, weight)
+                forms = [f for const, params in _direct_forms(dep, nest, lay)
+                         for f in (const, *params)]
+                for _ in range(5):
+                    x = [rng.randint(-3, 3) for _ in range(lay.size)]
+                    direct = sum(abs(f(x)) if dep.kind == "in" else f(x) for f in forms)
+                    assert sum(c.weight * c.slack(x) for c in cols) == weight * direct, (name, i)
 
     def test_sense_by_kind(self):
         nest = fixture_nest("matmul")
@@ -99,17 +175,17 @@ class TestLegalityColumns:
                 assert col.sense == (ABS if dep.kind == "in" else GEQ0)
 
     def test_chain_constant_column_by_hand(self):
-        # uniform self-dependence with unit shift: the constant columns
-        # collapse to the single schedule coefficient
+        # uniform self-dependence with unit shift: both domain corners give
+        # the single schedule coefficient, and every parameter form cancels
         nest = fixture_nest("chain")
         lay = ExtendedLayout.for_nest(nest)
         cols = build_legality_columns(nest.dependences[0], 0, nest, lay)
-        const_cols = [c for c in cols if c.family == "legality-const"]
-        assert len(const_cols) == 2  # two domain corners
-        for col in const_cols:
-            expect = [0] * lay.size
-            expect[lay.offset("tau", "S1")] = 1
-            assert list(col.coeffs) == expect
+        assert len(vertices(nest.dependences[0].domain)) == 2
+        (col,) = cols
+        expect = [0] * lay.size
+        expect[lay.offset("tau", "S1")] = 1
+        assert (col.family, list(col.coeffs), col.label) == ("legality-const", expect, "dep0.v0")
+        assert col.weight == 2
 
     def test_explicit_vertices_give_the_box_columns(self):
         # the stencil's first dependence domain, written out as its corners
@@ -126,37 +202,26 @@ class TestLegalityColumns:
                 == build_legality_columns(dep, 0, box, lay))
 
     def test_columns_match_direct_evaluation_at_vertices(self):
-        # the value of each constant column equals the schedule difference
-        # evaluated at the corresponding vertex with the smallest parameters
+        # at every vertex, the schedule difference evaluated directly at the
+        # smallest parameters equals the value of the constant column that
+        # carries that vertex's form
         rng = random.Random(3)
-        for name in ("chain", "stencil", "matvec", "matmul"):
+        for name in ("chain", "stencil", "matvec", "matmul", "chain23"):
             nest = fixture_nest(name)
             lay = ExtendedLayout.for_nest(nest)
-            n0 = nest.outer_vars.minima
+            n0 = list(nest.outer_vars.minima)
             for i, dep in enumerate(nest.dependences):
-                cols = [
-                    c
+                cols = {
+                    c.coeffs: c
                     for c in build_legality_columns(dep, i, nest, lay)
                     if c.family == "legality-const"
-                ]
-                for _ in range(5):
-                    x = [rng.randint(-2, 2) for _ in range(lay.size)]
-                    tau_t = IntVector(lay.block(x, "tau", dep.target))
-                    tau_s = IntVector(lay.block(x, "tau", dep.source))
-                    b_t = IntVector(lay.block(x, "b", dep.target))
-                    b_s = IntVector(lay.block(x, "b", dep.source))
-                    for col, vertex in zip(cols, vertices(dep.domain)):
-                        v = vertex_at(vertex, n0)
-                        s = source_point(dep, v, n0)
-                        direct = (
-                            tau_t.dot(v)
-                            + b_t.dot(n0)
-                            + x[lay.offset("a", dep.target)]
-                            - tau_s.dot(s)
-                            - b_s.dot(n0)
-                            - x[lay.offset("a", dep.source)]
-                        )
-                        assert col.value(x) == direct
+                }
+                for vertex in vertices(dep.domain):
+                    form = _coefficients(lambda x: _difference(dep, lay, x, vertex, n0), lay.size)
+                    col = cols[form]
+                    for _ in range(5):
+                        x = [rng.randint(-2, 2) for _ in range(lay.size)]
+                        assert col.value(x) == _difference(dep, lay, x, vertex, n0)
 
 
 class TestAlignmentColumns:
@@ -263,7 +328,7 @@ class TestRankWitnesses:
     def test_first_recursion_unit_candidates(self):
         nest = fixture_nest("stencil")
         lay = ExtendedLayout.for_nest(nest)
-        wits = rank_witnesses({"S1": []}, ["S1"], lay)
+        wits = rank_witnesses({"S1": []}, 2, lay)
         assert [tuple(w.s) for w in wits["S1"]] == [(0, 1), (1, 0)]
         for w in wits["S1"]:
             embedded = w.s_tilde[lay.offset("tau", "S1"): lay.offset("tau", "S1") + 2]
@@ -272,15 +337,18 @@ class TestRankWitnesses:
     def test_candidates_shrink_with_accumulated_rows(self):
         nest = fixture_nest("stencil")
         lay = ExtendedLayout.for_nest(nest)
-        wits = rank_witnesses({"S1": [IntVector([1, 0])]}, ["S1"], lay)
+        wits = rank_witnesses({"S1": [IntVector([1, 0])]}, 1, lay)
         assert [tuple(w.s) for w in wits["S1"]] == [(0, 1)]
 
-    def test_full_rank_raises(self):
-        nest = fixture_nest("stencil")
+    def test_only_statements_with_levels_left_grow(self):
+        # chain23: two statements of depth 3; a statement must grow only
+        # when its kernel has one vector per level left
+        nest = fixture_nest("chain23")
         lay = ExtendedLayout.for_nest(nest)
-        rows = [IntVector([1, 0]), IntVector([0, 1])]
-        with pytest.raises(ValueError, match="full rank"):
-            rank_witnesses({"S1": rows}, ["S1"], lay)
+        one, two = [(1, 0, 0)], [(1, 0, 0), (0, 1, 0)]
+        assert sorted(rank_witnesses({"S1": one, "S2": one}, 2, lay)) == ["S1", "S2"]
+        assert sorted(rank_witnesses({"S1": one, "S2": []}, 2, lay)) == ["S1"]
+        assert sorted(rank_witnesses({"S1": two, "S2": one}, 1, lay)) == ["S1"]
 
 
 class TestSoundness:

@@ -224,7 +224,7 @@ def _random_systems(draw):
             coeffs[k] = c
         weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
         sense = draw(st.sampled_from((GEQ0, ABS)))
-        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", ("g", i), f"c{i}", weight))
+        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", f"c{i}", weight))
     return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
 
 
@@ -248,7 +248,7 @@ def _paired_systems(draw):
                 coeffs[k] = c
             weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
             i = len(columns)
-            columns.append(ConstraintColumn(tuple(coeffs), sense, "f", ("g", i), f"c{i}", weight))
+            columns.append(ConstraintColumn(tuple(coeffs), sense, "f", f"c{i}", weight))
     return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
 
 
@@ -379,8 +379,7 @@ class TestConstructedSystems:
     def _column(self, lay, index, coeff, sense, weight=Fraction(1)):
         coeffs = [0] * lay.size
         coeffs[index] = coeff
-        return ConstraintColumn(tuple(coeffs), sense, "legality-const", ("dep", 0),
-                                f"c{index}", weight)
+        return ConstraintColumn(tuple(coeffs), sense, "legality-const", f"c{index}", weight)
 
     def test_infeasible_when_witness_conflicts(self):
         lay = _layout("vecadd")
@@ -403,8 +402,7 @@ class TestConstructedSystems:
         coeffs = [0] * lay.size
         coeffs[t] = 1
         coeffs[a] = 1
-        cols = [ConstraintColumn(tuple(coeffs), ABS, "align-f", ("acc", ("c", "S1", 1)),
-                                 "tie", Fraction(5))]
+        cols = [ConstraintColumn(tuple(coeffs), ABS, "align-f", "tie", Fraction(5))]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
         from affsched.algebra import IntVector
@@ -423,8 +421,7 @@ class TestConstructedSystems:
         for name, (c0, c1), w in zip("ab", (a, b), weights):
             coeffs = [0] * lay.size
             coeffs[x0], coeffs[x1] = c0, c1
-            cols.append(ConstraintColumn(tuple(coeffs), sense, "align-f",
-                                         ("acc", ("c", "S1", 1)), name, Fraction(w)))
+            cols.append(ConstraintColumn(tuple(coeffs), sense, "align-f", name, Fraction(w)))
         s_tilde = [0] * lay.size
         s_tilde[x0] = 1
         wit = {"S1": [RankWitness("S1", IntVector((1,)), tuple(s_tilde))]}
