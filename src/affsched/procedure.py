@@ -380,20 +380,26 @@ def plan_to_doc(plan: TransformPlan) -> dict:
             {
                 "xi": d.xi,
                 "objective": [d.objective.numerator, d.objective.denominator],
-                "slacks": d.slacks,
+                "slacks": dict(d.slacks),
                 "witnesses": {
                     sid: {"s": list(s), "sign": sign} for sid, (s, sign) in d.witnesses.items()
                 },
-                "active_dependences": d.active_dependences,
-                "active_in_dependences": d.active_in_dependences,
-                "dropped_dependences": d.dropped_dependences,
-                "dropped_in_dependences": d.dropped_in_dependences,
+                "active_dependences": list(d.active_dependences),
+                "active_in_dependences": list(d.active_in_dependences),
+                "dropped_dependences": list(d.dropped_dependences),
+                "dropped_in_dependences": list(d.dropped_in_dependences),
                 "active_space_accesses": [list(k) for k in d.active_space_accesses],
             }
             for d in plan.diagnostics
         ],
         "warnings": list(plan.warnings),
     }
+
+
+def _ints(obj, key: str, where: str) -> list[int]:
+    """Field `key` of `obj` as a list of ints of any length."""
+    what = f"{where}, field {key!r}: entry"
+    return [read_int(v, what) for v in read_field(obj, key, where, list)]
 
 
 def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
@@ -441,15 +447,17 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
             RecursionDiagnostics(
                 xi=xi,
                 objective=_fraction(d, "objective", where, f"plan objective of recursion {xi}"),
-                slacks=read_field(d, "slacks", where, dict),
+                slacks={label: read_int(v, f"{where} slack {label!r}")
+                        for label, v in read_field(d, "slacks", where, dict).items()},
                 witnesses={
-                    sid: (tuple(read_field(w, "s", where, list)), read_field(w, "sign", where))
+                    sid: (tuple(_ints(w, "s", where)),
+                          read_int(read_field(w, "sign", where), f"{where} witness sign"))
                     for sid, w in read_field(d, "witnesses", where, dict).items()
                 },
-                active_dependences=read_field(d, "active_dependences", where, list),
-                active_in_dependences=read_field(d, "active_in_dependences", where, list),
-                dropped_dependences=read_field(d, "dropped_dependences", where, list),
-                dropped_in_dependences=read_field(d, "dropped_in_dependences", where, list),
+                active_dependences=_ints(d, "active_dependences", where),
+                active_in_dependences=_ints(d, "active_in_dependences", where),
+                dropped_dependences=_ints(d, "dropped_dependences", where),
+                dropped_in_dependences=_ints(d, "dropped_in_dependences", where),
                 active_space_accesses=[tuple(k) for k in spaces],
             )
         )

@@ -218,6 +218,10 @@ class TestValidate:
         (("weights",), [1]),
         (("warnings",), 3),
         (("diagnostics", 0, "witnesses"), [1]),
+        (("diagnostics", 0, "slacks", "dep0.v0"), 0.5),
+        (("diagnostics", 0, "witnesses", "S1", "sign"), "x"),
+        (("diagnostics", 0, "witnesses", "S1", "s"), [1, "0"]),
+        (("diagnostics", 0, "dropped_dependences"), [0.0]),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"
