@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -36,7 +37,7 @@ def _all_nests():
     return nests
 
 
-def _difference(dep, lay, x, vertex, n_vals):
+def _difference(x, dep, lay, vertex, n_vals):
     """t(target) - t(source) under the coefficient vector `x`, evaluated
     directly at the dependence's `vertex` and parameters `n_vals`."""
     v = vertex_at(vertex, n_vals)
@@ -49,25 +50,27 @@ def _difference(dep, lay, x, vertex, n_vals):
     return t(dep.target, v) - t(dep.source, s)
 
 
+def _step(x, dep, lay, vertex, n0, n_vals):
+    """What moving the parameters from `n0` to `n_vals` adds to the difference."""
+    return _difference(x, dep, lay, vertex, n_vals) - _difference(x, dep, lay, vertex, n0)
+
+
 def _direct_forms(dep, nest, lay):
-    """Per vertex, (constant form, [parameter form per outer variable]) as
-    linear forms over the extended vector: functions of x, evaluated directly.
+    """Every vertex's constant form, then its parameter form per outer
+    variable, as (family, linear function of x) evaluated directly.
 
     The constant form is the difference at N^(0); the parameter form of
     outer variable j is what one more unit of N_j adds to it.
     """
     n0 = list(nest.outer_vars.minima)
     steps = [[m + (k == j) for k, m in enumerate(n0)] for j in range(len(n0))]
-    out = []
+    forms = []
     for vertex in vertices(dep.domain):
-        def const(x, vertex=vertex):
-            return _difference(dep, lay, x, vertex, n0)
-
-        def param(x, n, vertex=vertex):
-            return _difference(dep, lay, x, vertex, n) - _difference(dep, lay, x, vertex, n0)
-
-        out.append((const, [lambda x, n=n, param=param: param(x, n) for n in steps]))
-    return out
+        forms.append(("legality-const", partial(_difference, dep=dep, lay=lay, vertex=vertex,
+                                                n_vals=n0)))
+        forms += [("legality-param", partial(_step, dep=dep, lay=lay, vertex=vertex, n0=n0,
+                                             n_vals=n)) for n in steps]
+    return forms
 
 
 def _coefficients(form, size):
@@ -131,25 +134,16 @@ class TestColumnTerms:
 class TestLegalityColumns:
     def test_column_count_law(self):
         # one column per distinct constant form and per distinct nonzero
-        # parameter form, in order of first occurrence
+        # parameter form, in order of first occurrence; no zero parameter column
         for name, nest in _all_nests().items():
             lay = ExtendedLayout.for_nest(nest)
             for i, dep in enumerate(nest.dependences):
-                forms = []
-                for const, params in _direct_forms(dep, nest, lay):
-                    forms.append(("legality-const", _coefficients(const, lay.size)))
-                    forms += [("legality-param", _coefficients(p, lay.size)) for p in params]
+                forms = [(family, _coefficients(form, lay.size))
+                         for family, form in _direct_forms(dep, nest, lay)]
                 distinct = [f for f in dict.fromkeys(forms)
                             if f[0] == "legality-const" or any(f[1])]
                 cols = build_legality_columns(dep, i, nest, lay)
                 assert [(c.family, c.coeffs) for c in cols] == distinct, (name, i)
-
-    def test_no_zero_parameter_columns(self):
-        for name, nest in _all_nests().items():
-            lay = ExtendedLayout.for_nest(nest)
-            for i, dep in enumerate(nest.dependences):
-                for col in build_legality_columns(dep, i, nest, lay):
-                    assert col.family == "legality-const" or col.terms, (name, col.label)
 
     def test_multiplicity_weights(self):
         # the weighted slack of the built columns is that of every per-vertex
@@ -160,8 +154,7 @@ class TestLegalityColumns:
             lay = ExtendedLayout.for_nest(nest)
             for i, dep in enumerate(nest.dependences):
                 cols = build_legality_columns(dep, i, nest, lay, weight)
-                forms = [f for const, params in _direct_forms(dep, nest, lay)
-                         for f in (const, *params)]
+                forms = [form for _, form in _direct_forms(dep, nest, lay)]
                 for _ in range(5):
                     x = [rng.randint(-3, 3) for _ in range(lay.size)]
                     direct = sum(abs(f(x)) if dep.kind == "in" else f(x) for f in forms)
@@ -217,11 +210,11 @@ class TestLegalityColumns:
                     if c.family == "legality-const"
                 }
                 for vertex in vertices(dep.domain):
-                    form = _coefficients(lambda x: _difference(dep, lay, x, vertex, n0), lay.size)
-                    col = cols[form]
+                    direct = partial(_difference, dep=dep, lay=lay, vertex=vertex, n_vals=n0)
+                    col = cols[_coefficients(direct, lay.size)]
                     for _ in range(5):
                         x = [rng.randint(-2, 2) for _ in range(lay.size)]
-                        assert col.value(x) == _difference(dep, lay, x, vertex, n0)
+                        assert col.value(x) == direct(x)
 
 
 class TestAlignmentColumns:

@@ -463,6 +463,20 @@ class TestSerialization:
         (("statements", "S1", "a"), [True, 0], "field 'a': entry True is not an int"),
         (("arrays", "u", "H"), [[1, 0.0]], "field 'H': entry 0.0 is not an int"),
         (("weights", "space"), [2.5, 1], "field 'space': entry 2.5 is not an int"),
+        # fields of the wrong JSON type
+        (("statements", "S1", "T"), 5, "field 'T' must be a list, got int"),
+        (("statements", "S1", "T"), [[1, 0], 0], "field 'T': row 1 is 0, expected 2x2"),
+        (("statements", "S1", "a"), 5, "field 'a' must be a list, got int"),
+        (("weights", "space"), 5, "field 'space' must be a list, got int"),
+        (("weights",), [1], "field 'weights' must be an object, got list"),
+        (("statements",), ["S1"], "field 'statements' must be an object, got list"),
+        (("warnings",), 3, "field 'warnings' must be a list, got int"),
+        (("diagnostics",), 3, "field 'diagnostics' must be a list, got int"),
+        (("diagnostics", 0, "objective"), 3, "field 'objective' must be a list, got int"),
+        (("diagnostics", 0, "witnesses"), [1], "field 'witnesses' must be an object, got list"),
+        (("diagnostics", 0, "active_space_accesses"), [1],
+         "field 'active_space_accesses' must hold lists"),
+        # non-integer diagnostics
         (("diagnostics", 0, "slacks", "dep0.v0"), 0.5, "slack 'dep0.v0' 0.5 is not an int"),
         (("diagnostics", 0, "slacks", "dep0.v0"), "1", "slack 'dep0.v0' '1' is not an int"),
         (("diagnostics", 0, "witnesses", "S1", "sign"), "x", "witness sign 'x' is not an int"),
@@ -477,23 +491,11 @@ class TestSerialization:
          "field 'dropped_dependences': entry 1.0 is not an int"),
         (("diagnostics", 0, "dropped_in_dependences"), [None],
          "field 'dropped_in_dependences': entry None is not an int"),
-        # fields of the wrong JSON type
-        (("statements", "S1", "T"), 5, "field 'T' must be a list, got int"),
-        (("statements", "S1", "T"), [[1, 0], 0], "field 'T': row 1 is 0, expected 2x2"),
-        (("statements", "S1", "a"), 5, "field 'a' must be a list, got int"),
-        (("weights", "space"), 5, "field 'space' must be a list, got int"),
-        (("weights",), [1], "field 'weights' must be an object, got list"),
-        (("statements",), ["S1"], "field 'statements' must be an object, got list"),
-        (("warnings",), 3, "field 'warnings' must be a list, got int"),
-        (("diagnostics",), 3, "field 'diagnostics' must be a list, got int"),
-        (("diagnostics", 0, "objective"), 3, "field 'objective' must be a list, got int"),
-        (("diagnostics", 0, "witnesses"), [1], "field 'witnesses' must be an object, got list"),
+        # diagnostics of the wrong JSON type
         (("diagnostics", 0, "slacks"), [1], "field 'slacks' must be an object, got list"),
         (("diagnostics", 0, "witnesses", "S1", "s"), 1, "field 's' must be a list, got int"),
         (("diagnostics", 0, "dropped_dependences"), 0,
          "field 'dropped_dependences' must be a list, got int"),
-        (("diagnostics", 0, "active_space_accesses"), [1],
-         "field 'active_space_accesses' must hold lists"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks
