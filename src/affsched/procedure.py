@@ -396,10 +396,14 @@ def plan_to_doc(plan: TransformPlan) -> dict:
     }
 
 
-def _ints(obj, key: str, where: str) -> list[int]:
-    """Field `key` of `obj` as a list of ints of any length."""
+def _indices(obj, key: str, where: str, allowed: list[int]) -> list[int]:
+    """Field `key` of `obj` as a list of ints, each one of `allowed`."""
     what = f"{where}, field {key!r}: entry"
-    return [read_int(v, what) for v in read_field(obj, key, where, list)]
+    out = [read_int(v, what) for v in read_field(obj, key, where, list)]
+    for i in out:
+        if i not in allowed:
+            raise ValueError(f"{what} {i} is not one of {allowed}")
+    return out
 
 
 def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
@@ -408,10 +412,16 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     A missing field, a field of the wrong JSON type, a non-integer where an
     integer is expected, statements or arrays other than the nest's, an
     r_space outside [0, depth), a matrix or vector whose shape disagrees with
-    the nest and r_space, or a zero denominator raise ValueError.
+    the nest and r_space, or a zero denominator raise ValueError.  So do
+    diagnostics out of range: a witness for a statement the nest lacks, of
+    the wrong length or with a sign other than +-1, and a dependence index
+    that is not one of the nest's dependences of that kind (`in` or not).
     """
     e = nest.outer_vars.count
     n = nest.max_depth
+    depths = {s.id: s.depth for s in nest.statements}
+    other_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind != "in"]
+    in_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind == "in"]
     r_space = read_int(read_field(doc, "r_space", "plan document"), "plan r_space")
     if not 0 <= r_space < n:
         raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
@@ -443,21 +453,25 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
         spaces = read_field(d, "active_space_accesses", where, list)
         if not all(isinstance(k, list) for k in spaces):
             raise ValueError(f"{where}, field 'active_space_accesses' must hold lists")
+        witnesses = {}
+        for sid, w in read_field(d, "witnesses", where, dict).items():
+            if sid not in depths:
+                raise ValueError(f"{where}: witness for statement {sid!r}, which the nest lacks")
+            sign = read_int(read_field(w, "sign", where), f"{where} witness sign")
+            if sign not in (1, -1):
+                raise ValueError(f"{where} witness sign {sign} is not 1 or -1")
+            witnesses[sid] = (tuple(read_vector(w, "s", depths[sid], where)), sign)
         diagnostics.append(
             RecursionDiagnostics(
                 xi=xi,
                 objective=_fraction(d, "objective", where, f"plan objective of recursion {xi}"),
                 slacks={label: read_int(v, f"{where} slack {label!r}")
                         for label, v in read_field(d, "slacks", where, dict).items()},
-                witnesses={
-                    sid: (tuple(_ints(w, "s", where)),
-                          read_int(read_field(w, "sign", where), f"{where} witness sign"))
-                    for sid, w in read_field(d, "witnesses", where, dict).items()
-                },
-                active_dependences=_ints(d, "active_dependences", where),
-                active_in_dependences=_ints(d, "active_in_dependences", where),
-                dropped_dependences=_ints(d, "dropped_dependences", where),
-                dropped_in_dependences=_ints(d, "dropped_in_dependences", where),
+                witnesses=witnesses,
+                active_dependences=_indices(d, "active_dependences", where, other_deps),
+                active_in_dependences=_indices(d, "active_in_dependences", where, in_deps),
+                dropped_dependences=_indices(d, "dropped_dependences", where, other_deps),
+                dropped_in_dependences=_indices(d, "dropped_in_dependences", where, in_deps),
                 active_space_accesses=[tuple(k) for k in spaces],
             )
         )

@@ -22,10 +22,10 @@ statement's options are (w1, +1), (w1, -1), (w2, +1), ... in candidate order;
 the witness rows join the interval bookkeeping, and a node is cut as soon as
 some statement has no option left that can still be met.
 
-Solutions are ranked by one key: the objective, then per statement (in layout
-order) the index of its earliest satisfied option, then the coefficient
-vector lexicographically.  The reported witness of each statement is its
-earliest satisfied option.  No floating point anywhere.
+Among the vectors of least objective the search returns the first one it
+meets: it takes the used variables in layout order and tries each variable's
+values in the order 0, 1, -1, 2, -2, ...  The reported witness of each
+statement is its earliest satisfied option.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -83,20 +83,15 @@ def _value_order(bound: int):
     return tuple(vals)
 
 
-# options of the sentinel incumbent: above the options of every real key, so
-# no real key ties it and a real key at the cap ranks below it
-_ABOVE_OPTIONS = (1 << 60,)
-
-
 class _Search:
-    """Minimize the ranking key over the box under linear constraints.
+    """Minimize the objective over the box under linear constraints.
 
     A node at depth k has the first k variables assigned, knows its
     objective lower bound and knows that no column is dead (a GEQ0 column
     whose interval lies below zero).  Only the rows that variable k touches
     change between a node and its children, so the parent derives each
     child's bound from those rows alone and skips a child that has a dead
-    column, or whose bound is above the incumbent's objective.
+    column, or whose bound is not below the incumbent's objective.
 
     The bound is the sum over columns of weight times d, the distance of the
     column's interval from 0, plus for each pair (a, b, c) with m = min(w_a,
@@ -197,16 +192,18 @@ class _Search:
     def run(self, cap):
         """One pass under the objective cap `cap` (scaled units).
 
-        The pass starts from a sentinel incumbent at the cap, which cuts every
-        node and child whose bound is above it and ties no real key.  If the
-        pass finds a vector, the optimum is at most the cap, so the cap cut
-        only subtrees worse than the optimum and `best_x` is the least key's
-        vector.  If not, `over_cap` is the least bound cut by the cap, or None
-        when the cap cut nothing and the box holds no feasible vector at all.
+        The pass starts from a sentinel incumbent objective of cap + 1, which
+        cuts every child whose bound is above the cap.  A child is entered
+        only if its bound is below the incumbent's, so until the first
+        optimal leaf is met every cut subtree is bounded above the optimum:
+        if the pass finds a vector, `best_x` is the first vector of least
+        objective in search order, whatever the bounds and the cap.  If not,
+        `over_cap` is the least bound cut by the cap, or None when the cap
+        cut nothing and the box holds no feasible vector at all.
         """
         self.passes += 1
         self.cap = cap
-        self.best_key = (cap, _ABOVE_OPTIONS)  # (objective, options) of the incumbent
+        self.best = cap + 1
         self.best_x = None
         least = self.dfs()
         self.over_cap = None if least == self.none else least
@@ -214,18 +211,17 @@ class _Search:
     def solution(self) -> Solution:
         """The incumbent of the last pass as a full-layout solution."""
         system = self.system
-        obj, options = self.best_key
         full = [0] * system.layout.size
         for g, v in zip(self.used, self.best_x):
             full[g] = v
         full = tuple(full)
         return Solution(
             x=full,
-            objective=Fraction(obj, self.scale),
+            objective=Fraction(self.best, self.scale),
             slacks={col.label: col.slack(full) for col in system.columns},
             witness_used={
                 sid: (system.witnesses[sid][o // 2].s, -1 if o % 2 else 1)
-                for sid, o in zip(self.statements, options)
+                for sid, o in zip(self.statements, self.best_options)
             },
             nodes=self.nodes,
             passes=self.passes,
@@ -252,7 +248,8 @@ class _Search:
         return tuple(options)
 
     def dfs(self, k=0, lb=0):
-        """Search below the node at depth k whose objective lower bound is lb.
+        """Search below the node at depth k whose objective lower bound is lb,
+        which is below the incumbent's.
 
         At the root every partial sum is 0, so each column's interval
         contains 0: the bound is 0 and no column is dead.  While the pass has
@@ -268,14 +265,8 @@ class _Search:
         options = self._options(k)
         if options is None:
             return least
-        key = (lb, options)
-        if key > self.best_key:
-            return least
-        # on a tie only lexicographically smaller completions can still win
-        if key == self.best_key and tuple(self.assign[:k]) > self.best_x[:k]:
-            return least
         if k == self.nvars:
-            self.best_key, self.best_x = key, tuple(self.assign)
+            self.best, self.best_options, self.best_x = lb, options, tuple(self.assign)
             return least
         partial = self.partial
         columns = self.columns_at[k]
@@ -316,8 +307,9 @@ class _Search:
                                    + max(abs(partial[b] + cb * v) - sb, 0))
                         if excess > 0:
                             child += m * excess
-                if child > self.best_key[0]:
-                    # cut by the cap alone: the next pass needs a cap this high
+                if child >= self.best:
+                    # while there is no incumbent, cut by the cap alone: the
+                    # next pass needs a cap this high
                     if child < least:
                         least = child
                     continue
@@ -375,9 +367,9 @@ def _weight_scale(system: ConstraintSystem) -> int:
 def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution:
     """Minimize the weighted slack objective over the bounded integer box.
 
-    Variables appearing in no column and no witness are pinned to zero.  On
-    objective ties the earliest satisfied witness options win (positive sign
-    preferred), then the lexicographically smallest vector.  The search runs
+    Variables appearing in no column and no witness are pinned to zero.  Of
+    the vectors of least objective the first in search order wins: the used
+    variables in layout order, each trying 0, 1, -1, 2, -2, ...  The search runs
     capped passes from cap 0: a pass that fails proves the optimum is at
     least the least bound its cap cut, and the next cap is that bound or
     twice the cap, whichever is larger.

@@ -222,6 +222,11 @@ class TestValidate:
         (("diagnostics", 0, "witnesses", "S1", "sign"), "x"),
         (("diagnostics", 0, "witnesses", "S1", "s"), [1, "0"]),
         (("diagnostics", 0, "dropped_dependences"), [0.0]),
+        # diagnostics out of range
+        (("diagnostics", 0, "witnesses", "S1", "sign"), 5),
+        (("diagnostics", 0, "witnesses", "S1", "s"), [1, 0, 7]),
+        (("diagnostics", 0, "witnesses", "S9"), {"s": [1, 0], "sign": 1}),
+        (("diagnostics", 0, "active_dependences"), [-3, 99]),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"

@@ -13,7 +13,8 @@ from a checkout whose plans, reports and searches are the intended ones:
 
     PYTHONPATH=src python tests/test_plan_digests.py --write
 
-It prints, per file, the ids of the cases whose pins changed.
+It prints, per file, the ids of the cases whose pins changed, and how many
+cases' recursion objectives changed.
 """
 
 import hashlib
@@ -156,4 +157,8 @@ if __name__ == "__main__":
         print(f"{path.name}: {len(changed)} of {len(pinned)} cases changed")
         for cid in changed:
             print(f"  {cid}")
+        if path == SEARCH_COUNTS:
+            moved = [cid for cid in pinned
+                     if [o for *_, o in old.get(cid, [])] != [o for *_, o in pinned[cid]]]
+            print(f"{path.name}: objectives changed in {len(moved)} of {len(pinned)} cases")
         path.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 """Recursive procedure: frozen fixture plans, drop rules, serialization."""
 
 import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,24 +74,25 @@ class TestFrozenPlans:
         plan = fixture_plan("chain23", 1)
         for sid in ("S1", "S2"):
             assert plan.statements[sid].schedule.rows == (
-                (-2, 1, 0), (-2, 2, 0), (-2, -2, 1)
+                (0, 1, 0), (1, 0, 0), (0, 0, 1)
             )
+            assert plan.statements[sid].param.rows == ((0,), (0,), (0,))
         for aid in ("A0", "A1", "A2"):
-            assert plan.arrays[aid].placement.rows == ((-2, 1, 0),)
+            assert plan.arrays[aid].placement.rows == ((0, 1, 0),)
         assert [d.objective for d in plan.diagnostics] == [0, 0, 0]
         assert [d.witnesses for d in plan.diagnostics] == [
             {sid: (s, 1) for sid in ("S1", "S2")}
-            for s in ((0, 1, 0), (1, 2, 0), (0, 0, 1))
+            for s in ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         ]
 
     def test_chain42(self):
         # four depth-2 statements: the widest layout run end to end
         plan = fixture_plan("chain42", 1)
-        for sid, const in (("S1", (-1, 1)), ("S2", (0, -2)), ("S3", (-1, 0)), ("S4", (-2, 1))):
-            assert plan.statements[sid].schedule.rows == ((1, 0), (-2, 1))
-            assert plan.statements[sid].param.rows == ((-2,), (-2,))
+        for sid, const in (("S1", (0, 0)), ("S2", (1, -1)), ("S3", (0, -1)), ("S4", (-1, -2))):
+            assert plan.statements[sid].schedule.rows == ((1, 0), (0, 1))
+            assert plan.statements[sid].param.rows == ((0,), (0,))
             assert tuple(plan.statements[sid].const) == const
-        for aid, const in (("A0", -1), ("A1", -1), ("A2", 0), ("A3", -1), ("A4", -2)):
+        for aid, const in (("A0", 0), ("A1", 0), ("A2", 1), ("A3", 0), ("A4", -1)):
             assert plan.arrays[aid].placement.rows == ((1, 0),)
             assert tuple(plan.arrays[aid].const) == (const,)
         assert [d.objective for d in plan.diagnostics] == [0, 0]
@@ -103,6 +105,36 @@ class TestFrozenPlans:
         a = plan_to_doc(run_procedure(fixture_nest("matmul"), r_space=1))
         b = plan_to_doc(run_procedure(fixture_nest("matmul"), r_space=1))
         assert a == b
+
+
+# generated chains, (statements, depth, seed of their offsets, r): every
+# recursion's optimum is 0, and a search that kept hunting ties past its
+# first optimal vector took seconds on them or ran out of time
+GENERATED_CHAINS = [(5, 3, 5, 1), (16, 2, 16, 1), (6, 3, 63, 1), (6, 3, 63, 2),
+                    (3, 4, 34, 1), (6, 3, 6, 1), (4, 4, 44, 1), (6, 4, 64, 1)]
+
+
+class TestGeneratedChains:
+    @pytest.mark.parametrize("k,d,seed,r", GENERATED_CHAINS,
+                             ids=[f"chain({k},{d}) S={s} r={r}" for k, d, s, r in GENERATED_CHAINS])
+    def test_solves_fast_and_validates(self, monkeypatch, k, d, seed, r):
+        gen = perfbench_module("gen")
+        nest = load_nest(gen.chain(gen.draw_offsets(k, d, random.Random(seed))))
+        searches = []
+        solve = procedure.solve
+
+        def counting(system, cfg):
+            sol = solve(system, cfg)
+            searches.append((sol.objective, sol.nodes))
+            return sol
+
+        monkeypatch.setattr(procedure, "solve", counting)
+        plan = run_procedure(nest, r_space=r, solver_cfg=SolverConfig(time_limit=20))
+        # node counts are deterministic
+        assert [obj for obj, _ in searches] == [0] * d
+        assert max(nodes for _, nodes in searches) < 1000
+        for n in (6, 8):
+            assert validate(nest, plan, [n]).passed
 
 
 class TestSearchEvents:
@@ -496,6 +528,18 @@ class TestSerialization:
         (("diagnostics", 0, "witnesses", "S1", "s"), 1, "field 's' must be a list, got int"),
         (("diagnostics", 0, "dropped_dependences"), 0,
          "field 'dropped_dependences' must be a list, got int"),
+        # diagnostics out of range
+        (("diagnostics", 0, "witnesses", "S1", "sign"), 5, "witness sign 5 is not 1 or -1"),
+        (("diagnostics", 0, "witnesses", "S1", "sign"), 0, "witness sign 0 is not 1 or -1"),
+        (("diagnostics", 0, "witnesses", "S1", "s"), [1, 0, 7], "field 's': 3 entries, expected 2"),
+        (("diagnostics", 0, "witnesses", "S9"), {"s": [1, 0], "sign": 1},
+         "witness for statement 'S9', which the nest lacks"),
+        (("diagnostics", 0, "active_dependences"), [-3, 99],
+         r"field 'active_dependences': entry -3 is not one of \[0, 1\]"),
+        (("diagnostics", 0, "dropped_dependences"), [2],
+         r"field 'dropped_dependences': entry 2 is not one of \[0, 1\]"),
+        (("diagnostics", 0, "active_in_dependences"), [0],
+         r"field 'active_in_dependences': entry 0 is not one of \[\]"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks
