@@ -1,11 +1,21 @@
 """Affine loop-nest scheduling and data allocation for distributed memory."""
 
 from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
-from .nest import LoopNest, enumerate_domain, load_nest, serialize, vertices
+from .nest import LoopNest, load_nest, serialize, vertices
 from .solver import SolverConfig
 from .procedure import TransformPlan, WeightConfig, plan_from_doc, plan_to_doc, run_procedure
 from .comm import comm_report, detect_broadcast, exchange_requirements
-from .validation import validate
+
+
+def __getattr__(name):
+    # the validator is the only numpy user: import it on first use (PEP 562)
+    if name in ("enumerate_domain", "validate"):
+        from . import validation
+
+        value = globals()[name] = getattr(validation, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "IntMatrix",

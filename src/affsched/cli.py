@@ -17,7 +17,6 @@ from .procedure import (
     run_procedure,
 )
 from .solver import SolverConfig, SolverTimeout
-from .validation import validate
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -166,6 +165,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validation import validate  # the only command that needs numpy
+
     nest = load_nest(_read_json(args.input, "input"))
     plan = plan_from_doc(_read_json(args.plan, "plan"), nest)
     settings = _parse_params(nest, args.params)

@@ -14,18 +14,10 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import IntMatrix, IntVector, dot
 
 DEP_KINDS = ("flow", "anti", "out", "in")
 ACCESS_KINDS = ("read", "write")
-
-DEFAULT_ENUM_CAP = 10**6
-
-# bound on every coordinate the validator holds in int64: the difference of
-# two such values still fits
-INT64_SAFE = 1 << 62
 
 
 class NestError(ValueError):
@@ -178,30 +170,6 @@ def _corners_at(domain: Domain, n_vals) -> list[tuple[int, ...]]:
                                         for lo, hi in domain.box]))
     return [tuple(dot(r, n_vals) + w for r, w in zip(rows, omega))
             for rows, omega in vertices(domain)]
-
-
-def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
-    """All integer points of a box domain at concrete parameters, lex order.
-
-    Returns an int64 array of shape (points, dim), one point per row.
-    """
-    if domain.box is None:
-        raise EnumerationError("explicit-vertex domains cannot be enumerated")
-    lows, extents = [], []
-    total = 1
-    for lo, hi in domain.box:
-        a, b = lo.value_at(n_vals), hi.value_at(n_vals)
-        if b < a:
-            raise EnumerationError(f"empty domain at N={tuple(n_vals)}: [{a}..{b}]")
-        total *= b - a + 1
-        if total > DEFAULT_ENUM_CAP:
-            raise EnumerationError(f"domain has more than {DEFAULT_ENUM_CAP} points")
-        if max(-a, b) >= INT64_SAFE:
-            raise EnumerationError(f"domain bound beyond 2**62 at N={tuple(n_vals)}: [{a}..{b}]")
-        lows.append(a)
-        extents.append(b - a + 1)
-    grid = np.indices(extents, dtype=np.int64).reshape(len(extents), total)
-    return grid.T + np.array(lows, dtype=np.int64)
 
 
 def contains_point(domain: Domain, point, n_vals) -> bool:

@@ -10,7 +10,9 @@ owners are matrix products over such arrays, and the legality,
 communication/reuse, row-locality and broadcast checks work on whole
 arrays.  Each product is bounded in Python ints first: one whose entries
 could reach 2**62 raises `EnumerationError` instead of wrapping around.
-Also hosts the exhaustive solver oracle.
+Also hosts the exhaustive solver oracle.  This is the only module that
+imports numpy: the package loads it on the first use of `validate` or
+`enumerate_domain`, so planning and reporting never pay for it.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from .constraints import (
     locality_depth,
     row_locality,
 )
-from .nest import (
-    INT64_SAFE,
-    Domain,
-    EnumerationError,
-    LoopNest,
-    enumerate_domain,
-)
+from .nest import Domain, EnumerationError, LoopNest
 from .procedure import (
     TransformPlan,
     WeightConfig,
@@ -48,6 +44,12 @@ from .procedure import (
 # no caller here: perfbench's tracer patches these bindings (tests/test_bench_bindings.py)
 from .procedure import placement_of, schedule_of  # noqa: F401
 from .solver import InfeasibleError
+
+DEFAULT_ENUM_CAP = 10**6
+
+# bound on every coordinate the validator holds in int64: the difference of
+# two such values still fits
+INT64_SAFE = 1 << 62
 
 
 @dataclass
@@ -97,6 +99,30 @@ def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc) -> int | No
     if rule is None:
         return None
     return locality_depth(plan.statements[acc.statement].schedule.rows, rule)
+
+
+def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
+    """All integer points of a box domain at concrete parameters, lex order.
+
+    Returns an int64 array of shape (points, dim), one point per row.
+    """
+    if domain.box is None:
+        raise EnumerationError("explicit-vertex domains cannot be enumerated")
+    lows, extents = [], []
+    total = 1
+    for lo, hi in domain.box:
+        a, b = lo.value_at(n_vals), hi.value_at(n_vals)
+        if b < a:
+            raise EnumerationError(f"empty domain at N={tuple(n_vals)}: [{a}..{b}]")
+        total *= b - a + 1
+        if total > DEFAULT_ENUM_CAP:
+            raise EnumerationError(f"domain has more than {DEFAULT_ENUM_CAP} points")
+        if max(-a, b) >= INT64_SAFE:
+            raise EnumerationError(f"domain bound beyond 2**62 at N={tuple(n_vals)}: [{a}..{b}]")
+        lows.append(a)
+        extents.append(b - a + 1)
+    grid = np.indices(extents, dtype=np.int64).reshape(len(extents), total)
+    return grid.T + np.array(lows, dtype=np.int64)
 
 
 def _affine(points: np.ndarray, coeffs: IntMatrix, params: IntMatrix, const, n_vals) -> np.ndarray:
@@ -151,6 +177,15 @@ def _pairs(di: int, sources: np.ndarray, targets: np.ndarray, mask) -> list[tupl
 
 def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
     """Brute-force re-check of every claim a plan makes, at concrete parameters."""
+    names = nest.outer_vars.names
+    n_vals = tuple(n_vals)
+    if len(n_vals) != len(names):
+        raise ValueError(
+            f"{len(n_vals)} parameter values {n_vals} for the {len(names)} parameters {names}"
+        )
+    for name, v in zip(names, n_vals):
+        if isinstance(v, bool):  # an int subclass, so IntVector would read it as 0 or 1
+            raise ValueError(f"value {v!r} of parameter {name!r} is not an int")
     n_vals = IntVector(n_vals)
     minima = nest.outer_vars.minima
     if any(v < m for v, m in zip(n_vals, minima)):

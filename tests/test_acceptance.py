@@ -12,10 +12,10 @@ import time
 from affsched.algebra import IntMatrix, IntVector, integer_kernel_basis, rank
 from affsched.comm import detect_broadcast
 from affsched.constraints import ExtendedLayout, build_legality_columns
-from affsched.nest import enumerate_domain
 from affsched.solver import SolverConfig, solve
 from affsched.validation import (
     brute_force_best_alignment,
+    enumerate_domain,
     first_recursion_system,
     validate,
 )

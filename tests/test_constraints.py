@@ -23,8 +23,9 @@ from affsched.constraints import (
     rank_witnesses,
     row_locality,
 )
-from affsched.nest import enumerate_domain, load_nest, vertices
+from affsched.nest import load_nest, vertices
 from affsched.procedure import initial_sets
+from affsched.validation import enumerate_domain
 from conftest import fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at
 
 FIXTURES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul", "chain23", "chain42")

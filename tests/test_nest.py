@@ -9,11 +9,11 @@ from affsched.nest import (
     EnumerationError,
     NestError,
     contains_point,
-    enumerate_domain,
     load_nest,
     serialize,
     vertices,
 )
+from affsched.validation import enumerate_domain
 from conftest import (
     FIXTURE_NAMES,
     fixture_doc,

@@ -170,6 +170,17 @@ class TestLegality:
         with pytest.raises(TypeError):
             validate(fixture_nest("stencil"), fixture_plan("stencil", 1), n_vals)
 
+    @pytest.mark.parametrize("n_vals, match", [
+        ([6, 7], r"2 parameter values \(6, 7\) for the 1 parameters \('N',\)"),
+        ([], r"0 parameter values \(\) for the 1 parameters \('N',\)"),
+        ([True], r"value True of parameter 'N' is not an int"),
+    ], ids=repr)
+    def test_wrong_params_rejected(self, n_vals, match):
+        # checked before any product: a bool is not read as N = 1, and a
+        # count that differs from the nest's does not fail deep in a matvec
+        with pytest.raises(ValueError, match=match):
+            validate(fixture_nest("stencil"), fixture_plan("stencil", 1), n_vals)
+
 
 class TestCommunicationCounts:
     def test_communication_free(self):
