@@ -6,20 +6,20 @@ numpy and resolved `affsched.validate`.
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 from conftest import FIXTURE_DIR
 
 SRC_DIR = FIXTURE_DIR.parent / "src"
-TESTS_DIR = FIXTURE_DIR.parent / "tests"
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
 
 def run_fresh(code: str, tmp_path) -> dict:
     """The JSON object that `code` prints last, run in a new interpreter."""
-    path = os.pathsep.join(
-        [str(SRC_DIR), str(TESTS_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    )
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), str(TESTS_DIR),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
