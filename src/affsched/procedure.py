@@ -250,8 +250,10 @@ def run_procedure(
             raise SolverTimeout(f"recursion {xi}: {exc}") from exc
         witnesses = {sid: (tuple(s), sign) for sid, (s, sign) in sol.witness_used.items()}
         log.debug(
-            "recursion %d: objective %s after %d passes (final cap %s), %d nodes, witnesses %s",
-            xi, sol.objective, sol.passes, sol.cap, sol.nodes, witnesses,
+            "recursion %d: objective %s after %d passes (final cap %s), %d nodes, "
+            "%d rows (%d implied), witnesses %s",
+            xi, sol.objective, sol.passes, sol.cap, sol.nodes, sol.rows, sol.implied_rows,
+            witnesses,
         )
         x = sol.x
         xs.append(x)

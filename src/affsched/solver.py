@@ -14,7 +14,14 @@ weights (scaled to integers once), which keeps every bound, and a zero
 column gets no row.  Two columns a and b that end at the same variable with
 equal |coefficient| there are also bounded as a pair through c = a +- b,
 which cancels that variable: |a| + |b| >= |c| prices the pair from c's
-interval levels before a and b are fixed.
+interval levels before a and b are fixed.  Two GEQ0 rows r1 and r2 that end
+at the same variable with coefficients c1 > 0 and -c2 < 0 there imply the
+row c2*r1 + c1*r2 >= 0 without it, one step of Fourier-Motzkin elimination
+(as in Pugh's Omega test).  Each such row, divided by the gcd of its
+entries, joins the dead check with weight 0 unless it is zero or already a
+GEQ0 row, so a child that r1 and r2 can only rule out together is cut at
+the depth of the implied row's last variable.  The rows are built once, in
+one round, and cut no feasible vector, so plans do not depend on them.
 
 Rank growth is a disjunction: for each statement that must grow, the new
 schedule row needs sign * s~.x >= 1 for some kernel witness s and sign.  A
@@ -34,7 +41,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import IntVector
 from .constraints import ABS, GEQ0, ConstraintSystem
@@ -59,6 +66,9 @@ class SolverConfig:
             raise TypeError(f"coeff_bound {self.coeff_bound!r} is not an int")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
+        # True would run as a 1-second budget
+        if isinstance(self.time_limit, bool):
+            raise TypeError(f"time_limit {self.time_limit!r} is not a number of seconds")
         # written so that NaN fails too
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError(f"time_limit must be > 0 seconds, got {self.time_limit}")
@@ -73,6 +83,8 @@ class Solution:
     nodes: int  # search nodes entered over all passes; deterministic for a given system
     passes: int  # capped passes run, the last one successful
     cap: Fraction  # objective cap of the last pass
+    rows: int  # rows the search bounds: merged columns, pair combinations, implied rows
+    implied_rows: int  # of those, rows implied by two GEQ0 columns
 
 
 def _value_order(bound: int):
@@ -99,8 +111,9 @@ class _Search:
     w_a*|a| + w_b*|b| >= (w_a - m)*d_a + (w_b - m)*d_b + m*max(d_a + d_b, d_c).
     An ABS pair uses |a| + |b| >= |a +- b|; a GEQ0 pair uses a + b >= |a - b|
     or, for c = a + b, a + b = c >= 0, which makes c a column of weight 0 for
-    the dead check.  Every d only grows with depth, and at a leaf d_c <= d_a
-    + d_b, so the bound never falls and equals the objective there.
+    the dead check, as are the implied rows.  Every d only grows with depth,
+    and at a leaf d_c <= d_a + d_b, so the bound never falls and equals the
+    objective there.
     """
 
     def __init__(self, system: ConstraintSystem, bound, deadline):
@@ -150,17 +163,23 @@ class _Search:
             rows.append(c)
             geq.append(geq[a] and is_sum)
             weights.append(0)
+        # implied rows, for the dead check only: weight 0 and no pair
+        implied = _implied_rows(rows, nonzero, geq)
+        rows += implied
+        geq += [True] * len(implied)
+        weights += [0] * len(implied)
+        self.rows, self.implied = len(rows), len(implied)
         ncols = len(rows)
         # statements with witnesses, in layout order, and their witness rows
         self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
-        self.witness_rows = []
+        witness_rows = []
         for sid in self.statements:
             cands = system.witnesses[sid]
-            self.witness_rows.append(range(len(rows), len(rows) + len(cands)))
+            witness_rows.append(range(len(rows), len(rows) + len(cands)))
             rows.extend([w.s_tilde[g] for g in used] for w in cands)
         nonzero += [tuple((k, c) for k, c in enumerate(row) if c) for row in rows[len(nonzero):]]
         # rest[r][k]: max |contribution| of variables k.. to row r
-        self.rest = rest = []
+        rest = []
         self.by_pos = [[] for _ in used]
         for ri, terms in enumerate(nonzero):
             spread = [0] * (nvars + 1)
@@ -168,9 +187,13 @@ class _Search:
                 spread[k] = abs(c) * bound
                 self.by_pos[k].append((ri, c))
             rest.append(list(accumulate(reversed(spread)))[::-1])
-        # per depth, the columns and the pairs variable k touches, with their
-        # coefficients and spreads (before and after k is assigned; a pair
-        # only after)
+        # per depth, each statement's witness rows with their spreads, and the
+        # columns and the pairs variable k touches, with their coefficients and
+        # spreads before and after k is assigned
+        self.witness_at = [
+            [tuple((ri, rest[ri][k]) for ri in wrows) for wrows in witness_rows]
+            for k in range(nvars + 1)
+        ]
         self.columns_at = [
             [(ri, c, geq[ri], weights[ri], rest[ri][k], rest[ri][k + 1])
              for ri, c in touched if ri < ncols and (weights[ri] or geq[ri])]
@@ -179,8 +202,9 @@ class _Search:
         self.pairs_at = [[] for _ in used]
         for a, b, c, m in pairs:
             for k in sorted({k for ri in (a, b, c) for k, _ in nonzero[ri]}):
-                self.pairs_at[k].append((a, rows[a][k], rest[a][k + 1], b, rows[b][k],
-                                         rest[b][k + 1], c, rows[c][k], rest[c][k + 1], m))
+                self.pairs_at[k].append(
+                    (a, rows[a][k], rest[a][k], rest[a][k + 1], b, rows[b][k], rest[b][k],
+                     rest[b][k + 1], c, rows[c][k], rest[c][k], rest[c][k + 1], m))
         self.partial = [0] * len(rows)
         self.assign = [0] * nvars
         self.nodes = 0
@@ -209,43 +233,32 @@ class _Search:
         self.over_cap = None if least == self.none else least
 
     def solution(self) -> Solution:
-        """The incumbent of the last pass as a full-layout solution."""
+        """The incumbent of the last pass as a full-layout solution.  Each
+        statement's witness is its first candidate with s~.x != 0, the sign
+        that of s~.x: the earliest option the search saw met at the leaf."""
         system = self.system
         full = [0] * system.layout.size
         for g, v in zip(self.used, self.best_x):
             full[g] = v
         full = tuple(full)
+        witness_used = {}
+        for sid in self.statements:
+            for w in system.witnesses[sid]:
+                v = sum(c * xv for c, xv in zip(w.s_tilde, full))
+                if v:
+                    witness_used[sid] = (w.s, 1 if v > 0 else -1)
+                    break
         return Solution(
             x=full,
             objective=Fraction(self.best, self.scale),
             slacks={col.label: col.slack(full) for col in system.columns},
-            witness_used={
-                sid: (system.witnesses[sid][o // 2].s, -1 if o % 2 else 1)
-                for sid, o in zip(self.statements, self.best_options)
-            },
+            witness_used=witness_used,
             nodes=self.nodes,
             passes=self.passes,
             cap=Fraction(self.cap, self.scale),
+            rows=self.rows,
+            implied_rows=self.implied,
         )
-
-    def _options(self, k):
-        """Earliest reachable option per statement over completions of the
-        first k variables, or None if some statement has none left."""
-        partial, rest = self.partial, self.rest
-        options = []
-        for rows in self.witness_rows:
-            for j, ri in enumerate(rows):
-                p = partial[ri]
-                spread = rest[ri][k]
-                if p + spread >= 1:
-                    options.append(2 * j)
-                    break
-                if p - spread <= -1:
-                    options.append(2 * j + 1)
-                    break
-            else:
-                return None
-        return tuple(options)
 
     def dfs(self, k=0, lb=0):
         """Search below the node at depth k whose objective lower bound is lb,
@@ -262,19 +275,26 @@ class _Search:
             if time.monotonic() > self.deadline:
                 raise SolverTimeout(f"solver time limit exceeded after {self.nodes} nodes")
         least = self.none
-        options = self._options(k)
-        if options is None:
-            return least
-        if k == self.nvars:
-            self.best, self.best_options, self.best_x = lb, options, tuple(self.assign)
-            return least
         partial = self.partial
+        # cut the node if some statement has no option that a completion of
+        # the first k variables can still meet
+        for options in self.witness_at[k]:
+            for ri, spread in options:
+                p = partial[ri]
+                if p + spread >= 1 or p - spread <= -1:
+                    break
+            else:
+                return least
+        if k == self.nvars:
+            self.best, self.best_x = lb, tuple(self.assign)
+            return least
         columns = self.columns_at[k]
         pairs = self.pairs_at[k]
         touched = self.by_pos[k]
-        rest = self.rest
+        best = self.best
         # the bound without the touched columns' contributions and the touched
-        # pairs' excess terms
+        # pairs' excess terms; |p| is spelled out, as builtin calls cost more
+        # than the arithmetic here
         base = lb
         for ri, _, _, w, before, _ in columns:
             p = partial[ri]
@@ -282,11 +302,18 @@ class _Search:
                 base -= w * (p - before)
             elif p + before < 0:
                 base += w * (p + before)
-        for a, _, _, b, _, _, c, _, _, m in pairs:
-            excess = abs(partial[c]) - rest[c][k]
+        for a, _, ba, _, b, _, bb, _, c, _, bc, _, m in pairs:
+            p = partial[c]
+            excess = (p if p >= 0 else -p) - bc
             if excess > 0:
-                excess -= (max(abs(partial[a]) - rest[a][k], 0)
-                           + max(abs(partial[b]) - rest[b][k], 0))
+                p = partial[a]
+                p = (p if p >= 0 else -p) - ba
+                if p > 0:
+                    excess -= p
+                p = partial[b]
+                p = (p if p >= 0 else -p) - bb
+                if p > 0:
+                    excess -= p
                 if excess > 0:
                     base -= m * excess
         for v in self.values:
@@ -300,14 +327,21 @@ class _Search:
                         break
                     child -= w * (p + after)
             else:
-                for a, ca, sa, b, cb, sb, c, cc, sc, m in pairs:
-                    excess = abs(partial[c] + cc * v) - sc
+                for a, ca, _, sa, b, cb, _, sb, c, cc, _, sc, m in pairs:
+                    p = partial[c] + cc * v
+                    excess = (p if p >= 0 else -p) - sc
                     if excess > 0:
-                        excess -= (max(abs(partial[a] + ca * v) - sa, 0)
-                                   + max(abs(partial[b] + cb * v) - sb, 0))
+                        p = partial[a] + ca * v
+                        p = (p if p >= 0 else -p) - sa
+                        if p > 0:
+                            excess -= p
+                        p = partial[b] + cb * v
+                        p = (p if p >= 0 else -p) - sb
+                        if p > 0:
+                            excess -= p
                         if excess > 0:
                             child += m * excess
-                if child >= self.best:
+                if child >= best:
                     # while there is no incumbent, cut by the cap alone: the
                     # next pass needs a cap this high
                     if child < least:
@@ -318,6 +352,7 @@ class _Search:
                     for ri, c in touched:
                         partial[ri] += c * v
                 below = self.dfs(k + 1, child)
+                best = self.best
                 if v:
                     for ri, c in touched:
                         partial[ri] -= c * v
@@ -358,6 +393,35 @@ def _pair_rows(rows, nonzero, geq):
             c = [x + sign * y for x, y in zip(rows[a], rows[b])]
             pairs.append((a, b, c, sign > 0))
     return pairs
+
+
+def _implied_rows(rows, nonzero, geq):
+    """One round of Fourier-Motzkin elimination over the GEQ0 rows that have
+    nonzero terms in `nonzero`: for two that end at the same variable with
+    coefficients c1 > 0 and -c2 < 0 there, c2*r1 + c1*r2 >= 0 holds wherever
+    both do and cancels that variable.  Each such row divided by the gcd of
+    its entries, unless it is zero or some GEQ0 row of `rows` so divided."""
+    known = {_primitive(row) for row, g in zip(rows, geq) if g}
+    ends = {}
+    for ri, terms in enumerate(nonzero):
+        if geq[ri]:
+            k, c = terms[-1]
+            ends.setdefault(k, ([], []))[c < 0].append(ri)
+    implied = []
+    for k, (positive, negative) in ends.items():
+        for r1 in positive:
+            for r2 in negative:
+                c1, c2 = rows[r1][k], -rows[r2][k]
+                row = _primitive([c2 * x + c1 * y for x, y in zip(rows[r1], rows[r2])])
+                if any(row) and row not in known:
+                    known.add(row)
+                    implied.append(list(row))
+    return implied
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def _weight_scale(system: ConstraintSystem) -> int:

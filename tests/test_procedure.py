@@ -144,10 +144,24 @@ class TestSearchEvents:
         events = [r.getMessage() for r in caplog.records if r.name == "affsched"]
         assert len(events) == len(plan.diagnostics) == 2
         assert events[0].startswith("recursion 1: objective 68 after ")
-        assert events[0].endswith(f"nodes, witnesses {plan.diagnostics[0].witnesses}")
+        # a single statement's legality columns imply no further rows
+        assert events[0].endswith(
+            f"nodes, 10 rows (0 implied), witnesses {plan.diagnostics[0].witnesses}")
         # recursion 1 fails under caps 0, 4, 8, 16 and 32; the least bound
         # cut under cap 32 is the optimum
         assert events[0].startswith("recursion 1: objective 68 after 6 passes (final cap 68), ")
+
+    def test_jacobi2_implied_rows(self, caplog):
+        # each sweep's legality columns end at a shared variable with opposite
+        # signs; the rows they imply cut recursion 1 from 663 nodes to 66 and
+        # recursion 2 from 344 to 216
+        with caplog.at_level(logging.DEBUG, logger="affsched"):
+            run_procedure(load_nest(perfbench_module("gen").jacobi2()), r_space=1)
+        events = [r.getMessage() for r in caplog.records if r.name == "affsched"]
+        assert [e.split(", ")[1:3] for e in events] == [
+            ["66 nodes", "86 rows (33 implied)"],
+            ["216 nodes", "63 rows (33 implied)"],
+        ]
 
 
 class TestDropRules:

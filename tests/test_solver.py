@@ -303,13 +303,45 @@ def _paired_systems(draw):
     return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
 
 
+@st.composite
+def _opposed_systems(draw):
+    """Like `_paired_systems`, but with groups of 2-3 GEQ0 columns that end
+    at the same entry with |coefficient| 1-3 there and both signs present,
+    so that the search adds the rows each opposite two imply, plus 0-2 ABS
+    columns anywhere."""
+    lay, depths = _draw_layout(draw)
+    columns = []
+
+    def add(coeffs, sense):
+        weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", f"c{len(columns)}", weight))
+
+    for _ in range(draw(st.integers(1, 3))):
+        last = draw(st.integers(1, lay.size - 1))
+        signs = [1, -1] + draw(st.lists(st.sampled_from((1, -1)), max_size=1))
+        for sign in signs:
+            coeffs = [0] * lay.size
+            coeffs[last] = sign * draw(st.integers(1, 3))
+            for k, c in draw(st.lists(st.tuples(st.integers(0, last - 1), st.integers(-3, 3)),
+                                      min_size=1, max_size=3)):
+                coeffs[k] = c
+            add(coeffs, GEQ0)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = [0] * lay.size
+        for k, c in draw(st.lists(st.tuples(st.integers(0, lay.size - 1), st.integers(-3, 3)),
+                                  min_size=1, max_size=3)):
+            coeffs[k] = c
+        add(coeffs, ABS)
+    return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
+
+
 def _pair_kinds(system):
     """The kinds of the pairs that the search bounds together."""
     search = _Search(system, 1, None)
     geq = {ri: g for cols in search.columns_at for ri, _, g, *_ in cols}
     kinds = set()
     for pairs in search.pairs_at:
-        for a, _, _, _, _, _, c, *_ in pairs:
+        for a, _, _, _, _, _, _, _, c, *_ in pairs:
             kinds.add("GEQ0 sum" if c in geq else "GEQ0 difference" if geq[a] else "ABS")
     return kinds
 
@@ -424,6 +456,22 @@ class TestPairedSystems:
         assert kinds == {"ABS", "GEQ0 sum", "GEQ0 difference"}
 
 
+class TestImpliedRows:
+    def test_solver_matches_oracles(self):
+        # the rows implied by opposite GEQ0 columns only cut vectors those
+        # columns rule out: the first least vector is the exhaustive one's
+        implied = []
+
+        @_forty_systems
+        @given(_opposed_systems())
+        def check(system):
+            implied.append(_Search(system, 1, None).implied)
+            TestRandomSystems.test_solver_matches_oracle.hypothesis.inner_test(self, system)
+
+        check()
+        assert sum(n > 0 for n in implied) >= len(implied) // 2
+
+
 class TestConstructedSystems:
     def _system(self, columns, witnesses=None):
         lay = _layout("vecadd")
@@ -501,6 +549,29 @@ class TestConstructedSystems:
         assert sol.objective == 6
         assert (sol.x[x0], sol.x[x1]) == (1, 1)
 
+    def test_implied_row_cuts_before_its_parents_last_variable(self):
+        # x1 - x0 >= 0 and -2 x1 - x0 >= 0 do not pair (|1| != |-2| at x1)
+        # but imply 2 (x1 - x0) + (-2 x1 - x0) = -3 x0 >= 0.  Under x0 = 1
+        # each column alone still has room (x1 = 1, x1 = -1), only the implied
+        # row is below zero, so the prefix (1,) is never entered
+        system, x0, x1 = self._pair_system(GEQ0, (-1, 1), (-1, -2), (1, 1))
+        assert _pair_kinds(system) == set()
+        search = _Search(system, 2, None)
+        assert search.implied == 1
+        entered = set()
+        dfs = search.dfs
+
+        def recording_dfs(k=0, lb=0):
+            entered.add(tuple(search.assign[:k]))
+            return dfs(k, lb)
+
+        search.dfs = recording_dfs
+        search.run(1 << 40)
+        assert (1,) not in entered and (-1,) in entered
+        sol = search.solution()
+        assert sol.objective == 2
+        assert (sol.x[x0], sol.x[x1]) == (-1, 0)
+
     def test_negative_difference_of_paired_geq0_columns(self):
         # x0 + x1 >= 0 and 2 x0 + x1 >= 0 pair through their difference -x0,
         # which is negative at the optimum x0 = 1, x1 = -1 (objective 5*0 +
@@ -569,6 +640,12 @@ class TestConfig:
         # as bound 1
         with pytest.raises(TypeError, match=r"^coeff_bound .* is not an int$"):
             SolverConfig(coeff_bound=bound)
+
+    @pytest.mark.parametrize("limit", [True, False], ids=repr)
+    def test_bool_time_limit(self, limit):
+        # bool is an int subclass: True would run as a 1-second budget
+        with pytest.raises(TypeError, match=r"^time_limit .* is not a number of seconds$"):
+            SolverConfig(time_limit=limit)
 
     @pytest.mark.parametrize("limit", [float("nan"), 0, -1])
     def test_bad_time_limit(self, limit):
