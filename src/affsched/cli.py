@@ -61,11 +61,12 @@ def _parse_weights(items) -> WeightConfig:
 
 
 def _parse_params(nest, items) -> list[tuple[int, ...]]:
-    """Parameter settings to validate at; defaults to N^(0)+2 and N^(0)+4."""
+    """Parameter settings to validate at; defaults to N^(0)+2 and N^(0)+4,
+    which are one setting, N=(), in a nest without parameters."""
     names = nest.outer_vars.names
     minima = tuple(nest.outer_vars.minima)
     if not items:
-        return [tuple(m + 2 for m in minima), tuple(m + 4 for m in minima)]
+        return list(dict.fromkeys(tuple(m + d for m in minima) for d in (2, 4)))
     settings = []
     for item in items:
         vals = dict()

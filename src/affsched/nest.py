@@ -163,15 +163,6 @@ def vertices(domain: Domain) -> list[tuple[tuple[tuple[int, ...], ...], tuple[in
             for corner in dict.fromkeys(itertools.product(*picks))]
 
 
-def _corners_at(domain: Domain, n_vals) -> list[tuple[int, ...]]:
-    """The `vertices` of `domain` at `n_vals`, in their order; a box corner may repeat."""
-    if domain.box is not None:
-        return list(itertools.product(*[(lo.value_at(n_vals), hi.value_at(n_vals))
-                                        for lo, hi in domain.box]))
-    return [tuple(dot(r, n_vals) + w for r, w in zip(rows, omega))
-            for rows, omega in vertices(domain)]
-
-
 def contains_point(domain: Domain, point, n_vals) -> bool:
     if domain.box is None:
         raise EnumerationError("containment check needs a box domain")
@@ -320,6 +311,11 @@ def load_nest(source) -> LoopNest:
         statements.append(Statement(sid, depth, dom, order))
     if len({s.id for s in statements}) != len(statements):
         raise NestError("duplicate statement ids")
+    first = {}
+    for s in statements:
+        other = first.setdefault(s.textual_order, s.id)
+        if other != s.id:
+            raise NestError(f"statements {other!r} and {s.id!r} share order {s.textual_order}")
 
     arrays = []
     for a in read_field(doc, "arrays", "document", list):
@@ -394,7 +390,8 @@ def load_nest(source) -> LoopNest:
         # source image is Phi v - (phi - Psi N^(0))
         if box0[src.id] is not None and box0[tgt.id] is not None:
             base = [h - dot(q, n0) for h, q in zip(d.shift, d.param_map.rows)]
-            for v in _corners_at(dom, n0):
+            for rows, omega in vertices(dom):
+                v = tuple(dot(r, n0) + w for r, w in zip(rows, omega))
                 if not _within(box0[tgt.id], v):
                     raise NestError(f"{where}: vertex {v} outside target domain at N^(0)")
                 ipt = tuple(dot(p, v) - c for p, c in zip(d.source_map.rows, base))

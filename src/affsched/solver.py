@@ -11,17 +11,18 @@ reaches the optimum finds it without first hunting for an incumbent.
 Set-up reads each column's nonzero terms, not its dense coefficients:
 columns whose slack is equal at every x share one row with the sum of their
 weights (scaled to integers once), which keeps every bound, and a zero
-column gets no row.  Two columns a and b that end at the same variable with
-equal |coefficient| there are also bounded as a pair through c = a +- b,
+column gets no row.  Set-up derives two kinds of row from every two rows
+that end at the same variable (in search order).  Rows a and b of one sense
+with equal |coefficient| there are bounded as a pair through c = a +- b,
 which cancels that variable: |a| + |b| >= |c| prices the pair from c's
-interval levels before a and b are fixed.  Two GEQ0 rows r1 and r2 that end
-at the same variable with coefficients c1 > 0 and -c2 < 0 there imply the
-row c2*r1 + c1*r2 >= 0 without it, one step of Fourier-Motzkin elimination
-(as in Pugh's Omega test).  Each such row, divided by the gcd of its
-entries, joins the dead check with weight 0 unless it is zero or already a
-GEQ0 row, so a child that r1 and r2 can only rule out together is cut at
-the depth of the implied row's last variable.  The rows are built once, in
-one round, and cut no feasible vector, so plans do not depend on them.
+interval levels before a and b are fixed.  GEQ0 rows r1 and r2 with
+coefficients c1 > 0 and -c2 < 0 there imply the row c2*r1 + c1*r2 >= 0
+without it, one step of Fourier-Motzkin elimination (as in Pugh's Omega
+test).  Each nonzero such row joins the dead check with weight 0, so a child
+that r1 and r2 can only rule out together is cut at the depth of the implied
+row's last variable.  The rows are built once and cut no feasible vector, so
+plans do not depend on them; a repeated row, or a multiple of one, cuts
+nothing more.
 
 Rank growth is a disjunction: for each statement that must grow, the new
 schedule row needs sign * s~.x >= 1 for some kernel witness s and sign.  A
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import IntVector
 from .constraints import ABS, GEQ0, ConstraintSystem
@@ -110,10 +111,10 @@ class _Search:
     w_b) the excess m * max(0, d_c - d_a - d_b): the pair then bounds
     w_a*|a| + w_b*|b| >= (w_a - m)*d_a + (w_b - m)*d_b + m*max(d_a + d_b, d_c).
     An ABS pair uses |a| + |b| >= |a +- b|; a GEQ0 pair uses a + b >= |a - b|
-    or, for c = a + b, a + b = c >= 0, which makes c a column of weight 0 for
-    the dead check, as are the implied rows.  Every d only grows with depth,
-    and at a leaf d_c <= d_a + d_b, so the bound never falls and equals the
-    objective there.
+    or, for c = a + b, a + b = c >= 0.  The implied rows, which include a
+    multiple of every GEQ0 pair's sum, are the only columns of weight 0, for
+    the dead check alone.  Every d only grows with depth, and at a leaf
+    d_c <= d_a + d_b, so the bound never falls and equals the objective there.
     """
 
     def __init__(self, system: ConstraintSystem, bound, deadline):
@@ -155,19 +156,14 @@ class _Search:
                 row[k] = c
             rows.append(row)
         # paired columns: each pair's combination c = a +- b joins the rows
-        # with weight 0; a GEQ0 pair's sum a + b must be >= 0, so c is then a
-        # column of its own for the dead check
-        pairs = []
-        for a, b, c, is_sum in _pair_rows(rows, nonzero, geq):
-            pairs.append((a, b, len(rows), min(weights[a], weights[b])))
-            rows.append(c)
-            geq.append(geq[a] and is_sum)
-            weights.append(0)
-        # implied rows, for the dead check only: weight 0 and no pair
-        implied = _implied_rows(rows, nonzero, geq)
-        rows += implied
-        geq += [True] * len(implied)
-        weights += [0] * len(implied)
+        # with weight 0, for the pair bound only; the implied rows join with
+        # weight 0, for the dead check only
+        derived, implied = _derived_rows(rows, nonzero, geq)
+        pairs = [(a, b, len(rows) + i, min(weights[a], weights[b]))
+                 for i, (a, b, _) in enumerate(derived)]
+        rows += [c for _, _, c in derived] + implied
+        geq += [False] * len(pairs) + [True] * len(implied)
+        weights += [0] * (len(pairs) + len(implied))
         self.rows, self.implied = len(rows), len(implied)
         ncols = len(rows)
         # statements with witnesses, in layout order, and their witness rows
@@ -362,66 +358,46 @@ class _Search:
         return least
 
 
-def _pair_rows(rows, nonzero, geq):
-    """Disjoint pairs of rows of one sense that end at the same variable (in
-    search order) with equal |coefficient| there, as (a, b, c, is_sum): c is
-    a - b or, for opposite coefficients, a + b, so it cancels that variable.
-    `rows` hold an entry per variable and `nonzero` their (never empty)
-    nonzero terms.
-    Pairs whose c ends the most positions earlier are taken first, ties by
-    row index; a pair whose c is zero is never taken."""
+def _derived_rows(rows, nonzero, geq):
+    """The pairs and the implied rows of every two rows that end at the same
+    variable k in search order; `rows` hold an entry per variable and
+    `nonzero` their (never empty) nonzero terms.
+
+    Pairs are disjoint, of one sense with equal |coefficient| at k, as
+    (a, b, c): c is a - b or, for opposite coefficients, a + b, so it
+    cancels k.  Pairs whose c ends the most positions earlier are taken
+    first, ties by row index; a pair whose c is zero is never taken.
+    Implied rows are one round of Fourier-Motzkin elimination: for GEQ0
+    rows r1 and r2 with coefficients c1 > 0 and -c2 < 0 at k, c2*r1 + c1*r2
+    >= 0 holds wherever both do and cancels k; a zero row is left out."""
     buckets = {}
     for ri, terms in enumerate(nonzero):
-        k, c = terms[-1]
-        buckets.setdefault((geq[ri], k, abs(c)), []).append(ri)
-    candidates = []
-    for (_, k, _), members in buckets.items():
+        buckets.setdefault(terms[-1][0], []).append(ri)
+    candidates, implied = [], []
+    for k, members in buckets.items():
         for i, a in enumerate(members):
+            ra = rows[a]
             for b in members[i + 1:]:
-                ra, rb = rows[a], rows[b]
-                sign = -1 if ra[k] == rb[k] else 1
-                j = k - 1
-                while j >= 0 and ra[j] + sign * rb[j] == 0:
-                    j -= 1
-                if j >= 0:
-                    candidates.append((j - k, a, b, sign))
+                rb = rows[b]
+                ca, cb = ra[k], rb[k]
+                if geq[a] == geq[b] and abs(ca) == abs(cb):
+                    sign = -1 if ca == cb else 1
+                    j = k - 1
+                    while j >= 0 and ra[j] + sign * rb[j] == 0:
+                        j -= 1
+                    if j >= 0:
+                        candidates.append((j - k, a, b, sign))
+                if geq[a] and geq[b] and ca * cb < 0:
+                    row = [abs(cb) * x + abs(ca) * y for x, y in zip(ra, rb)]
+                    if any(row):
+                        implied.append(row)
     candidates.sort()
     taken, pairs = set(), []
     for _, a, b, sign in candidates:
         if a not in taken and b not in taken:
             taken.update((a, b))
-            c = [x + sign * y for x, y in zip(rows[a], rows[b])]
-            pairs.append((a, b, c, sign > 0))
-    return pairs
-
-
-def _implied_rows(rows, nonzero, geq):
-    """One round of Fourier-Motzkin elimination over the GEQ0 rows that have
-    nonzero terms in `nonzero`: for two that end at the same variable with
-    coefficients c1 > 0 and -c2 < 0 there, c2*r1 + c1*r2 >= 0 holds wherever
-    both do and cancels that variable.  Each such row divided by the gcd of
-    its entries, unless it is zero or some GEQ0 row of `rows` so divided."""
-    known = {_primitive(row) for row, g in zip(rows, geq) if g}
-    ends = {}
-    for ri, terms in enumerate(nonzero):
-        if geq[ri]:
-            k, c = terms[-1]
-            ends.setdefault(k, ([], []))[c < 0].append(ri)
-    implied = []
-    for k, (positive, negative) in ends.items():
-        for r1 in positive:
-            for r2 in negative:
-                c1, c2 = rows[r1][k], -rows[r2][k]
-                row = _primitive([c2 * x + c1 * y for x, y in zip(rows[r1], rows[r2])])
-                if any(row) and row not in known:
-                    known.add(row)
-                    implied.append(list(row))
-    return implied
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
+            pairs.append((a, b, [x + sign * y for x, y in zip(rows[a], rows[b])]))
+    return pairs, implied
 
 
 def _weight_scale(system: ConstraintSystem) -> int:

@@ -149,6 +149,24 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert [r["n_vals"] for r in doc["reports"]] == [[4], [6]]
 
+    def test_no_parameters_validates_once(self, tmp_path, capsys):
+        # N^(0)+2 and N^(0)+4 are both N=() in a nest without parameters
+        doc = fixture_doc("vecadd")
+        doc["params"] = []
+        doc["statements"][0]["domain"]["box"] = [
+            {"lower": {"coeffs": [], "const": 0}, "upper": {"coeffs": [], "const": 3}}]
+        for acc in doc["accesses"]:
+            acc["G"] = [[]]
+        nest, plan, out = (tmp_path / name for name in ("nest.json", "plan.json", "out.json"))
+        nest.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(nest), "--spatial-dims", "0",
+                     "--out", str(plan)]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["validate", "--input", str(nest), "--plan", str(plan), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert [r["n_vals"] for r in json.loads(out.read_text())["reports"]] == [[]]
+        assert capsys.readouterr().err == "N=(): pass (violations=0, comm=0)\n"
+
     def test_violation_exit_code(self, matmul_plan, tmp_path, capsys):
         doc = json.loads(matmul_plan.read_text())
         doc["statements"]["S1"]["T"] = [[-1, 0, 0], [0, 0, -1], [0, -1, 0]]

@@ -79,6 +79,12 @@ class TestValidationErrors:
         with pytest.raises(NestError, match="duplicate"):
             load_nest(doc)
 
+    def test_statements_sharing_an_order(self):
+        doc = fixture_doc("chain23")
+        doc["statements"][1]["order"] = doc["statements"][0]["order"]
+        with pytest.raises(NestError, match="^statements 'S1' and 'S2' share order 1$"):
+            load_nest(doc)
+
     def test_duplicate_access_keys(self):
         doc = fixture_doc("vecadd")
         doc["accesses"].append(copy.deepcopy(doc["accesses"][0]))

@@ -159,8 +159,8 @@ class TestSearchEvents:
             run_procedure(load_nest(perfbench_module("gen").jacobi2()), r_space=1)
         events = [r.getMessage() for r in caplog.records if r.name == "affsched"]
         assert [e.split(", ")[1:3] for e in events] == [
-            ["66 nodes", "86 rows (33 implied)"],
-            ["216 nodes", "63 rows (33 implied)"],
+            ["66 nodes", "97 rows (44 implied)"],
+            ["216 nodes", "74 rows (44 implied)"],
         ]
 
 
@@ -276,41 +276,6 @@ class TestRowLocality:
         assert plan.statements["S1"].schedule.rows == ((0, 1), (1, 0))
 
 
-def _chain_doc(offsets):
-    """Statements S_1..S_k of depth d in sequence over 1 <= J <= N: S_s
-    writes A_s[J] and reads A_{s-1}[J + o_s], so each read of A_{s-1}
-    (s >= 2) is a flow dependence on S_{s-1} wherever J + o_s is in the box."""
-    d = len(offsets[0])
-    eye = [[int(i == j) for j in range(d)] for i in range(d)]
-    zero_g = [[0] for _ in range(d)]
-
-    def box(margins):  # per dimension, lo and hi in lo <= x <= N - hi
-        return {"box": [{"lower": {"coeffs": [0], "const": lo},
-                         "upper": {"coeffs": [1], "const": -hi}} for lo, hi in margins]}
-
-    statements, accesses, dependences = [], [], []
-    for s, off in enumerate(offsets, start=1):
-        statements.append({"id": f"S{s}", "depth": d, "domain": box([(1, 0)] * d), "order": s})
-        accesses.append({"array": f"A{s}", "statement": f"S{s}", "slot": 1, "kind": "write",
-                         "F": eye, "G": zero_g, "f": [0] * d})
-        accesses.append({"array": f"A{s - 1}", "statement": f"S{s}", "slot": 2, "kind": "read",
-                         "F": eye, "G": zero_g, "f": off})
-        if s >= 2:
-            dependences.append({
-                "source": f"S{s - 1}", "target": f"S{s}", "kind": "flow",
-                "Phi": eye, "Psi": zero_g, "phi": [-o for o in off],
-                "domain": box([(1 + max(0, -o), max(0, o)) for o in off]),
-                "produced_by": {"array": f"A{s - 1}", "slot": 2},
-            })
-    return {
-        "params": [{"name": "N", "min": 2}],
-        "statements": statements,
-        "arrays": [{"id": f"A{s}", "dim": d} for s in range(len(offsets) + 1)],
-        "accesses": accesses,
-        "dependences": dependences,
-    }
-
-
 class TestWeights:
     def test_override_scales_objective(self):
         plan = run_procedure(
@@ -349,7 +314,7 @@ class TestWeights:
     def test_weighted_chain_reaches_zero(self, offsets, overrides):
         # an open-ended search stays on incumbents far above 0 for minutes on
         # these weightings; the first pass, under cap 0, finds the optimum
-        nest = load_nest(_chain_doc(offsets))
+        nest = load_nest(perfbench_module("gen").chain(offsets))
         plan = run_procedure(nest, r_space=1, weights=WeightConfig.with_overrides(overrides),
                              solver_cfg=SolverConfig(coeff_bound=2, time_limit=30))
         assert [d.objective for d in plan.diagnostics] == [0, 0]

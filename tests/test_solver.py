@@ -341,8 +341,10 @@ def _pair_kinds(system):
     geq = {ri: g for cols in search.columns_at for ri, _, g, *_ in cols}
     kinds = set()
     for pairs in search.pairs_at:
-        for a, _, _, _, _, _, _, _, c, *_ in pairs:
-            kinds.add("GEQ0 sum" if c in geq else "GEQ0 difference" if geq[a] else "ABS")
+        # at the variable the pair cancels, a sum's coefficients are opposite
+        for a, ca, _, _, _, cb, _, _, _, cc, *_ in pairs:
+            if ca and not cc:
+                kinds.add("ABS" if not geq[a] else "GEQ0 sum" if ca == -cb else "GEQ0 difference")
     return kinds
 
 
