@@ -1,7 +1,7 @@
 """Affine loop-nest scheduling and data allocation for distributed memory."""
 
 from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
-from .nest import LoopNest, load_nest, serialize, vertices
+from .nest import LoopNest, load_nest
 from .solver import SolverConfig
 from .procedure import TransformPlan, WeightConfig, plan_from_doc, plan_to_doc, run_procedure
 from .comm import comm_report, detect_broadcast, exchange_requirements
@@ -34,7 +34,5 @@ __all__ = [
     "plan_to_doc",
     "rank",
     "run_procedure",
-    "serialize",
     "validate",
-    "vertices",
 ]

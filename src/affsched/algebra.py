@@ -12,7 +12,6 @@ instead of being truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import index, mul
 
 
@@ -87,15 +86,8 @@ class IntMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def row(self, i: int) -> IntVector:
         return IntVector(self.rows[i])
-
-    def col(self, j: int) -> IntVector:
-        return IntVector(r[j] for r in self.rows)
 
     def matvec(self, v) -> IntVector:
         if self.ncols != len(v):
@@ -171,11 +163,7 @@ def rank(m: IntMatrix) -> int:
 
 
 def _normalize_kernel_vector(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g > 1:
-        v = [x // g for x in v]
+    # v is a column of a unimodular matrix, so it is already primitive
     for x in v:
         if x != 0:
             if x < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import IntMatrix, IntVector, dot, integer_kernel_basis, rank
-from .nest import Access, Dependence, LoopNest, vertices
+from .nest import Access, Dependence, LoopNest
 
 GEQ0 = "geq0"
 ABS = "abs"
@@ -163,7 +163,7 @@ def build_legality_columns(
     def add(family, coeffs, label):
         forms.setdefault((family, tuple(coeffs)), [label, 0])[1] += 1
 
-    for m, (r_rows, omega) in enumerate(vertices(dep.domain)):
+    for m, (r_rows, omega) in enumerate(dep.domain.vertices):
         corner = [dot(r, n0) + w for r, w in zip(r_rows, omega)]  # vertex at N^(0)
         add("legality-const",
             _add(const[:], [(tau_t, corner),

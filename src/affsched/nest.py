@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import IntMatrix, IntVector, dot
 
@@ -63,6 +64,20 @@ class Domain:
         if self.box is not None:
             return len(self.box)
         return len(self.explicit_vertices[0][1]) if self.explicit_vertices else 0
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+        """Parametric vertices (R, omega) with v = R*N + omega, as int tuples (R by rows).
+
+        Box domains yield the corner combinations of lower/upper bounds,
+        deduplicated; explicit vertex lists pass through unchanged.  Computed
+        once per domain.
+        """
+        if self.explicit_vertices is not None:
+            return tuple((r.rows, omega.entries) for r, omega in self.explicit_vertices)
+        picks = [[(b.param_coeffs.entries, b.constant) for b in pair] for pair in self.box]
+        return tuple((tuple(r for r, _ in corner), tuple(w for _, w in corner))
+                     for corner in dict.fromkeys(itertools.product(*picks)))
 
 
 @dataclass(frozen=True)
@@ -150,19 +165,6 @@ class LoopNest:
         )
 
 
-def vertices(domain: Domain) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    """Parametric vertices (R, omega) with v = R*N + omega, as int tuples (R by rows).
-
-    Box domains yield the corner combinations of lower/upper bounds,
-    deduplicated; explicit vertex lists pass through unchanged.
-    """
-    if domain.explicit_vertices is not None:
-        return [(r.rows, omega.entries) for r, omega in domain.explicit_vertices]
-    picks = [[(b.param_coeffs.entries, b.constant) for b in pair] for pair in domain.box]
-    return [(tuple(r for r, _ in corner), tuple(w for _, w in corner))
-            for corner in dict.fromkeys(itertools.product(*picks))]
-
-
 def contains_point(domain: Domain, point, n_vals) -> bool:
     if domain.box is None:
         raise EnumerationError("containment check needs a box domain")
@@ -175,7 +177,7 @@ def _within(bounds, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON ingestion / serialization.  Field names below are the wire format.
+# JSON ingestion.  Field names below are the wire format.
 # The read_* functions also read plan documents; every error they raise
 # names where in the document it happened.
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def load_nest(source) -> LoopNest:
         # source image is Phi v - (phi - Psi N^(0))
         if box0[src.id] is not None and box0[tgt.id] is not None:
             base = [h - dot(q, n0) for h, q in zip(d.shift, d.param_map.rows)]
-            for rows, omega in vertices(dom):
+            for rows, omega in dom.vertices:
                 v = tuple(dot(r, n0) + w for r, w in zip(rows, omega))
                 if not _within(box0[tgt.id], v):
                     raise NestError(f"{where}: vertex {v} outside target domain at N^(0)")
@@ -401,65 +403,3 @@ def load_nest(source) -> LoopNest:
 
     return LoopNest(outer, tuple(statements), tuple(arrays), tuple(accesses), tuple(dependences))
 
-
-def _bound_doc(b: AffineBound) -> dict:
-    return {"coeffs": list(b.param_coeffs), "const": b.constant}
-
-
-def _domain_doc(d: Domain) -> dict:
-    if d.box is not None:
-        return {"box": [{"lower": _bound_doc(lo), "upper": _bound_doc(hi)} for lo, hi in d.box]}
-    return {
-        "vertices": [
-            {"R": [list(r) for r in rm.rows], "omega": list(om)}
-            for rm, om in d.explicit_vertices
-        ]
-    }
-
-
-def serialize(nest: LoopNest) -> dict:
-    """Inverse of `load_nest`; the result reparses to an equivalent nest."""
-    return {
-        "params": [
-            {"name": n, "min": m} for n, m in zip(nest.outer_vars.names, nest.outer_vars.minima)
-        ],
-        "statements": [
-            {
-                "id": s.id,
-                "depth": s.depth,
-                "domain": _domain_doc(s.domain),
-                "order": s.textual_order,
-            }
-            for s in nest.statements
-        ],
-        "arrays": [{"id": a.id, "dim": a.dim} for a in nest.arrays],
-        "accesses": [
-            {
-                "array": a.array,
-                "statement": a.statement,
-                "slot": a.slot,
-                "kind": a.kind,
-                "F": [list(r) for r in a.iter_coeffs.rows],
-                "G": [list(r) for r in a.param_coeffs.rows],
-                "f": list(a.offset),
-            }
-            for a in nest.accesses
-        ],
-        "dependences": [
-            {
-                "source": d.source,
-                "target": d.target,
-                "kind": d.kind,
-                "Phi": [list(r) for r in d.source_map.rows],
-                "Psi": [list(r) for r in d.param_map.rows],
-                "phi": list(d.shift),
-                "domain": _domain_doc(d.domain),
-                "produced_by": (
-                    None
-                    if d.produced_by is None
-                    else {"array": d.produced_by[0], "slot": d.produced_by[1]}
-                ),
-            }
-            for d in nest.dependences
-        ],
-    }

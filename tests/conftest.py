@@ -23,6 +23,23 @@ def fixture_nest(name):
     return load_nest(fixture_doc(name))
 
 
+def reversal_doc():
+    """S1 over 0 <= i <= N (N >= 2) with a flow dependence from S1(N - i) to S1(i).
+
+    t(i) - t(N - i) = tau*(2i - N) is >= 0 at both ends of the domain only
+    for tau = 0, so no full-rank schedule exists.
+    """
+    box = {"box": [{"lower": {"coeffs": [0], "const": 0}, "upper": {"coeffs": [1], "const": 0}}]}
+    return {
+        "params": [{"name": "N", "min": 2}],
+        "statements": [{"id": "S1", "depth": 1, "domain": box, "order": 1}],
+        "arrays": [],
+        "accesses": [],
+        "dependences": [{"source": "S1", "target": "S1", "kind": "flow", "Phi": [[-1]],
+                         "Psi": [[1]], "phi": [0], "domain": box}],
+    }
+
+
 # default spatial dimension count per fixture: one spatial dimension where
 # the nest is deep enough, none for single loops
 DEFAULT_R = {
@@ -57,7 +74,7 @@ def source_point(dep, target_point, n_vals):
 
 
 def vertex_at(vertex, n_vals):
-    """A parametric vertex (R rows, omega) of `nest.vertices` at concrete parameters."""
+    """A parametric vertex (R rows, omega) of `Domain.vertices` at concrete parameters."""
     rows, omega = vertex
     return tuple(dot(r, n_vals) + w for r, w in zip(rows, omega))
 

@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, integer kernels."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -85,7 +86,6 @@ class TestVectorMatrix:
         assert tuple(m.matvec([1, 1])) == (3, 7)
         assert tuple(m.vecmat([1, 1])) == (4, 6)
         assert m.drop_row(0).rows == ((3, 4),)
-        assert tuple(m.col(1)) == (2, 4)
 
     def test_matrix_shape_errors(self):
         with pytest.raises(DimensionError):
@@ -177,7 +177,7 @@ class TestKernel:
             # every basis vector really is in the kernel and is primitive
             for v in basis:
                 assert m.matvec(v).is_zero()
-                assert any(x != 0 for x in v)
+                assert math.gcd(*v) == 1
             if idx not in lattice_checked:
                 continue
             # the basis generates every small integer kernel point

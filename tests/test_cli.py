@@ -5,7 +5,7 @@ import json
 import pytest
 
 from affsched.cli import EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, EXIT_VIOLATION, main
-from conftest import FIXTURE_DIR, fixture_doc
+from conftest import FIXTURE_DIR, fixture_doc, reversal_doc
 
 
 def fixture_path(name):
@@ -42,6 +42,23 @@ class TestSolve:
         )
         assert rc == EXIT_OK
         assert "communication-free" in capsys.readouterr().out
+
+    def test_infeasible_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "reversal.json"
+        p.write_text(json.dumps(reversal_doc()))
+        rc = main(["solve", "--input", str(p), "--spatial-dims", "0"])
+        assert rc == EXIT_VIOLATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: recursion 1 infeasible (active dependences [0], ")
+
+    def test_tie_warning_is_printed(self, capsys):
+        rc = main(["solve", "--input", fixture_path("chain23"), "--spatial-dims", "1"])
+        assert rc == EXIT_OK
+        assert (
+            "warning: dependence #0 (S1->S2, flow) is scheduled with equal time vectors at "
+            "every level; correctness relies on textual order"
+        ) in capsys.readouterr().out.splitlines()
 
     def test_r_must_be_smaller_than_depth(self, capsys):
         rc = main(["solve", "--input", fixture_path("vecadd"), "--spatial-dims", "1"])

@@ -23,7 +23,7 @@ from affsched.constraints import (
     rank_witnesses,
     row_locality,
 )
-from affsched.nest import load_nest, vertices
+from affsched.nest import load_nest
 from affsched.procedure import initial_sets
 from affsched.validation import enumerate_domain
 from conftest import fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at
@@ -66,7 +66,7 @@ def _direct_forms(dep, nest, lay):
     n0 = list(nest.outer_vars.minima)
     steps = [[m + (k == j) for k, m in enumerate(n0)] for j in range(len(n0))]
     forms = []
-    for vertex in vertices(dep.domain):
+    for vertex in dep.domain.vertices:
         forms.append(("legality-const", partial(_difference, dep=dep, lay=lay, vertex=vertex,
                                                 n_vals=n0)))
         forms += [("legality-param", partial(_step, dep=dep, lay=lay, vertex=vertex, n0=n0,
@@ -174,7 +174,7 @@ class TestLegalityColumns:
         nest = fixture_nest("chain")
         lay = ExtendedLayout.for_nest(nest)
         cols = build_legality_columns(nest.dependences[0], 0, nest, lay)
-        assert len(vertices(nest.dependences[0].domain)) == 2
+        assert len(nest.dependences[0].domain.vertices) == 2
         (col,) = cols
         expect = [0] * lay.size
         expect[lay.offset("tau", "S1")] = 1
@@ -188,7 +188,7 @@ class TestLegalityColumns:
         dep = box.dependences[0]
         doc["dependences"][0]["domain"] = {"vertices": [
             {"R": [list(r) for r in rows], "omega": list(omega)}
-            for rows, omega in vertices(dep.domain)
+            for rows, omega in dep.domain.vertices
         ]}
         explicit = load_nest(doc)
         lay = ExtendedLayout.for_nest(box)
@@ -210,7 +210,7 @@ class TestLegalityColumns:
                     for c in build_legality_columns(dep, i, nest, lay)
                     if c.family == "legality-const"
                 }
-                for vertex in vertices(dep.domain):
+                for vertex in dep.domain.vertices:
                     direct = partial(_difference, dep=dep, lay=lay, vertex=vertex, n_vals=n0)
                     col = cols[_coefficients(direct, lay.size)]
                     for _ in range(5):

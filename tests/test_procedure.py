@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,14 @@ from affsched.procedure import (
 )
 from affsched.solver import SolverConfig
 from affsched.validation import validate
-from conftest import FIXTURE_NAMES, fixture_doc, fixture_nest, fixture_plan, perfbench_module
+from conftest import (
+    FIXTURE_NAMES,
+    fixture_doc,
+    fixture_nest,
+    fixture_plan,
+    perfbench_module,
+    reversal_doc,
+)
 
 
 class TestFrozenPlans:
@@ -217,6 +225,12 @@ class TestRankAndErrors:
             run_procedure(fixture_nest("vecadd"), r_space=1)
         with pytest.raises(ProcedureError, match="spatial dimension"):
             run_procedure(fixture_nest("matmul"), r_space=-1)
+
+    def test_infeasible_recursion(self):
+        with pytest.raises(ProcedureError, match=re.escape(
+            "recursion 1 infeasible (active dependences [0], in-dependences [])"
+        )):
+            run_procedure(load_nest(reversal_doc()), r_space=0)
 
     def test_matmul_two_spatial_dims(self):
         plan = fixture_plan("matmul", 2)
