@@ -1,6 +1,6 @@
 """Affine loop-nest scheduling and data allocation for distributed memory."""
 
-from .algebra import IntMatrix, IntVector, integer_kernel_basis, rank
+from .algebra import integer_kernel_basis, rank
 from .nest import LoopNest, load_nest
 from .solver import SolverConfig
 from .procedure import TransformPlan, WeightConfig, plan_from_doc, plan_to_doc, run_procedure
@@ -18,8 +18,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "IntMatrix",
-    "IntVector",
     "LoopNest",
     "SolverConfig",
     "TransformPlan",

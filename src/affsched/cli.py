@@ -107,22 +107,14 @@ def _print_plan_summary(plan, report):
     print(f"spatial dimensions: {plan.r_space}")
     for sid, st in plan.statements.items():
         print(f"statement {sid}:")
-        for xi in range(st.schedule.nrows):
+        for xi, (tau, b, a) in enumerate(zip(st.schedule, st.param, st.const)):
             kind = "space" if xi < plan.r_space else "time"
-            print(
-                f"  level {xi + 1} ({kind}): tau={list(st.schedule.rows[xi])} "
-                f"b={list(st.param.rows[xi])} a={st.const[xi]}"
-            )
+            print(f"  level {xi + 1} ({kind}): tau={list(tau)} b={list(b)} a={a}")
     for aid, al in plan.arrays.items():
-        if al.placement.nrows:
-            for xi in range(al.placement.nrows):
-                print(
-                    f"array {aid}: eta={list(al.placement.rows[xi])} "
-                    f"z={list(al.param.rows[xi])} y={al.const[xi]}"
-                )
-    if plan.warnings:
-        for w in plan.warnings:
-            print(f"warning: {w}")
+        for eta, z, y in zip(al.placement, al.param, al.const):
+            print(f"array {aid}: eta={list(eta)} z={list(z)} y={y}")
+    for w in plan.warnings:
+        print(f"warning: {w}")
     if not report["exchanges"]:
         print("communication-free: all accesses aligned with their operands")
     else:

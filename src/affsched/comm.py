@@ -10,7 +10,7 @@ be written or the producing flow dependences must preserve the kernel.
 
 from __future__ import annotations
 
-from .algebra import integer_kernel_basis
+from .algebra import dot, integer_kernel_basis
 from .nest import LoopNest
 from .procedure import TransformPlan
 
@@ -28,20 +28,14 @@ def alignment_slacks(plan: TransformPlan, nest: LoopNest, acc) -> dict[str, dict
     out = {}
     st = plan.statements[acc.statement]
     al = plan.arrays[acc.array]
-    for xi in range(1, plan.r_space + 1):
-        tau = st.schedule.row(xi - 1)
-        b = st.param.row(xi - 1)
-        a = st.const[xi - 1]
-        eta = al.placement.row(xi - 1)
-        z = al.param.row(xi - 1)
-        y = al.const[xi - 1]
-        slack_f_mat = tau - acc.iter_coeffs.vecmat(eta)
-        slack_g_mat = b - acc.param_coeffs.vecmat(eta) - z
-        slack_off = a - eta.dot(acc.offset) - y
-        out[str(xi)] = {
-            "F": list(slack_f_mat),
-            "G": list(slack_g_mat),
-            "f": [slack_off],
+    # eta·F and eta·G are eta dotted with each column
+    f_cols, g_cols = list(zip(*acc.iter_coeffs)), list(zip(*acc.param_coeffs))
+    for xi in range(plan.r_space):
+        eta = al.placement[xi]
+        out[str(xi + 1)] = {
+            "F": [t - dot(eta, c) for t, c in zip(st.schedule[xi], f_cols)],
+            "G": [b - dot(eta, c) - z for b, c, z in zip(st.param[xi], g_cols, al.param[xi])],
+            "f": [st.const[xi] - dot(eta, acc.offset) - al.const[xi]],
         }
     return out
 
@@ -71,7 +65,7 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
     acc = nest.access(access_key)
     if acc.kind != "read":
         raise ValueError(f"broadcast detection applies to reads, {access_key!r} is a write")
-    kernel = integer_kernel_basis(acc.iter_coeffs)
+    kernel = integer_kernel_basis(acc.iter_coeffs, nest.statement(acc.statement).depth)
 
     def finding(failed_condition: str | None) -> dict:
         return {
@@ -85,10 +79,8 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
     if not kernel:
         return finding(INELIGIBLE_DEGENERATE)
 
-    st = plan.statements[acc.statement]
-    for xi in range(plan.r_space + 1, plan.depth + 1):
-        tau = st.schedule.row(xi - 1)
-        if any(tau.dot(u) != 0 for u in kernel):
+    for tau in plan.statements[acc.statement].schedule[plan.r_space:]:
+        if any(dot(tau, u) for u in kernel):
             return finding(INELIGIBLE_TIME_VARIANCE)
 
     written = any(a.array == acc.array and a.kind == "write" for a in nest.accesses)
@@ -103,7 +95,7 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
         if not producing:
             return finding(INELIGIBLE_WRITE_PRESENT)
         for d in producing:
-            if any(not d.source_map.matvec(u).is_zero() for u in kernel):
+            if any(dot(p, u) for p in d.source_map for u in kernel):
                 return finding(INELIGIBLE_FLOW_KERNEL)
     return finding(None)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import IntMatrix, IntVector, dot, integer_kernel_basis, rank
+from .algebra import dot, integer_kernel_basis, rank
 from .nest import Access, Dependence, LoopNest
 
 GEQ0 = "geq0"
@@ -102,7 +102,7 @@ class ConstraintColumn:
 @dataclass(frozen=True)
 class RankWitness:
     statement: str
-    s: IntVector  # nonzero kernel vector of the accumulated schedule rows
+    s: tuple[int, ...]  # nonzero kernel vector of the accumulated schedule rows
     s_tilde: tuple[int, ...]  # s embedded at the statement's schedule block
 
 
@@ -145,10 +145,10 @@ def build_legality_columns(
     `abs` (slack to be minimized) for in-dependences.
     """
     sense = ABS if dep.kind == "in" else GEQ0
-    n0 = nest.outer_vars.minima.entries
+    n0 = nest.outer_vars.minima
     tau_t, tau_s = layout.offset("tau", dep.target), layout.offset("tau", dep.source)
     b_t, b_s = layout.offset("b", dep.target), layout.offset("b", dep.source)
-    phi, psi = dep.source_map.rows, dep.param_map.rows
+    phi, psi = dep.source_map, dep.param_map
     # source-side constant of every vertex: shift - Psi·N^(0)
     base = [h - dot(q, n0) for h, q in zip(dep.shift, psi)]
     # the b and a entries, the same in every constant column and, per outer
@@ -192,13 +192,13 @@ def build_alignment_columns(
     eta = layout.offset("eta", acc.array)
     tau, b = layout.offset("tau", acc.statement), layout.offset("b", acc.statement)
     cols = [
-        _column(layout, [(tau + i, (1,)), (eta, [-r[i] for r in acc.iter_coeffs.rows])],
+        _column(layout, [(tau + i, (1,)), (eta, [-r[i] for r in acc.iter_coeffs])],
                 ABS, "align-F", f"align-F.{tag}.{i}", weight_f_mat)
         for i in range(nest.statement(acc.statement).depth)
     ]
     z = layout.offset("z", acc.array)
     cols += [
-        _column(layout, [(b + j, (1,)), (eta, [-r[j] for r in acc.param_coeffs.rows]),
+        _column(layout, [(b + j, (1,)), (eta, [-r[j] for r in acc.param_coeffs]),
                          (z + j, (-1,))],
                 ABS, "align-G", f"align-G.{tag}.{j}", weight_g_mat)
         for j in range(nest.outer_vars.count)
@@ -209,7 +209,7 @@ def build_alignment_columns(
     return cols
 
 
-def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[IntVector]] | None:
+def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[tuple[int, ...]]] | None:
     """The row-locality rule of one access: (target rank, kernel), or None.
 
     Arrays are row-major: the last index is the contiguous one, so the
@@ -223,15 +223,15 @@ def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[IntVector]] | N
     """
     if nest.array(acc.array).dim < 2:
         return None
-    row_matrix = acc.iter_coeffs.drop_row(acc.iter_coeffs.nrows - 1)
-    kernel = integer_kernel_basis(row_matrix)
-    target = row_matrix.ncols - len(kernel)  # its rank
-    if not 0 < target < nest.statement(acc.statement).depth:
+    depth = nest.statement(acc.statement).depth
+    kernel = integer_kernel_basis(acc.iter_coeffs[:-1], depth)
+    target = depth - len(kernel)  # the row matrix's rank
+    if not 0 < target < depth:
         return None
     return target, kernel
 
 
-def locality_depth(rows, rule: tuple[int, list[IntVector]]) -> int | None:
+def locality_depth(rows, rule: tuple[int, list[tuple[int, ...]]]) -> int | None:
     """Level (1-based) at which `rows` confine an access with `row_locality` `rule`.
 
     Counts only the rows constant along the rule's kernel; None if they never
@@ -243,14 +243,14 @@ def locality_depth(rows, rule: tuple[int, list[IntVector]]) -> int | None:
         if all(dot(tau, u) == 0 for u in kernel):
             kept.append(tau)
             # fewer rows than `target` cannot reach it
-            if len(kept) >= target and rank(IntMatrix.from_rows(kept)) == target:
+            if len(kept) >= target and rank(kept) == target:
                 return level
     return None
 
 
 def build_space_locality_columns(
     acc: Access,
-    kernel: list[IntVector],
+    kernel: list[tuple[int, ...]],
     layout: ExtendedLayout,
     weight: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
@@ -279,13 +279,11 @@ def rank_witnesses(
     out: dict[str, list[RankWitness]] = {}
     for sid in layout.statement_ids:
         start, stop = layout.spans["tau", sid]
-        basis = integer_kernel_basis(
-            IntMatrix.from_rows(accumulated_rows.get(sid, []), stop - start)
-        )
+        basis = integer_kernel_basis(accumulated_rows.get(sid, ()), stop - start)
         if len(basis) != levels_left:
             continue
         out[sid] = [
-            RankWitness(sid, s, (0,) * start + tuple(s) + (0,) * (layout.size - stop))
+            RankWitness(sid, s, (0,) * start + s + (0,) * (layout.size - stop))
             for s in basis
         ]
     return out

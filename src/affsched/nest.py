@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import IntMatrix, IntVector, dot
+from .algebra import dot
 
 DEP_KINDS = ("flow", "anti", "out", "in")
 ACCESS_KINDS = ("read", "write")
@@ -32,7 +32,7 @@ class EnumerationError(ValueError):
 @dataclass(frozen=True)
 class OuterVars:
     names: tuple[str, ...]
-    minima: IntVector  # smallest admissible value per outer variable
+    minima: tuple[int, ...]  # smallest admissible value per outer variable
 
     @property
     def count(self) -> int:
@@ -41,11 +41,14 @@ class OuterVars:
 
 @dataclass(frozen=True)
 class AffineBound:
-    param_coeffs: IntVector  # length e
+    param_coeffs: tuple[int, ...]  # length e
     constant: int
 
     def value_at(self, n_vals) -> int:
-        return self.param_coeffs.dot(n_vals) + self.constant
+        if len(n_vals) != len(self.param_coeffs):
+            raise ValueError(f"{len(n_vals)} parameter values for a bound over "
+                             f"{len(self.param_coeffs)} outer variables")
+        return dot(self.param_coeffs, n_vals) + self.constant
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,8 @@ class Domain:
     """Either a parametric box or an explicit list of parametric vertices."""
 
     box: tuple[tuple[AffineBound, AffineBound], ...] | None = None
-    explicit_vertices: tuple[tuple[IntMatrix, IntVector], ...] | None = None
+    # per vertex (R by rows, omega), v = R*N + omega, as int tuples
+    explicit_vertices: tuple[tuple[tuple, tuple[int, ...]], ...] | None = None
 
     def __post_init__(self):
         if (self.box is None) == (self.explicit_vertices is None):
@@ -74,8 +78,8 @@ class Domain:
         once per domain.
         """
         if self.explicit_vertices is not None:
-            return tuple((r.rows, omega.entries) for r, omega in self.explicit_vertices)
-        picks = [[(b.param_coeffs.entries, b.constant) for b in pair] for pair in self.box]
+            return self.explicit_vertices
+        picks = [[(b.param_coeffs, b.constant) for b in pair] for pair in self.box]
         return tuple((tuple(r for r, _ in corner), tuple(w for _, w in corner))
                      for corner in dict.fromkeys(itertools.product(*picks)))
 
@@ -100,9 +104,9 @@ class Access:
     statement: str
     slot: int
     kind: str  # read | write
-    iter_coeffs: IntMatrix  # dim x depth
-    param_coeffs: IntMatrix  # dim x e
-    offset: IntVector  # length dim
+    iter_coeffs: tuple[tuple[int, ...], ...]  # dim x depth
+    param_coeffs: tuple[tuple[int, ...], ...]  # dim x e
+    offset: tuple[int, ...]  # length dim
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -114,9 +118,9 @@ class Dependence:
     source: str
     target: str
     kind: str  # flow | anti | out | in
-    source_map: IntMatrix  # depth(source) x depth(target)
-    param_map: IntMatrix  # depth(source) x e
-    shift: IntVector  # length depth(source)
+    source_map: tuple[tuple[int, ...], ...]  # depth(source) x depth(target)
+    param_map: tuple[tuple[int, ...], ...]  # depth(source) x e
+    shift: tuple[int, ...]  # length depth(source)
     domain: Domain  # subset of the target statement's domain
     produced_by: tuple[str, int] | None = None  # (array, read slot) for flow deps
 
@@ -210,17 +214,17 @@ def read_int(value, what: str) -> int:
     return value
 
 
-def read_vector(obj, key: str, length: int, where: str) -> IntVector:
+def read_vector(obj, key: str, length: int, where: str) -> tuple[int, ...]:
     """Field `key` of `obj` as a list of `length` ints."""
     entries = read_field(obj, key, where, list)
     what = f"{where}, field {key!r}"
     if len(entries) != length:
         raise NestError(f"{what}: {len(entries)} entries, expected {length}")
     entry = f"{what}: entry"
-    return IntVector(read_int(x, entry) for x in entries)
+    return tuple([read_int(x, entry) for x in entries])
 
 
-def read_matrix(obj, key: str, nrows: int, ncols: int, where: str) -> IntMatrix:
+def read_matrix(obj, key: str, nrows: int, ncols: int, where: str) -> tuple[tuple[int, ...], ...]:
     """Field `key` of `obj` as `nrows` lists of `ncols` ints."""
     rows = read_field(obj, key, where, list)
     what = f"{where}, field {key!r}"
@@ -230,7 +234,7 @@ def read_matrix(obj, key: str, nrows: int, ncols: int, where: str) -> IntMatrix:
         if not isinstance(row, list) or len(row) != ncols:
             raise NestError(f"{what}: row {i} is {row!r}, expected {nrows}x{ncols}")
     entry = f"{what}: entry"
-    return IntMatrix(([read_int(x, entry) for x in row] for row in rows), ncols)
+    return tuple(tuple([read_int(x, entry) for x in row]) for row in rows)
 
 
 def _parse_bound(obj, e: int, where: str) -> AffineBound:
@@ -286,10 +290,9 @@ def load_nest(source) -> LoopNest:
     names = tuple(read_field(p, "name", "params", str) for p in params)
     if len(set(names)) != len(names):
         raise NestError("duplicate outer variable names")
-    minima = IntVector(read_int(read_field(p, "min", "params"), "params min") for p in params)
-    outer = OuterVars(names, minima)
+    n0 = tuple([read_int(read_field(p, "min", "params"), "params min") for p in params])
+    outer = OuterVars(names, n0)
     e = outer.count
-    n0 = outer.minima.entries
 
     stmts_doc = read_field(doc, "statements", "document", list)
     if not stmts_doc:
@@ -391,12 +394,12 @@ def load_nest(source) -> LoopNest:
         # domain and lie inside the target domain (checked at N^(0)); the
         # source image is Phi v - (phi - Psi N^(0))
         if box0[src.id] is not None and box0[tgt.id] is not None:
-            base = [h - dot(q, n0) for h, q in zip(d.shift, d.param_map.rows)]
+            base = [h - dot(q, n0) for h, q in zip(d.shift, d.param_map)]
             for rows, omega in dom.vertices:
                 v = tuple(dot(r, n0) + w for r, w in zip(rows, omega))
                 if not _within(box0[tgt.id], v):
                     raise NestError(f"{where}: vertex {v} outside target domain at N^(0)")
-                ipt = tuple(dot(p, v) - c for p, c in zip(d.source_map.rows, base))
+                ipt = tuple(dot(p, v) - c for p, c in zip(d.source_map, base))
                 if not _within(box0[src.id], ipt):
                     raise NestError(f"{where}: source image {ipt} outside source domain at N^(0)")
         dependences.append(d)

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import IntMatrix, IntVector, rank
+from .algebra import dot, rank
 from .constraints import (
     ConstraintSystem,
     ExtendedLayout,
@@ -96,16 +96,16 @@ def _fraction(obj, key: str, where: str, what: str) -> Fraction:
 
 @dataclass(frozen=True)
 class StatementTransform:
-    schedule: IntMatrix  # n x depth rows of schedule coefficients
-    param: IntMatrix  # n x e
-    const: IntVector  # length n
+    schedule: tuple[tuple[int, ...], ...]  # n x depth rows of schedule coefficients
+    param: tuple[tuple[int, ...], ...]  # n x e
+    const: tuple[int, ...]  # length n
 
 
 @dataclass(frozen=True)
 class ArrayAllocation:
-    placement: IntMatrix  # r_space x dim
-    param: IntMatrix  # r_space x e
-    const: IntVector  # length r_space
+    placement: tuple[tuple[int, ...], ...]  # r_space x dim
+    param: tuple[tuple[int, ...], ...]  # r_space x e
+    const: tuple[int, ...]  # length r_space
 
 
 @dataclass
@@ -129,10 +129,6 @@ class TransformPlan:
     weights: WeightConfig
     diagnostics: list[RecursionDiagnostics] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        return next(iter(self.statements.values())).schedule.nrows
 
 
 def build_recursion_system(
@@ -222,7 +218,7 @@ def run_procedure(
     table: dict = {}
 
     def rows(kind, key, upto=None):
-        return [layout.block(x, kind, key) for x in xs[:upto]]
+        return tuple(layout.block(x, kind, key) for x in xs[:upto])
 
     diagnostics = []
     ever_positive: set[int] = set()  # dependences ever scheduled apart at some vertex
@@ -248,7 +244,7 @@ def run_procedure(
             ) from exc
         except SolverTimeout as exc:
             raise SolverTimeout(f"recursion {xi}: {exc}") from exc
-        witnesses = {sid: (tuple(s), sign) for sid, (s, sign) in sol.witness_used.items()}
+        witnesses = sol.witness_used
         log.debug(
             "recursion %d: objective %s after %d passes (final cap %s), %d nodes, "
             "%d rows (%d implied), witnesses %s",
@@ -288,24 +284,21 @@ def run_procedure(
             )
         )
 
-    e = nest.outer_vars.count
     statements = {}
     for s in nest.statements:
-        t_mat = IntMatrix.from_rows(rows("tau", s.id))
-        if rank(t_mat) != s.depth:
+        t_rows = rows("tau", s.id)
+        if rank(t_rows) != s.depth:
             raise ProcedureError(
-                f"statement {s.id!r}: final schedule rank {rank(t_mat)} < depth {s.depth}"
+                f"statement {s.id!r}: final schedule rank {rank(t_rows)} < depth {s.depth}"
             )
         statements[s.id] = StatementTransform(
-            t_mat,
-            IntMatrix.from_rows(rows("b", s.id), e),
-            IntVector(x[layout.offset("a", s.id)] for x in xs),
+            t_rows, rows("b", s.id), tuple(x[layout.offset("a", s.id)] for x in xs)
         )
     arrays = {
         a.id: ArrayAllocation(
-            IntMatrix.from_rows(rows("eta", a.id, r_space), a.dim),
-            IntMatrix.from_rows(rows("z", a.id, r_space), e),
-            IntVector(x[layout.offset("y", a.id)] for x in xs[:r_space]),
+            rows("eta", a.id, r_space),
+            rows("z", a.id, r_space),
+            tuple(x[layout.offset("y", a.id)] for x in xs[:r_space]),
         )
         for a in nest.arrays
     }
@@ -327,7 +320,7 @@ def run_procedure(
     return TransformPlan(statements, arrays, r_space, weights, diagnostics, warnings)
 
 
-def schedule_of(plan: TransformPlan, nest: LoopNest, sid: str, point, n_vals) -> IntVector:
+def schedule_of(plan: TransformPlan, nest: LoopNest, sid: str, point, n_vals) -> tuple[int, ...]:
     """Full transformed index vector of one operation.
 
     The first r_space entries are processor coordinates, the rest time.
@@ -338,19 +331,26 @@ def schedule_of(plan: TransformPlan, nest: LoopNest, sid: str, point, n_vals) ->
         raise ValueError(f"point has {len(point)} entries, statement depth is {stmt.depth}")
     if stmt.domain.box is not None and not contains_point(stmt.domain, point, n_vals):
         raise ValueError(f"point {tuple(point)} outside domain of {sid!r}")
-    return st.schedule.matvec(point) + st.param.matvec(n_vals) + st.const
+    return _affine_at(st.schedule, st.param, st.const, point, n_vals)
 
 
-def placement_of(plan: TransformPlan, aid: str, index, n_vals) -> IntVector:
+def placement_of(plan: TransformPlan, aid: str, index, n_vals) -> tuple[int, ...]:
     """Processor coordinates owning one array element (length r_space)."""
     al = plan.arrays[aid]
     if plan.r_space == 0:
-        return IntVector(())
-    if len(index) != al.placement.ncols:
+        return ()
+    if len(index) != len(al.placement[0]):
         raise ValueError(
-            f"index has {len(index)} entries, array dimension is {al.placement.ncols}"
+            f"index has {len(index)} entries, array dimension is {len(al.placement[0])}"
         )
-    return al.placement.matvec(index) + al.param.matvec(n_vals) + al.const
+    return _affine_at(al.placement, al.param, al.const, index, n_vals)
+
+
+def _affine_at(coeffs, params, const, point, n_vals) -> tuple[int, ...]:
+    """`coeffs·point + params·n_vals + const`, one entry per row."""
+    if params and len(n_vals) != len(params[0]):
+        raise ValueError(f"{len(n_vals)} parameter values for {len(params[0])} outer variables")
+    return tuple(dot(c, point) + dot(p, n_vals) + k for c, p, k in zip(coeffs, params, const))
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +363,16 @@ def plan_to_doc(plan: TransformPlan) -> dict:
         "r_space": plan.r_space,
         "statements": {
             sid: {
-                "T": [list(r) for r in st.schedule.rows],
-                "B": [list(r) for r in st.param.rows],
+                "T": [list(r) for r in st.schedule],
+                "B": [list(r) for r in st.param],
                 "a": list(st.const),
             }
             for sid, st in plan.statements.items()
         },
         "arrays": {
             aid: {
-                "H": [list(r) for r in al.placement.rows],
-                "Z": [list(r) for r in al.param.rows],
+                "H": [list(r) for r in al.placement],
+                "Z": [list(r) for r in al.param],
                 "y": list(al.const),
             }
             for aid, al in plan.arrays.items()
@@ -416,14 +416,18 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     r_space outside [0, depth), a matrix or vector whose shape disagrees with
     the nest and r_space, or a zero denominator raise ValueError.  So do
     diagnostics out of range: a witness for a statement the nest lacks, of
-    the wrong length or with a sign other than +-1, and a dependence index
-    that is not one of the nest's dependences of that kind (`in` or not).
+    the wrong length or with a sign other than +-1, a dependence index that
+    is not one of the nest's dependences of that kind (`in` or not), an
+    active space access that is not the [array, statement, slot] key of one
+    of the nest's accesses, and an `xi` other than the recursion's position
+    + 1.  So does a warning that is not a string.
     """
     e = nest.outer_vars.count
     n = nest.max_depth
     depths = {s.id: s.depth for s in nest.statements}
     other_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind != "in"]
     in_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind == "in"]
+    access_keys = [list(acc.key) for acc in nest.accesses]
     r_space = read_int(read_field(doc, "r_space", "plan document"), "plan r_space")
     if not 0 <= r_space < n:
         raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
@@ -452,9 +456,15 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     for i, d in enumerate(diags):
         where = f"plan diagnostics #{i}"
         xi = read_int(read_field(d, "xi", where), f"{where} xi")
+        if xi != i + 1:
+            raise ValueError(f"{where}: xi {xi} is not {i + 1}")
         spaces = read_field(d, "active_space_accesses", where, list)
         if not all(isinstance(k, list) for k in spaces):
             raise ValueError(f"{where}, field 'active_space_accesses' must hold lists")
+        for k in spaces:
+            if k not in access_keys:
+                raise ValueError(f"{where}, field 'active_space_accesses': entry {k!r} "
+                                 "is not the key of an access of the nest")
         witnesses = {}
         for sid, w in read_field(d, "witnesses", where, dict).items():
             if sid not in depths:
@@ -462,7 +472,7 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
             sign = read_int(read_field(w, "sign", where), f"{where} witness sign")
             if sign not in (1, -1):
                 raise ValueError(f"{where} witness sign {sign} is not 1 or -1")
-            witnesses[sid] = (tuple(read_vector(w, "s", depths[sid], where)), sign)
+            witnesses[sid] = (read_vector(w, "s", depths[sid], where), sign)
         diagnostics.append(
             RecursionDiagnostics(
                 xi=xi,
@@ -478,5 +488,8 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
             )
         )
     warnings = read_field(doc, "warnings", "plan document", list) if "warnings" in doc else []
+    for w in warnings:
+        if not isinstance(w, str):
+            raise ValueError(f"plan document, field 'warnings': entry {w!r} is not a string")
     weights = WeightConfig.from_doc(read_field(doc, "weights", "plan document", dict))
     return TransformPlan(statements, arrays, r_space, weights, diagnostics, list(warnings))

@@ -44,7 +44,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .algebra import IntVector
 from .constraints import ABS, GEQ0, ConstraintSystem
 
 
@@ -80,7 +79,7 @@ class Solution:
     x: tuple[int, ...]
     objective: Fraction
     slacks: dict[str, int]
-    witness_used: dict[str, tuple[IntVector, int]]  # statement -> (s, sign)
+    witness_used: dict[str, tuple[tuple[int, ...], int]]  # statement -> (s, sign)
     nodes: int  # search nodes entered over all passes; deterministic for a given system
     passes: int  # capped passes run, the last one successful
     cap: Fraction  # objective cap of the last pass

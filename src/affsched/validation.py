@@ -18,13 +18,14 @@ imports numpy: the package loads it on the first use of `validate` or
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .algebra import IntMatrix, IntVector, rank
+from .algebra import dot, rank
 from .comm import comm_report
 from .constraints import (
     ABS,
@@ -98,7 +99,7 @@ def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc) -> int | No
     rule = row_locality(acc, nest)
     if rule is None:
         return None
-    return locality_depth(plan.statements[acc.statement].schedule.rows, rule)
+    return locality_depth(plan.statements[acc.statement].schedule, rule)
 
 
 def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
@@ -125,21 +126,23 @@ def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
     return grid.T + np.array(lows, dtype=np.int64)
 
 
-def _affine(points: np.ndarray, coeffs: IntMatrix, params: IntMatrix, const, n_vals) -> np.ndarray:
+def _affine(points: np.ndarray, coeffs, params, const, n_vals) -> np.ndarray:
     """`coeffs·p + params·N + const` for every row p of `points`, in int64.
 
-    Every entry is bounded in Python ints first; where one could reach
-    2**62 this raises EnumerationError rather than let int64 wrap around.
+    `coeffs` and `params` are int rows, one per entry of the image; a matrix
+    without rows maps every point to the empty vector.  Every entry is
+    bounded in Python ints first; where one could reach 2**62 this raises
+    EnumerationError rather than let int64 wrap around.
     """
-    offset = [c + v for c, v in zip(const, params.matvec(n_vals))]
+    offset = [c + dot(q, n_vals) for c, q in zip(const, params)]
     reach = max(int(np.abs(points).max(initial=0)), 1)
-    for row, off in zip(coeffs.rows, offset):
+    for row, off in zip(coeffs, offset):
         if sum(map(abs, row)) * reach + abs(off) >= INT64_SAFE:
             raise EnumerationError(
                 f"affine image at N={tuple(n_vals)} may reach 2**62, "
                 "beyond what the validator holds in int64"
             )
-    mat = np.array(coeffs.rows, dtype=np.int64).reshape(coeffs.nrows, coeffs.ncols)
+    mat = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), points.shape[1])
     return points @ mat.T + np.array(offset, dtype=np.int64)
 
 
@@ -184,15 +187,15 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
             f"{len(n_vals)} parameter values {n_vals} for the {len(names)} parameters {names}"
         )
     for name, v in zip(names, n_vals):
-        if isinstance(v, bool):  # an int subclass, so IntVector would read it as 0 or 1
+        if isinstance(v, bool):  # an int subclass, so operator.index would read it as 0 or 1
             raise ValueError(f"value {v!r} of parameter {name!r} is not an int")
-    n_vals = IntVector(n_vals)
+    # a float, string or Fraction raises TypeError rather than be truncated;
+    # numpy ints become Python ints
+    n_vals = tuple(map(operator.index, n_vals))
     minima = nest.outer_vars.minima
     if any(v < m for v, m in zip(n_vals, minima)):
-        raise ValueError(
-            f"parameter values {tuple(n_vals)} below declared minima {tuple(minima)}"
-        )
-    report = ValidationReport(n_vals=tuple(n_vals))
+        raise ValueError(f"parameter values {n_vals} below declared minima {minima}")
+    report = ValidationReport(n_vals=n_vals)
     r = plan.r_space
     tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -224,7 +227,7 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
         # build both tables first: a statement that cannot be enumerated raises here
         ops(dep.target)
         ops(dep.source)
-        sources = _affine(targets, dep.source_map, dep.param_map, -dep.shift, n_vals)
+        sources = _affine(targets, dep.source_map, dep.param_map, [-h for h in dep.shift], n_vals)
         inside_t = _inside(nest.statement(dep.target).domain, targets, n_vals)
         inside = inside_t & _inside(nest.statement(dep.source).domain, sources, n_vals)
         if not inside.all():
@@ -315,11 +318,13 @@ def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, index, n_vals) ->
     read = latest >= 0
 
     time_uniform = bool((earliest == latest)[read].all())
-    depth, e = points.shape[1], len(n_vals)
+    depth = points.shape[1]
+    identity = [[int(i == j) for j in range(depth)] for i in range(depth)]
+    zero = [[0] * len(n_vals)] * depth
     domain = nest.statement(acc.statement).domain
     stays = np.ones(n_reads, dtype=bool)
     for u in kernel:
-        shifted = _affine(points, IntMatrix.identity(depth), IntMatrix.zero(depth, e), u, n_vals)
+        shifted = _affine(points, identity, zero, u, n_vals)
         stays &= _inside(domain, shifted, n_vals)
     kept = np.zeros(n_elems, dtype=bool)
     kept[read_elem[stays]] = True

@@ -64,13 +64,15 @@ def fixture_plan(name, r_space=None, **kwargs):
 
 
 def index_at(acc, point, n_vals):
-    """The element the access `acc` touches at operation `point`, as an IntVector."""
-    return acc.iter_coeffs.matvec(point) + acc.param_coeffs.matvec(n_vals) + acc.offset
+    """The element the access `acc` touches at operation `point`: F J + G N + f."""
+    return tuple(dot(f, point) + dot(g, n_vals) + c
+                 for f, g, c in zip(acc.iter_coeffs, acc.param_coeffs, acc.offset))
 
 
 def source_point(dep, target_point, n_vals):
-    """The source operation of the dependence `dep` at `target_point`, as an IntVector."""
-    return dep.source_map.matvec(target_point) + dep.param_map.matvec(n_vals) - dep.shift
+    """The source operation of the dependence `dep` at `target_point`: Phi J + Psi N - phi."""
+    return tuple(dot(p, target_point) + dot(q, n_vals) - h
+                 for p, q, h in zip(dep.source_map, dep.param_map, dep.shift))
 
 
 def vertex_at(vertex, n_vals):

@@ -262,6 +262,11 @@ class TestValidate:
         (("diagnostics", 0, "witnesses", "S1", "s"), [1, 0, 7]),
         (("diagnostics", 0, "witnesses", "S9"), {"s": [1, 0], "sign": 1}),
         (("diagnostics", 0, "active_dependences"), [-3, 99]),
+        (("warnings",), [1, 2]),
+        (("diagnostics", 0, "active_space_accesses"), [["Q", "S9", 7, 8]]),
+        (("diagnostics", 0, "active_space_accesses"), [[1]]),
+        (("diagnostics", 0, "xi"), -4),
+        (("diagnostics", 1, "xi"), 1),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"

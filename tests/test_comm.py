@@ -14,7 +14,6 @@ from affsched.comm import (
     detect_broadcast,
     exchange_requirements,
 )
-from affsched.algebra import IntMatrix
 from affsched.nest import load_nest
 from affsched.procedure import run_procedure
 from conftest import fixture_doc, fixture_nest, fixture_plan
@@ -23,7 +22,7 @@ from conftest import fixture_doc, fixture_nest, fixture_plan
 def _with_schedule(plan, sid, rows):
     st = plan.statements[sid]
     statements = dict(plan.statements)
-    statements[sid] = dataclasses.replace(st, schedule=IntMatrix(rows))
+    statements[sid] = dataclasses.replace(st, schedule=tuple(map(tuple, rows)))
     return dataclasses.replace(plan, statements=statements)
 
 

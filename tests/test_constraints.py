@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affsched.algebra import IntVector
+from affsched.algebra import dot
 from affsched.constraints import (
     ABS,
     GEQ0,
@@ -45,8 +45,8 @@ def _difference(x, dep, lay, vertex, n_vals):
     s = source_point(dep, v, n_vals)
 
     def t(sid, point):
-        return (IntVector(lay.block(x, "tau", sid)).dot(point)
-                + IntVector(lay.block(x, "b", sid)).dot(n_vals) + x[lay.offset("a", sid)])
+        return (dot(lay.block(x, "tau", sid), point)
+                + dot(lay.block(x, "b", sid), n_vals) + x[lay.offset("a", sid)])
 
     return t(dep.target, v) - t(dep.source, s)
 
@@ -331,7 +331,7 @@ class TestRankWitnesses:
     def test_candidates_shrink_with_accumulated_rows(self):
         nest = fixture_nest("stencil")
         lay = ExtendedLayout.for_nest(nest)
-        wits = rank_witnesses({"S1": [IntVector([1, 0])]}, 1, lay)
+        wits = rank_witnesses({"S1": [(1, 0)]}, 1, lay)
         assert [tuple(w.s) for w in wits["S1"]] == [(0, 1)]
 
     def test_only_statements_with_levels_left_grow(self):
@@ -363,14 +363,14 @@ class TestSoundness:
             if any(c.value(x) < 0 for c in all_cols):
                 continue
             found += 1
-            tau = IntVector(lay.block(x, "tau", "S1"))
-            b = IntVector(lay.block(x, "b", "S1"))
+            tau = lay.block(x, "tau", "S1")
+            b = lay.block(x, "b", "S1")
             a = x[lay.offset("a", "S1")]
             for n in (3, 5):
                 for dep in nest.dependences:
                     for pt in enumerate_domain(dep.domain, [n]):
                         src = source_point(dep, pt, [n])
-                        t_target = tau.dot(pt) + b.dot([n]) + a
-                        t_source = tau.dot(src) + b.dot([n]) + a
+                        t_target = dot(tau, pt) + dot(b, [n]) + a
+                        t_source = dot(tau, src) + dot(b, [n]) + a
                         assert t_target - t_source >= 0
         assert found == 40

@@ -242,6 +242,16 @@ class TestEnumeration:
         assert not contains_point(dom, [0, 1], [3])
         assert not contains_point(dom, [1, 4], [3])
 
+    @pytest.mark.parametrize("n_vals", [[], [3, 4]], ids=repr)
+    def test_wrong_parameter_count_rejected(self, n_vals):
+        # a count other than the nest's is not zipped down to a shorter one
+        dom = fixture_nest("stencil").statements[0].domain
+        match = f"{len(n_vals)} parameter values for a bound over 1 outer variables"
+        with pytest.raises(ValueError, match=match):
+            enumerate_domain(dom, n_vals)
+        with pytest.raises(ValueError, match=match):
+            contains_point(dom, [1, 1], n_vals)
+
     def test_explicit_vertex_domain_cannot_enumerate(self):
         doc = fixture_doc("vecadd")
         doc["statements"][0]["domain"] = {"vertices": [{"R": [[0]], "omega": [0]}]}

@@ -1,5 +1,6 @@
 """Recursive procedure: frozen fixture plans, drop rules, serialization."""
 
+import dataclasses
 import logging
 import random
 import re
@@ -15,7 +16,9 @@ from affsched.constraints import (
 )
 from affsched.nest import load_nest
 from affsched.procedure import (
+    ArrayAllocation,
     ProcedureError,
+    StatementTransform,
     WeightConfig,
     placement_of,
     plan_from_doc,
@@ -40,40 +43,40 @@ class TestFrozenPlans:
 
     def test_vecadd(self):
         plan = fixture_plan("vecadd")
-        assert plan.statements["S1"].schedule.rows == ((1,),)
+        assert plan.statements["S1"].schedule == ((1,),)
         assert [d.objective for d in plan.diagnostics] == [0]
 
     def test_chain(self):
         plan = fixture_plan("chain")
-        assert plan.statements["S1"].schedule.rows == ((1,),)
+        assert plan.statements["S1"].schedule == ((1,),)
         assert [d.objective for d in plan.diagnostics] == [2]
 
     def test_stencil(self):
         plan = fixture_plan("stencil")
-        assert plan.statements["S1"].schedule.rows == ((1, 0), (0, 1))
-        assert plan.arrays["u"].placement.rows == ((1, 0),)
+        assert plan.statements["S1"].schedule == ((1, 0), (0, 1))
+        assert plan.arrays["u"].placement == ((1, 0),)
         assert [d.objective for d in plan.diagnostics] == [68, 4]
 
     def test_addmat(self):
         plan = fixture_plan("addmat")
         assert [d.objective for d in plan.diagnostics] == [0, 0]
         for aid in ("a", "b", "c"):
-            assert plan.arrays[aid].placement.rows == ((1, 0),)
+            assert plan.arrays[aid].placement == ((1, 0),)
 
     def test_matvec(self):
         plan = fixture_plan("matvec")
-        assert plan.statements["S1"].schedule.rows == ((1, 0), (0, 1))
-        assert plan.arrays["y"].placement.rows == ((1,),)
-        assert plan.arrays["A"].placement.rows == ((1, 0),)
-        assert plan.arrays["x"].placement.rows == ((0,),)
+        assert plan.statements["S1"].schedule == ((1, 0), (0, 1))
+        assert plan.arrays["y"].placement == ((1,),)
+        assert plan.arrays["A"].placement == ((1, 0),)
+        assert plan.arrays["x"].placement == ((0,),)
         assert [d.objective for d in plan.diagnostics] == [80, 8]
 
     def test_matmul(self):
         plan = fixture_plan("matmul")
-        assert plan.statements["S1"].schedule.rows == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-        assert plan.arrays["C"].placement.rows == ((1, 0),)
-        assert plan.arrays["A"].placement.rows == ((1, 0),)
-        assert plan.arrays["B"].placement.rows == ((0, 0),)
+        assert plan.statements["S1"].schedule == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+        assert plan.arrays["C"].placement == ((1, 0),)
+        assert plan.arrays["A"].placement == ((1, 0),)
+        assert plan.arrays["B"].placement == ((0, 0),)
         assert [d.objective for d in plan.diagnostics] == [98, 8, 32]
 
     def test_chain23(self):
@@ -81,12 +84,12 @@ class TestFrozenPlans:
         # across statements
         plan = fixture_plan("chain23", 1)
         for sid in ("S1", "S2"):
-            assert plan.statements[sid].schedule.rows == (
+            assert plan.statements[sid].schedule == (
                 (0, 1, 0), (1, 0, 0), (0, 0, 1)
             )
-            assert plan.statements[sid].param.rows == ((0,), (0,), (0,))
+            assert plan.statements[sid].param == ((0,), (0,), (0,))
         for aid in ("A0", "A1", "A2"):
-            assert plan.arrays[aid].placement.rows == ((0, 1, 0),)
+            assert plan.arrays[aid].placement == ((0, 1, 0),)
         assert [d.objective for d in plan.diagnostics] == [0, 0, 0]
         assert [d.witnesses for d in plan.diagnostics] == [
             {sid: (s, 1) for sid in ("S1", "S2")}
@@ -97,11 +100,11 @@ class TestFrozenPlans:
         # four depth-2 statements: the widest layout run end to end
         plan = fixture_plan("chain42", 1)
         for sid, const in (("S1", (0, 0)), ("S2", (1, -1)), ("S3", (0, -1)), ("S4", (-1, -2))):
-            assert plan.statements[sid].schedule.rows == ((1, 0), (0, 1))
-            assert plan.statements[sid].param.rows == ((0,), (0,))
+            assert plan.statements[sid].schedule == ((1, 0), (0, 1))
+            assert plan.statements[sid].param == ((0,), (0,))
             assert tuple(plan.statements[sid].const) == const
         for aid, const in (("A0", 0), ("A1", 0), ("A2", 1), ("A3", 0), ("A4", -1)):
-            assert plan.arrays[aid].placement.rows == ((1, 0),)
+            assert plan.arrays[aid].placement == ((1, 0),)
             assert tuple(plan.arrays[aid].const) == (const,)
         assert [d.objective for d in plan.diagnostics] == [0, 0]
         assert [d.witnesses for d in plan.diagnostics] == [
@@ -236,7 +239,7 @@ class TestRankAndErrors:
         plan = fixture_plan("matmul", 2)
         assert plan.r_space == 2
         for al in plan.arrays.values():
-            assert al.placement.nrows == 2
+            assert len(al.placement) == 2
 
     def test_lex_equal_warning(self):
         doc = fixture_doc("chain")
@@ -287,7 +290,7 @@ class TestRowLocality:
         labels = {label for d in plan.diagnostics for label in d.slacks}
         assert not any(label.startswith("space.R.") for label in labels)
         assert [d.objective for d in plan.diagnostics] == [74, 4]
-        assert plan.statements["S1"].schedule.rows == ((0, 1), (1, 0))
+        assert plan.statements["S1"].schedule == ((0, 1), (1, 0))
 
 
 class TestWeights:
@@ -339,10 +342,10 @@ class TestEvaluation:
     def test_schedule_of_matches_plan_arithmetic(self):
         plan = fixture_plan("stencil")
         nest = fixture_nest("stencil")
-        st = plan.statements["S1"]
-        point, n = [2, 3], [4]
-        expect = st.schedule.matvec(point) + st.param.matvec(n) + st.const
-        assert schedule_of(plan, nest, "S1", point, n) == expect
+        st = StatementTransform(((1, 2), (0, -1)), ((3,), (0,)), (5, -2))
+        plan = dataclasses.replace(plan, statements={"S1": st})
+        # T (2, 3) + B (4,) + a = (2 + 6 + 12 + 5, -3 + 0 - 2)
+        assert schedule_of(plan, nest, "S1", [2, 3], [4]) == (25, -5)
 
     def test_schedule_of_rejects_outside_points(self):
         plan = fixture_plan("stencil")
@@ -351,14 +354,19 @@ class TestEvaluation:
             schedule_of(plan, nest, "S1", [0, 1], [4])
         with pytest.raises(ValueError, match="entries"):
             schedule_of(plan, nest, "S1", [1], [4])
+        with pytest.raises(ValueError, match="2 parameter values"):
+            schedule_of(plan, nest, "S1", [1, 1], [4, 5])
 
     def test_placement_of(self):
         plan = fixture_plan("matvec")
-        al = plan.arrays["A"]
-        expect = al.placement.matvec([2, 3]) + al.param.matvec([4]) + al.const
-        assert placement_of(plan, "A", [2, 3], [4]) == expect
+        al = ArrayAllocation(((2, -1),), ((1,),), (3,))
+        plan = dataclasses.replace(plan, arrays={**plan.arrays, "A": al})
+        # H (2, 3) + Z (4,) + y = (4 - 3 + 4 + 3,)
+        assert placement_of(plan, "A", [2, 3], [4]) == (8,)
         with pytest.raises(ValueError, match="dimension"):
             placement_of(plan, "A", [2], [4])
+        with pytest.raises(ValueError, match="0 parameter values for 1 outer variables"):
+            placement_of(plan, "A", [2, 3], [])
 
     def test_placement_empty_without_spatial_dims(self):
         plan = fixture_plan("chain")
@@ -533,6 +541,15 @@ class TestSerialization:
          r"field 'dropped_dependences': entry 2 is not one of \[0, 1\]"),
         (("diagnostics", 0, "active_in_dependences"), [0],
          r"field 'active_in_dependences': entry 0 is not one of \[\]"),
+        # entries that are not what their field names
+        (("warnings",), [1, 2], "field 'warnings': entry 1 is not a string"),
+        (("diagnostics", 0, "active_space_accesses"), [["Q", "S9", 7, 8]],
+         r"entry \['Q', 'S9', 7, 8\] is not the key of an access of the nest"),
+        (("diagnostics", 0, "active_space_accesses"), [[1]],
+         r"entry \[1\] is not the key of an access of the nest"),
+        (("diagnostics", 0, "xi"), -4, "plan diagnostics #0: xi -4 is not 1"),
+        # the second recursion repeats the first one's xi
+        (("diagnostics", 1, "xi"), 1, "plan diagnostics #1: xi 1 is not 2"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from affsched import procedure, solver
-from affsched.algebra import IntVector
+from affsched.algebra import dot
 from affsched.constraints import (
     ABS,
     GEQ0,
@@ -176,8 +176,8 @@ class TestBasicSolves:
         sol = solve(system)
         assert set(sol.witness_used) == {"S1"}
         s, sign = sol.witness_used["S1"]
-        tau = IntVector(system.layout.block(sol.x, "tau", "S1"))
-        assert sign * tau.dot(s) >= 1
+        tau = system.layout.block(sol.x, "tau", "S1")
+        assert sign * dot(tau, s) >= 1
 
     def test_unused_variables_pinned_to_zero(self):
         system = first_recursion_system(fixture_nest("vecadd"), r_space=0)
@@ -255,7 +255,7 @@ def _draw_witnesses(draw, lay, depths):
         for s in draw(st.lists(vec, min_size=1, max_size=3, unique_by=tuple)):
             s_tilde = [0] * lay.size
             s_tilde[start:stop] = s
-            cands.append(RankWitness(sid, IntVector(s), tuple(s_tilde)))
+            cands.append(RankWitness(sid, tuple(s), tuple(s_tilde)))
         witnesses[sid] = cands
     return witnesses
 
@@ -493,7 +493,7 @@ class TestConstructedSystems:
         ]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
-        wit = {"S1": [RankWitness("S1", IntVector((1,)), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
         with pytest.raises(InfeasibleError):
             solve(self._system(cols, wit))
 
@@ -508,9 +508,8 @@ class TestConstructedSystems:
         cols = [ConstraintColumn(tuple(coeffs), ABS, "align-f", "tie", Fraction(5))]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
-        from affsched.algebra import IntVector
 
-        wit = {"S1": [RankWitness("S1", IntVector((1,)), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
         sol = solve(self._system(cols, wit))
         assert sol.objective == 0
         assert sol.x[a] == -sol.x[t]
@@ -527,7 +526,7 @@ class TestConstructedSystems:
             cols.append(ConstraintColumn(tuple(coeffs), sense, "align-f", name, Fraction(w)))
         s_tilde = [0] * lay.size
         s_tilde[x0] = 1
-        wit = {"S1": [RankWitness("S1", IntVector((1,)), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
         return self._system(cols, wit), x0, x1
 
     def test_pair_bound_before_its_last_variable(self):
@@ -592,9 +591,8 @@ class TestConstructedSystems:
         cols = [self._column(lay, t, 1, GEQ0, Fraction(1, 3))]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
-        from affsched.algebra import IntVector
 
-        wit = {"S1": [RankWitness("S1", IntVector((1,)), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
         sol = solve(self._system(cols, wit))
         assert sol.objective == Fraction(1, 3)
 

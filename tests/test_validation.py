@@ -5,9 +5,10 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from affsched.algebra import IntMatrix, rank
+from affsched.algebra import rank
 from affsched.cli import EXIT_INPUT, main
 from affsched.comm import comm_report
 from affsched.nest import EnumerationError, load_nest
@@ -39,7 +40,7 @@ from conftest import (
 def _with_schedule(plan, sid, rows):
     st = plan.statements[sid]
     statements = dict(plan.statements)
-    statements[sid] = dataclasses.replace(st, schedule=IntMatrix(rows))
+    statements[sid] = dataclasses.replace(st, schedule=tuple(map(tuple, rows)))
     return dataclasses.replace(plan, statements=statements)
 
 
@@ -170,6 +171,13 @@ class TestLegality:
         with pytest.raises(TypeError):
             validate(fixture_nest("stencil"), fixture_plan("stencil", 1), n_vals)
 
+    def test_numpy_int_params_accepted(self):
+        # numpy ints are ints: validated as the Python ints they stand for
+        nest, plan = fixture_nest("stencil"), fixture_plan("stencil", 1)
+        report = validate(nest, plan, [np.int64(6)])
+        assert report.n_vals == (6,) and type(report.n_vals[0]) is int
+        assert report.to_doc() == validate(nest, plan, [6]).to_doc()
+
     @pytest.mark.parametrize("n_vals, match", [
         ([6, 7], r"2 parameter values \(6, 7\) for the 1 parameters \('N',\)"),
         ([], r"0 parameter values \(\) for the 1 parameters \('N',\)"),
@@ -210,7 +218,7 @@ class TestCommunicationCounts:
     def test_misplaced_array_costs(self):
         plan = fixture_plan("addmat")
         arrays = dict(plan.arrays)
-        arrays["a"] = dataclasses.replace(arrays["a"], placement=IntMatrix([[0, 1]]))
+        arrays["a"] = dataclasses.replace(arrays["a"], placement=((0, 1),))
         bad = dataclasses.replace(plan, arrays=arrays)
         report = validate(fixture_nest("addmat"), bad, [4])
         assert report.comm_by_access[("a", "S1", 1)] > 0
@@ -432,8 +440,8 @@ class TestReportDoc:
         # first (violations) and those on processor N tie (warnings)
         nest, plan = TestBroadcastChecks._written_broadcast(overwrite=False)
         statements = dict(plan.statements)
-        statements["S1"] = dataclasses.replace(statements["S1"], param=IntMatrix([[1], [0]]))
-        statements["S2"] = dataclasses.replace(statements["S2"], param=IntMatrix([[0], [0]]))
+        statements["S1"] = dataclasses.replace(statements["S1"], param=((1,), (0,)))
+        statements["S2"] = dataclasses.replace(statements["S2"], param=((0,), (0,)))
         report = validate(nest, dataclasses.replace(plan, statements=statements), [4])
         assert report.legality_violations and report.lex_equal_warnings
         assert report.broadcast_checks and report.reuse_histogram and report.row_locality
