@@ -81,8 +81,10 @@ class WeightConfig:
 
     @staticmethod
     def from_doc(doc: dict) -> "WeightConfig":
+        """Every family is required; a key that names none is rejected."""
+        keys = dict.fromkeys([*(fam for fam, _ in _FAMILY_FIELDS), *doc])
         return WeightConfig.with_overrides(
-            {k: _fraction(doc, k, "plan weights", f"plan weight {k!r}") for k in doc}
+            {k: _fraction(doc, k, "plan weights", f"plan weight {k!r}") for k in keys}
         )
 
 
@@ -420,7 +422,9 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     is not one of the nest's dependences of that kind (`in` or not), an
     active space access that is not the [array, statement, slot] key of one
     of the nest's accesses, and an `xi` other than the recursion's position
-    + 1.  So does a warning that is not a string.
+    + 1.  So do a diagnostics list that is neither empty nor one entry per
+    recursion, a weights object that lacks a family, and a warning that is
+    not a string.
     """
     e = nest.outer_vars.count
     n = nest.max_depth
@@ -453,6 +457,8 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     }
     diagnostics = []
     diags = read_field(doc, "diagnostics", "plan document", list) if "diagnostics" in doc else []
+    if diags and len(diags) != n:
+        raise ValueError(f"plan document, field 'diagnostics': {len(diags)} entries, expected {n}")
     for i, d in enumerate(diags):
         where = f"plan diagnostics #{i}"
         xi = read_int(read_field(d, "xi", where), f"{where} xi")

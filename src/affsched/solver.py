@@ -38,6 +38,7 @@ statement is its earliest satisfied option.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,12 +115,14 @@ class _Search:
     multiple of every GEQ0 pair's sum, are the only columns of weight 0, for
     the dead check alone.  Every d only grows with depth, and at a leaf
     d_c <= d_a + d_b, so the bound never falls and equals the objective there.
+    A pass keeps the least bound its cap cut in `least`, and the last cap
+    that held no vector, as an objective, in `proven`.
     """
 
     def __init__(self, system: ConstraintSystem, bound, deadline):
         self.system = system
-        self.deadline = deadline
-        self.scale = scale = _weight_scale(system)
+        self.deadline = math.inf if deadline is None else deadline
+        self.scale = scale = lcm(*{col.weight.denominator for col in system.columns})
         self.values = _value_order(bound)
         # columns whose slack is equal at every x share one row weighted by the
         # sum of their weights: equal rows, and for ABS columns also opposite
@@ -204,9 +207,7 @@ class _Search:
         self.assign = [0] * nvars
         self.nodes = 0
         self.passes = 0
-        # above every objective: what a pass returns for a subtree in which it
-        # cut nothing, which therefore holds no feasible vector
-        self.none = 1 + sum(w * rest[ri][0] for ri, w in enumerate(weights))
+        self.proven = None
 
     def run(self, cap):
         """One pass under the objective cap `cap` (scaled units).
@@ -217,15 +218,19 @@ class _Search:
         optimal leaf is met every cut subtree is bounded above the optimum:
         if the pass finds a vector, `best_x` is the first vector of least
         objective in search order, whatever the bounds and the cap.  If not,
-        `over_cap` is the least bound cut by the cap, or None when the cap
-        cut nothing and the box holds no feasible vector at all.
+        `proven` is the cap as an objective and `over_cap` the least bound
+        it cut (`least`), or None when it cut nothing: the box holds no
+        feasible vector at all.
         """
         self.passes += 1
         self.cap = cap
         self.best = cap + 1
         self.best_x = None
-        least = self.dfs()
-        self.over_cap = None if least == self.none else least
+        self.least = math.inf
+        self.dfs()
+        if self.best_x is None:
+            self.proven = Fraction(cap, self.scale)
+        self.over_cap = None if self.least == math.inf else self.least
 
     def solution(self) -> Solution:
         """The incumbent of the last pass as a full-layout solution.  Each
@@ -261,15 +266,16 @@ class _Search:
 
         At the root every partial sum is 0, so each column's interval
         contains 0: the bound is 0 and no column is dead.  While the pass has
-        no incumbent, returns the least bound the cap cut below the node, or
-        `none` when it cut nothing there.
+        no incumbent, a child cut by the cap lowers `least` to its bound.  A
+        spent budget raises the timeout, naming the pass, its cap and `proven`.
         """
         self.nodes += 1
         # the first node checks too, so a spent budget stops even a small search
-        if self.deadline is not None and self.nodes % 1024 == 1:
-            if time.monotonic() > self.deadline:
-                raise SolverTimeout(f"solver time limit exceeded after {self.nodes} nodes")
-        least = self.none
+        if self.nodes % 1024 == 1 and time.monotonic() > self.deadline:
+            proven = "" if self.proven is None else f"; no solution with objective <= {self.proven}"
+            raise SolverTimeout(
+                f"solver time limit exceeded after {self.nodes} nodes in pass {self.passes} "
+                f"under objective cap {Fraction(self.cap, self.scale)}{proven}")
         partial = self.partial
         # cut the node if some statement has no option that a completion of
         # the first k variables can still meet
@@ -279,10 +285,10 @@ class _Search:
                 if p + spread >= 1 or p - spread <= -1:
                     break
             else:
-                return least
+                return
         if k == self.nvars:
             self.best, self.best_x = lb, tuple(self.assign)
-            return least
+            return
         columns = self.columns_at[k]
         pairs = self.pairs_at[k]
         touched = self.by_pos[k]
@@ -339,22 +345,19 @@ class _Search:
                 if child >= best:
                     # while there is no incumbent, cut by the cap alone: the
                     # next pass needs a cap this high
-                    if child < least:
-                        least = child
+                    if child < self.least:
+                        self.least = child
                     continue
                 self.assign[k] = v
                 if v:
                     for ri, c in touched:
                         partial[ri] += c * v
-                below = self.dfs(k + 1, child)
+                self.dfs(k + 1, child)
                 best = self.best
                 if v:
                     for ri, c in touched:
                         partial[ri] -= c * v
-                if below < least:
-                    least = below
         self.assign[k] = 0
-        return least
 
 
 def _derived_rows(rows, nonzero, geq):
@@ -399,10 +402,6 @@ def _derived_rows(rows, nonzero, geq):
     return pairs, implied
 
 
-def _weight_scale(system: ConstraintSystem) -> int:
-    return lcm(*{col.weight.denominator for col in system.columns})
-
-
 def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution:
     """Minimize the weighted slack objective over the bounded integer box.
 
@@ -416,15 +415,9 @@ def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution
     cfg = cfg or SolverConfig()
     deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
     search = _Search(system, cfg.coeff_bound, deadline)
-    cap, failed = 0, None
+    cap = 0
     while True:
-        try:
-            search.run(cap)
-        except SolverTimeout as exc:
-            reached = f"pass {search.passes} under objective cap {Fraction(cap, search.scale)}"
-            if failed is not None:
-                reached += f"; no solution with objective <= {Fraction(failed, search.scale)}"
-            raise SolverTimeout(f"{exc} in {reached}") from None
+        search.run(cap)
         if search.best_x is not None:
             return search.solution()
         if search.over_cap is None:
@@ -432,4 +425,4 @@ def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution
                 f"no feasible coefficients with entries in [-{cfg.coeff_bound}, "
                 f"{cfg.coeff_bound}]; consider raising the bound"
             )
-        cap, failed = max(search.over_cap, 2 * cap), cap
+        cap = max(search.over_cap, 2 * cap)

@@ -98,6 +98,16 @@ class TestSolve:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("weight,message", [
+        ("legality=abc", "bad weight value 'abc'"),
+        ("speed=2", "unknown weight family 'speed'"),
+    ])
+    def test_bad_weight_override(self, capsys, weight, message):
+        rc = main(["solve", "--input", fixture_path("chain"), "--spatial-dims", "0",
+                   "--weight", weight])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_time_limit_exit_code(self, capsys):
         rc = main(["solve", "--input", fixture_path("matmul"), "--time-limit", "1e-9"])
         assert rc == EXIT_TIMEOUT
@@ -207,12 +217,31 @@ class TestValidate:
         ("N=4,N=5", "parameter 'N' given twice in 'N=4,N=5'"),
         ("N=abc", "bad value 'abc' for parameter 'N'; expected an integer"),
         ("N=", "bad value '' for parameter 'N'; expected an integer"),
+        ("N4", "bad parameter setting 'N4'; expected name=value"),
     ])
     def test_bad_parameter_setting(self, matmul_plan, capsys, setting, message):
         rc = main(["validate", "--input", fixture_path("matmul"), "--plan", str(matmul_plan),
                    "--params", setting])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_setting_missing_a_parameter(self, tmp_path, capsys):
+        # vecadd with a second parameter M that no bound or access uses
+        doc = fixture_doc("vecadd")
+        doc["params"].append({"name": "M", "min": 1})
+        for bound in doc["statements"][0]["domain"]["box"]:
+            bound["lower"]["coeffs"].append(0)
+            bound["upper"]["coeffs"].append(0)
+        for acc in doc["accesses"]:
+            acc["G"] = [row + [0] for row in acc["G"]]
+        nest, plan = tmp_path / "nest.json", tmp_path / "plan.json"
+        nest.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(nest), "--spatial-dims", "0",
+                     "--out", str(plan)]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["validate", "--input", str(nest), "--plan", str(plan), "--params", "N=3"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "error: parameter setting 'N=3' misses ['M']\n"
 
     def test_params_below_minimum(self, matmul_plan):
         rc = main(
@@ -267,6 +296,8 @@ class TestValidate:
         (("diagnostics", 0, "active_space_accesses"), [[1]]),
         (("diagnostics", 0, "xi"), -4),
         (("diagnostics", 1, "xi"), 1),
+        (("weights",), {"indep": [4, 1], "align-F": [64, 1], "align-G": [64, 1],
+                        "align-f": [64, 1], "space": [2, 1]}),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"
@@ -284,6 +315,18 @@ class TestValidate:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: plan ") and err.count("\n") == 1
+
+    def test_plan_with_a_diagnostics_entry_too_many(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main(["solve", "--input", fixture_path("stencil"), "--out", str(plan)]) == EXIT_OK
+        doc = json.loads(plan.read_text())
+        doc["diagnostics"].append({**doc["diagnostics"][-1], "xi": 3})
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["validate", "--input", fixture_path("stencil"), "--plan", str(plan),
+                   "--params", "N=4"])
+        assert rc == EXIT_INPUT
+        assert "field 'diagnostics': 3 entries, expected 2" in capsys.readouterr().err
 
     def test_unwritable_out(self, matmul_plan, tmp_path, capsys):
         out = tmp_path / "missing" / "v.json"

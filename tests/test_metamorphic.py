@@ -1,4 +1,5 @@
-"""Metamorphic checks of the exact search over the pinned cases.
+"""Metamorphic checks of the exact search over the pinned cases and the
+generated chains.
 
 A relation between two runs holds whatever bounds and cuts the search
 uses, so a cut that drops an optimum under one run but not under the other
@@ -6,13 +7,17 @@ fails it, even where no exhaustive oracle can afford the system.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 from affsched import procedure
 from affsched.nest import load_nest
 from affsched.procedure import WeightConfig, plan_to_doc, run_procedure
 from affsched.solver import SolverConfig
+from affsched.validation import validate
+from conftest import perfbench_module
 from test_plan_digests import cases
+from test_procedure import GENERATED_CHAINS
 
 SCALE = Fraction(3, 7)
 
@@ -54,4 +59,43 @@ def test_weight_scaling(monkeypatch):
         if (plan_s, searches_s) != (plan, searches) or \
                 objectives_s != [o * SCALE for o in objectives]:
             moved.append(cid)
+    assert moved == []
+
+
+def _shuffled(doc, seed):
+    """`doc` with its statements and arrays each listed in a seeded random
+    order other than their own, where a list has more than one entry."""
+    rng = random.Random(seed)
+    out = dict(doc)
+    for key in ("statements", "arrays"):
+        items = out[key]
+        while out[key] == items and len(items) > 1:
+            out[key] = rng.sample(items, len(items))
+    return out
+
+
+def _objectives_and_verdict(doc, r, overrides, bound):
+    """Every recursion's objective, and whether the plan validates at N^(0)+2."""
+    nest = load_nest(doc)
+    plan = run_procedure(nest, r_space=r, weights=WeightConfig.with_overrides(overrides),
+                         solver_cfg=SolverConfig(coeff_bound=bound))
+    n_vals = [m + 2 for m in nest.outer_vars.minima]
+    return [d.objective for d in plan.diagnostics], validate(nest, plan, n_vals).passed
+
+
+def test_permutation():
+    # listing the statements and arrays in another order reorders the layout
+    # and so the search, which may then meet another optimal vector first,
+    # but each recursion's optimum and the plan's verdict stay the same
+    gen = perfbench_module("gen")
+    runs = cases()
+    for k, d, seed, r in GENERATED_CHAINS:
+        doc = gen.chain(gen.draw_offsets(k, d, random.Random(seed)))
+        runs[f"chain({k},{d}) S={seed} r={r}"] = (doc, r, {}, 2)
+    moved = []
+    for cid, (doc, r, overrides, bound) in runs.items():
+        expected = _objectives_and_verdict(doc, r, overrides, bound)
+        for seed in (1, 2):
+            if _objectives_and_verdict(_shuffled(doc, seed), r, overrides, bound) != expected:
+                moved.append(f"{cid} seed={seed}")
     assert moved == []

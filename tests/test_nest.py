@@ -170,6 +170,17 @@ class TestValidationErrors:
         (("params", 0, "min"), "4", "params min '4' is not an int"),
         (("accesses", 1, "f"), [-1.0], "field 'f': entry -1.0 is not an int"),
         (("dependences", 0, "Phi"), [[True]], "field 'Phi': entry True is not an int"),
+        # values that make no nest
+        (("params",), [{"name": "N", "min": 2}] * 2, "^duplicate outer variable names$"),
+        (("statements",), [], "^no statements$"),
+        (("statements", 0, "domain", "box"), [{"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}] * 2,
+         "^statement 'S1': domain dimensionality 2 != depth 1$"),
+        (("statements", 0, "domain"), {}, "^statement 'S1': domain needs 'box' or 'vertices'$"),
+        (("arrays", 0, "dim"), 0, "^array 'x': dim must be >= 1$"),
+        (("arrays",), [{"id": "x", "dim": 1}] * 2, "^duplicate array ids$"),
+        (("accesses", 0, "kind"), "modify", "bad kind 'modify'$"),
+        (("dependences", 0, "domain", "box"), [{"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}] * 2,
+         "^dependence #0: domain dimensionality != target depth$"),
     ])
     def test_field_of_wrong_json_type(self, path, value, match):
         doc = fixture_doc("chain")
@@ -234,6 +245,20 @@ class TestEnumeration:
         nest = fixture_nest("stencil")
         with pytest.raises(EnumerationError, match="more than"):
             enumerate_domain(nest.statements[0].domain, [1001])
+
+    def test_empty_domain_rejected(self):
+        dom = fixture_nest("stencil").statements[0].domain
+        with pytest.raises(EnumerationError, match=r"^empty domain at N=\(0,\): \[1\.\.0\]$"):
+            enumerate_domain(dom, [0])
+
+    def test_bound_beyond_int64_rejected(self):
+        # N <= i <= N holds one point at every N, so the point cap never
+        # stops it first
+        doc = fixture_doc("vecadd")
+        doc["statements"][0]["domain"]["box"][0]["lower"] = {"coeffs": [1], "const": 0}
+        dom = load_nest(doc).statements[0].domain
+        with pytest.raises(EnumerationError, match=r"^domain bound beyond 2\*\*62 at N="):
+            enumerate_domain(dom, [2**62])
 
     def test_contains_point(self):
         nest = fixture_nest("stencil")

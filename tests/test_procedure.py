@@ -550,6 +550,11 @@ class TestSerialization:
         (("diagnostics", 0, "xi"), -4, "plan diagnostics #0: xi -4 is not 1"),
         # the second recursion repeats the first one's xi
         (("diagnostics", 1, "xi"), 1, "plan diagnostics #1: xi 1 is not 2"),
+        # a family left out would read back at its default weight
+        (("weights",), {"indep": [4, 1], "align-F": [64, 1], "align-G": [64, 1],
+                        "align-f": [64, 1], "space": [2, 1]},
+         "plan weights misses field 'legality'"),
+        (("weights",), {}, "plan weights misses field 'legality'"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks
@@ -561,6 +566,22 @@ class TestSerialization:
         target[last] = value
         with pytest.raises(ValueError, match=match):
             plan_from_doc(doc, fixture_nest("stencil"))
+
+    def test_diagnostics_one_per_recursion_or_none(self):
+        # stencil has depth 2: a third entry would read back as a third
+        # recursion, and a lone first entry as the whole procedure
+        nest = fixture_nest("stencil")
+        doc = plan_to_doc(fixture_plan("stencil"))
+        first, second = doc["diagnostics"]
+        for diags in ([first, second, {**second, "xi": 3}], [first]):
+            doc["diagnostics"] = diags
+            with pytest.raises(ValueError, match=f"field 'diagnostics': {len(diags)} entries, "
+                                                 "expected 2"):
+                plan_from_doc(doc, nest)
+        doc["diagnostics"] = []
+        assert plan_from_doc(doc, nest).diagnostics == []
+        del doc["diagnostics"]
+        assert plan_from_doc(doc, nest).diagnostics == []
 
     def test_plan_of_another_nest_rejected(self):
         with pytest.raises(ValueError, match="not the nest's"):
