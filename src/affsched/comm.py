@@ -10,7 +10,9 @@ be written or the producing flow dependences must preserve the kernel.
 
 from __future__ import annotations
 
-from .algebra import dot, integer_kernel_basis
+from .algebra import dot
+# no caller here: perfbench's tracer patches this binding (tests/test_bench_bindings.py)
+from .algebra import integer_kernel_basis  # noqa: F401
 from .nest import LoopNest
 from .procedure import TransformPlan
 
@@ -65,7 +67,7 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
     acc = nest.access(access_key)
     if acc.kind != "read":
         raise ValueError(f"broadcast detection applies to reads, {access_key!r} is a write")
-    kernel = integer_kernel_basis(acc.iter_coeffs, nest.statement(acc.statement).depth)
+    kernel = acc.kernel
 
     def finding(failed_condition: str | None) -> dict:
         return {

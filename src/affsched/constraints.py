@@ -209,7 +209,7 @@ def build_alignment_columns(
     return cols
 
 
-def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[tuple[int, ...]]] | None:
+def row_locality(acc: Access, nest: LoopNest) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """The row-locality rule of one access: (target rank, kernel), or None.
 
     Arrays are row-major: the last index is the contiguous one, so the
@@ -219,19 +219,19 @@ def row_locality(acc: Access, nest: LoopNest) -> tuple[int, list[tuple[int, ...]
     its rank, `target`, the access is row-confined.  Only a 2+-dimensional
     array whose row matrix has rank strictly between 0 (one row whatever the
     schedule) and the statement depth (never confined) has a rule.  The
-    procedure and the validator both read it from here.
+    procedure and the validator both read it from here; the kernel is
+    `acc.row_kernel`, computed once per access.
     """
     if nest.array(acc.array).dim < 2:
         return None
     depth = nest.statement(acc.statement).depth
-    kernel = integer_kernel_basis(acc.iter_coeffs[:-1], depth)
-    target = depth - len(kernel)  # the row matrix's rank
+    target = depth - len(acc.row_kernel)  # the row matrix's rank
     if not 0 < target < depth:
         return None
-    return target, kernel
+    return target, acc.row_kernel
 
 
-def locality_depth(rows, rule: tuple[int, list[tuple[int, ...]]]) -> int | None:
+def locality_depth(rows, rule: tuple[int, tuple[tuple[int, ...], ...]]) -> int | None:
     """Level (1-based) at which `rows` confine an access with `row_locality` `rule`.
 
     Counts only the rows constant along the rule's kernel; None if they never
@@ -250,7 +250,7 @@ def locality_depth(rows, rule: tuple[int, list[tuple[int, ...]]]) -> int | None:
 
 def build_space_locality_columns(
     acc: Access,
-    kernel: list[tuple[int, ...]],
+    kernel: tuple[tuple[int, ...], ...],
     layout: ExtendedLayout,
     weight: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:

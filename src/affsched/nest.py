@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import dot
+from .algebra import dot, integer_kernel_basis
 
 DEP_KINDS = ("flow", "anti", "out", "in")
 ACCESS_KINDS = ("read", "write")
@@ -104,13 +104,25 @@ class Access:
     statement: str
     slot: int
     kind: str  # read | write
-    iter_coeffs: tuple[tuple[int, ...], ...]  # dim x depth
+    iter_coeffs: tuple[tuple[int, ...], ...]  # dim x depth, dim >= 1
     param_coeffs: tuple[tuple[int, ...], ...]  # dim x e
     offset: tuple[int, ...]  # length dim
 
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.array, self.statement, self.slot)
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """`integer_kernel_basis` of F: the moves of an operation that keep
+        the element it touches.  Computed once per access."""
+        return tuple(integer_kernel_basis(self.iter_coeffs, len(self.iter_coeffs[0])))
+
+    @cached_property
+    def row_kernel(self) -> tuple[tuple[int, ...], ...]:
+        """`integer_kernel_basis` of F without its last row: the moves that
+        keep the row it touches.  Computed once per access."""
+        return tuple(integer_kernel_basis(self.iter_coeffs[:-1], len(self.iter_coeffs[0])))
 
 
 @dataclass(frozen=True)

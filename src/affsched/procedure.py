@@ -82,10 +82,18 @@ class WeightConfig:
     @staticmethod
     def from_doc(doc: dict) -> "WeightConfig":
         """Every family is required; a key that names none is rejected."""
-        keys = dict.fromkeys([*(fam for fam, _ in _FAMILY_FIELDS), *doc])
-        return WeightConfig.with_overrides(
-            {k: _fraction(doc, k, "plan weights", f"plan weight {k!r}") for k in keys}
-        )
+        mapping = dict(_FAMILY_FIELDS)
+        for key in doc:
+            if key not in mapping:
+                raise ValueError(f"plan weights, field {key!r} names no weight family")
+        kw = {}
+        for fam, name in _FAMILY_FIELDS:
+            kw[name] = _fraction(doc, fam, "plan weights", f"plan weight {fam!r}")
+            if kw[name] <= 0:
+                raise ValueError(
+                    f"plan weights, field {fam!r}: {kw[name]} is not strictly positive"
+                )
+        return WeightConfig(**kw)
 
 
 def _fraction(obj, key: str, where: str, what: str) -> Fraction:

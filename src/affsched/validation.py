@@ -8,8 +8,12 @@ operations as two int64 arrays, built once per size: its enumerated points,
 one per row, and their schedule vectors.  Source points, array indices and
 owners are matrix products over such arrays, and the legality,
 communication/reuse, row-locality and broadcast checks work on whole
-arrays.  Each product is bounded in Python ints first: one whose entries
-could reach 2**62 raises `EnumerationError` instead of wrapping around.
+arrays; each access's index image and each schedule prefix's ranks are
+also built once per size.  Each product is bounded in Python ints first:
+one whose entries could reach 2**62 raises `EnumerationError` instead of
+wrapping around.  Rows (elements, reuse keys, schedule prefixes) are
+ranked by `_distinct_rows`, which packs each row into one int64 key, first
+column most significant, and sorts the keys once.
 Also hosts the exhaustive solver oracle.  This is the only module that
 imports numpy: the package loads it on the first use of `validate` or
 `enumerate_domain`, so planning and reporting never pay for it.
@@ -159,16 +163,48 @@ def _lex_sign(diff: np.ndarray) -> np.ndarray:
     return np.sign(diff[np.arange(len(diff)), first])
 
 
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry, the rank of its value among the distinct values; and per
+    distinct value, in rank order, the index of its first occurrence."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, order[new]
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the lexicographic rank of its value among the distinct rows;
-    and per distinct row, in rank order, the index of its first occurrence."""
-    order = np.lexsort(rows.T[::-1])  # stable, first column most significant
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+    and per distinct row, in rank order, the index of its first occurrence.
+
+    The columns are packed into one int64 key per row, first column most
+    significant: each column with values in [lo, lo + width) folds in as
+    `key * width + (col - lo)`.  Where that would carry a key to 2**62, the
+    keys are first replaced by their dense ranks, and a column still too
+    wide by its own ranks.  Either keeps the rows' order, so ranking the
+    keys ranks the rows.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    if not len(rows):
+        return key, key
+    span = 1  # every key lies in [0, span); while it is 1, every key is 0
+    for col in rows.T:
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if width == 1:
+            continue
+        if span * width >= INT64_SAFE:
+            key, first = _dense_rank(key)
+            span = len(first)
+            if span * width >= INT64_SAFE:
+                col, first = _dense_rank(col)
+                lo, width = 0, len(first)
+        key = col - lo if span == 1 else key * width + (col - lo)
+        span *= width
+    return _dense_rank(key)
 
 
 def _pairs(di: int, sources: np.ndarray, targets: np.ndarray, mask) -> list[tuple]:
@@ -198,13 +234,12 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
     report = ValidationReport(n_vals=n_vals)
     r = plan.r_space
     tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    images: dict[tuple, np.ndarray] = {}
+    prefixes: dict[tuple[str, int], np.ndarray] = {}
 
     def schedule(sid, points):
         st = plan.statements[sid]
         return _affine(points, st.schedule, st.param, st.const, n_vals)
-
-    def index(acc, points):
-        return _affine(points, acc.iter_coeffs, acc.param_coeffs, acc.offset, n_vals)
 
     def ops(sid) -> tuple[np.ndarray, np.ndarray]:
         """(points, schedule vectors) of every operation of `sid`, built once."""
@@ -212,6 +247,13 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
             points = enumerate_domain(nest.statement(sid).domain, n_vals)
             tables[sid] = points, schedule(sid, points)
         return tables[sid]
+
+    def image(acc) -> np.ndarray:
+        """The element `acc` touches at every operation of its statement, built once."""
+        if acc.key not in images:
+            images[acc.key] = _affine(ops(acc.statement)[0], acc.iter_coeffs,
+                                      acc.param_coeffs, acc.offset, n_vals)
+        return images[acc.key]
 
     for sid, st in plan.statements.items():
         depth = nest.statement(sid).depth
@@ -250,7 +292,7 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
         if acc.kind != "read":
             continue
         points, sched = ops(acc.statement)
-        elems = index(acc, points)
+        elems = image(acc)
         al = plan.arrays[acc.array]
         owners = _affine(elems, al.placement, al.param, al.const, n_vals)
         moved = (owners != sched[:, :r]).any(axis=1)
@@ -273,9 +315,11 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
         depth_claim = claimed_locality_depth(plan, nest, acc)
         if depth_claim is None:
             continue
-        points, sched = ops(acc.statement)
-        prefix = _distinct_rows(sched[:, :depth_claim])[0]
-        rest = index(acc, points)[:, :-1]  # the row: every index but the contiguous last
+        prefix_key = acc.statement, depth_claim
+        if prefix_key not in prefixes:
+            prefixes[prefix_key] = _distinct_rows(ops(acc.statement)[1][:, :depth_claim])[0]
+        prefix = prefixes[prefix_key]
+        rest = image(acc)[:, :-1]  # the row: every index but the contiguous last
         first = _distinct_rows(np.column_stack([prefix, rest]))[1]
         report.row_locality[acc.key] = {
             "claimed_depth": depth_claim, "metric": int(np.bincount(prefix[first]).max())
@@ -285,14 +329,15 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
         if entry["eligible"]:
             acc = nest.access(tuple(entry["access"]))
             report.broadcast_checks[acc.key] = _check_broadcast(
-                nest, acc, entry["kernel_basis"], r, ops, index, n_vals
+                nest, acc, entry["kernel_basis"], r, ops, image, n_vals
             )
 
     return report
 
 
-def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, index, n_vals) -> dict:
-    """Enumerated broadcast conditions of one read, from the operation tables `ops`.
+def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, image, n_vals) -> dict:
+    """Enumerated broadcast conditions of one read, from the operation tables
+    `ops` and the index images `image`.
 
     For each element read: every reading operation runs at one time
     (time_uniform); some reading operation stays in the domain when moved
@@ -301,12 +346,11 @@ def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, index, n_vals) ->
     times of the reads and of every write of the array are ranked together.
     """
     points, sched = ops(acc.statement)
-    elems, times = [index(acc, points)], [sched[:, r:]]
+    elems, times = [image(acc)], [sched[:, r:]]
     for w in nest.accesses:
         if w.array == acc.array and w.kind == "write":
-            w_points, w_sched = ops(w.statement)
-            elems.append(index(w, w_points))
-            times.append(w_sched[:, r:])
+            elems.append(image(w))
+            times.append(ops(w.statement)[1][:, r:])
     elem = _distinct_rows(np.concatenate(elems))[0]
     when = _distinct_rows(np.concatenate(times))[0]
     n_reads, n_elems = len(points), int(elem.max()) + 1

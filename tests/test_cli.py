@@ -298,6 +298,8 @@ class TestValidate:
         (("diagnostics", 1, "xi"), 1),
         (("weights",), {"indep": [4, 1], "align-F": [64, 1], "align-G": [64, 1],
                         "align-f": [64, 1], "space": [2, 1]}),
+        (("weights", "speed"), [1, 1]),
+        (("weights", "legality"), [-1, 1]),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"

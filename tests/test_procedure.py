@@ -555,6 +555,10 @@ class TestSerialization:
                         "align-f": [64, 1], "space": [2, 1]},
          "plan weights misses field 'legality'"),
         (("weights",), {}, "plan weights misses field 'legality'"),
+        # a weight the plan itself gets wrong is named as the plan's
+        (("weights", "speed"), [1, 1], "plan weights, field 'speed' names no weight family"),
+        (("weights", "legality"), [-1, 1],
+         "plan weights, field 'legality': -1 is not strictly positive"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affsched.algebra import rank
 from affsched.cli import EXIT_INPUT, main
@@ -665,3 +667,62 @@ class TestInt64Guard:
                 "--params", f"N={self.BIG_N}"]
         assert main(argv) == EXIT_INPUT
         assert "2**62" in capsys.readouterr().err
+
+
+def _distinct_reference(rows):
+    """`_distinct_rows` in plain Python: per row the rank of its tuple among
+    the sorted distinct tuples, and per distinct tuple its first index."""
+    tuples = list(map(tuple, rows.tolist()))
+    distinct = sorted(set(tuples))
+    ranks = {t: i for i, t in enumerate(distinct)}
+    return [ranks[t] for t in tuples], [tuples.index(t) for t in distinct]
+
+
+INT64_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    # two columns this wide carry a key past 2**62, so the keys are ranked
+    st.integers(-(1 << 40), 1 << 40),
+    # a column with both is too wide on its own, so it is ranked too
+    st.integers((1 << 61) - 2, (1 << 61) + 2),
+    st.integers(-(1 << 61) - 2, -(1 << 61) + 2),
+    st.sampled_from([-(1 << 63), (1 << 63) - 1]),
+)
+
+
+@st.composite
+def _int64_tables(draw):
+    k = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(INT64_ENTRIES, min_size=k, max_size=k), max_size=12))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+class TestDistinctRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_int64_tables())
+    @example(np.zeros((0, 3), dtype=np.int64))
+    @example(np.array([[1 << 61], [-(1 << 61)], [1 << 61]], dtype=np.int64))
+    @example(np.array([[1 << 40, 1 << 40], [0, 0], [-(1 << 40), 5]], dtype=np.int64))
+    def test_matches_reference(self, table):
+        # whole tables, one column, and views that are not contiguous
+        for rows in (table, table[:, :1], table[:, ::2], table[::-1, -2:]):
+            ranks, first = validation._distinct_rows(rows)
+            assert (ranks.tolist(), first.tolist()) == _distinct_reference(rows)
+
+    @pytest.mark.parametrize("rows, ranked", [
+        ([[1, 2], [0, 5]], 1),  # the final ranking only
+        ([[1 << 40, 1 << 40], [0, 0], [-(1 << 40), 5]], 2),  # and the keys
+        ([[1 << 61, 0], [-(1 << 61), 1]], 3),  # and a column too wide alone
+    ])
+    def test_ranks_where_a_key_would_reach_2_62(self, monkeypatch, rows, ranked):
+        calls = []
+        dense_rank = validation._dense_rank
+
+        def counting(values):
+            calls.append(len(values))
+            return dense_rank(values)
+
+        monkeypatch.setattr(validation, "_dense_rank", counting)
+        table = np.array(rows, dtype=np.int64)
+        ranks, first = validation._distinct_rows(table)
+        assert len(calls) == ranked
+        assert (ranks.tolist(), first.tolist()) == _distinct_reference(table)
