@@ -101,7 +101,6 @@ class ConstraintColumn:
 
 @dataclass(frozen=True)
 class RankWitness:
-    statement: str
     s: tuple[int, ...]  # nonzero kernel vector of the accumulated schedule rows
     s_tilde: tuple[int, ...]  # s embedded at the statement's schedule block
 
@@ -209,30 +208,8 @@ def build_alignment_columns(
     return cols
 
 
-def row_locality(acc: Access, nest: LoopNest) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-    """The row-locality rule of one access: (target rank, kernel), or None.
-
-    Arrays are row-major: the last index is the contiguous one, so the
-    operations that fix every other index touch one row.  Dropping the last
-    row of the access matrix leaves the row matrix.  Schedule rows constant
-    along its integer `kernel` keep an access within one row; once they reach
-    its rank, `target`, the access is row-confined.  Only a 2+-dimensional
-    array whose row matrix has rank strictly between 0 (one row whatever the
-    schedule) and the statement depth (never confined) has a rule.  The
-    procedure and the validator both read it from here; the kernel is
-    `acc.row_kernel`, computed once per access.
-    """
-    if nest.array(acc.array).dim < 2:
-        return None
-    depth = nest.statement(acc.statement).depth
-    target = depth - len(acc.row_kernel)  # the row matrix's rank
-    if not 0 < target < depth:
-        return None
-    return target, acc.row_kernel
-
-
 def locality_depth(rows, rule: tuple[int, tuple[tuple[int, ...], ...]]) -> int | None:
-    """Level (1-based) at which `rows` confine an access with `row_locality` `rule`.
+    """Level (1-based) at which `rows` confine an access with `row_rule` `rule`.
 
     Counts only the rows constant along the rule's kernel; None if they never
     reach its target rank.
@@ -254,7 +231,7 @@ def build_space_locality_columns(
     layout: ExtendedLayout,
     weight: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
-    """Row-locality columns for one access, one per vector of its `row_locality` kernel."""
+    """Row-locality columns for one access, one per vector of its `row_rule` kernel."""
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     tau = layout.offset("tau", acc.statement)
     return [
@@ -283,7 +260,7 @@ def rank_witnesses(
         if len(basis) != levels_left:
             continue
         out[sid] = [
-            RankWitness(sid, s, (0,) * start + s + (0,) * (layout.size - stop))
+            RankWitness(s, (0,) * start + s + (0,) * (layout.size - stop))
             for s in basis
         ]
     return out

@@ -83,6 +83,12 @@ class Domain:
         return tuple((tuple(r for r, _ in corner), tuple(w for _, w in corner))
                      for corner in dict.fromkeys(itertools.product(*picks)))
 
+    def bounds_at(self, n_vals) -> list[tuple[int, int]]:
+        """The (lo, hi) of each box dimension at the concrete outer variables `n_vals`."""
+        if self.box is None:
+            raise EnumerationError("explicit-vertex domains cannot be enumerated")
+        return [(lo.value_at(n_vals), hi.value_at(n_vals)) for lo, hi in self.box]
+
 
 @dataclass(frozen=True)
 class Statement:
@@ -119,10 +125,22 @@ class Access:
         return tuple(integer_kernel_basis(self.iter_coeffs, len(self.iter_coeffs[0])))
 
     @cached_property
-    def row_kernel(self) -> tuple[tuple[int, ...], ...]:
-        """`integer_kernel_basis` of F without its last row: the moves that
-        keep the row it touches.  Computed once per access."""
-        return tuple(integer_kernel_basis(self.iter_coeffs[:-1], len(self.iter_coeffs[0])))
+    def row_rule(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+        """The row-locality rule of this access: (target rank, kernel), or None.
+
+        Arrays are row-major: the last index is the contiguous one, so the
+        operations that fix every other index touch one row.  Dropping the
+        last row of F leaves the row matrix; schedule rows constant along its
+        integer `kernel` keep the access within one row, and once they reach
+        its rank, `target`, the access is row-confined.  Only a row matrix of
+        rank strictly between 0 (one row whatever the schedule, as for every
+        1-dimensional array) and the statement depth (never confined) gives a
+        rule.  Computed once per access, from F alone.
+        """
+        depth = len(self.iter_coeffs[0])
+        kernel = tuple(integer_kernel_basis(self.iter_coeffs[:-1], depth))
+        target = depth - len(kernel)  # the row matrix's rank
+        return (target, kernel) if 0 < target < depth else None
 
 
 @dataclass(frozen=True)
@@ -182,9 +200,7 @@ class LoopNest:
 
 
 def contains_point(domain: Domain, point, n_vals) -> bool:
-    if domain.box is None:
-        raise EnumerationError("containment check needs a box domain")
-    return _within([(lo.value_at(n_vals), hi.value_at(n_vals)) for lo, hi in domain.box], point)
+    return _within(domain.bounds_at(n_vals), point)
 
 
 def _within(bounds, point) -> bool:
@@ -320,7 +336,7 @@ def load_nest(source) -> LoopNest:
             raise NestError(f"{where}: domain dimensionality {dom.dim} != depth {depth}")
         box0[sid] = None
         if dom.box is not None:
-            box0[sid] = [(lo.value_at(n0), hi.value_at(n0)) for lo, hi in dom.box]
+            box0[sid] = dom.bounds_at(n0)
             for k, (lo, hi) in enumerate(box0[sid]):
                 if hi < lo:
                     raise NestError(f"{where}: dimension {k} empty at N^(0)")

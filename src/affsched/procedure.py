@@ -24,7 +24,6 @@ from .constraints import (
     build_space_locality_columns,
     locality_depth,
     rank_witnesses,
-    row_locality,
 )
 from .nest import LoopNest, contains_point, read_field, read_int, read_matrix, read_vector
 from .solver import InfeasibleError, SolverConfig, SolverTimeout, solve
@@ -156,7 +155,7 @@ def build_recursion_system(
 
     `xs` holds the solution vectors of the earlier recursions; the rank
     witnesses come from the schedule rows read off them.  `active_space`
-    maps the key of each access not yet row-confined to its `row_locality`
+    maps the key of each access not yet row-confined to its `row_rule`
     (target, kernel), in the order of `nest.accesses`; each kernel vector
     gives one locality column.  `table` holds the columns of one run, built
     on first use: per dependence its legality columns, per access its
@@ -195,13 +194,13 @@ def initial_sets(nest: LoopNest):
     """The bookkeeping sets before the first recursion.
 
     Returns the non-`in` dependences, the `in` dependences, and for every
-    access with a `row_locality` rule, in the order of `nest.accesses`, its
-    key mapped to that (target, kernel).
+    access with a `row_rule`, in the order of `nest.accesses`, its key
+    mapped to that (target, kernel).
     """
     active_deps = [i for i, d in enumerate(nest.dependences) if d.kind != "in"]
     active_in_deps = [i for i, d in enumerate(nest.dependences) if d.kind == "in"]
-    rules = ((acc.key, row_locality(acc, nest)) for acc in nest.accesses)
-    return active_deps, active_in_deps, {key: rule for key, rule in rules if rule}
+    rules = {acc.key: acc.row_rule for acc in nest.accesses if acc.row_rule}
+    return active_deps, active_in_deps, rules
 
 
 def run_procedure(

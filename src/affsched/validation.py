@@ -37,7 +37,6 @@ from .constraints import (
     ConstraintSystem,
     ExtendedLayout,
     locality_depth,
-    row_locality,
 )
 from .nest import Domain, EnumerationError, LoopNest
 from .procedure import (
@@ -94,16 +93,15 @@ class ValidationReport:
         }
 
 
-def claimed_locality_depth(plan: TransformPlan, nest: LoopNest, acc) -> int | None:
+def claimed_locality_depth(plan: TransformPlan, acc) -> int | None:
     """Schedule prefix length after which the access is row-confined, or None.
 
-    Reads the plan's schedule rows under the access's `row_locality` rule,
-    the one the procedure optimised for.
+    Reads the plan's schedule rows under the access's `row_rule`, the one
+    the procedure optimised for.
     """
-    rule = row_locality(acc, nest)
-    if rule is None:
+    if acc.row_rule is None:
         return None
-    return locality_depth(plan.statements[acc.statement].schedule, rule)
+    return locality_depth(plan.statements[acc.statement].schedule, acc.row_rule)
 
 
 def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
@@ -111,12 +109,9 @@ def enumerate_domain(domain: Domain, n_vals) -> np.ndarray:
 
     Returns an int64 array of shape (points, dim), one point per row.
     """
-    if domain.box is None:
-        raise EnumerationError("explicit-vertex domains cannot be enumerated")
     lows, extents = [], []
     total = 1
-    for lo, hi in domain.box:
-        a, b = lo.value_at(n_vals), hi.value_at(n_vals)
+    for a, b in domain.bounds_at(n_vals):
         if b < a:
             raise EnumerationError(f"empty domain at N={tuple(n_vals)}: [{a}..{b}]")
         total *= b - a + 1
@@ -152,8 +147,7 @@ def _affine(points: np.ndarray, coeffs, params, const, n_vals) -> np.ndarray:
 
 def _inside(domain: Domain, points: np.ndarray, n_vals) -> np.ndarray:
     """Mask of the rows of `points` that lie in the box `domain`."""
-    lo = np.array([lo.value_at(n_vals) for lo, _ in domain.box], dtype=np.int64)
-    hi = np.array([hi.value_at(n_vals) for _, hi in domain.box], dtype=np.int64)
+    lo, hi = np.array(domain.bounds_at(n_vals), dtype=np.int64).reshape(-1, 2).T
     return ((points >= lo) & (points <= hi)).all(axis=1)
 
 
@@ -312,7 +306,7 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
             report.reuse_histogram[int(values[i])] = int(n[i])
 
     for acc in nest.accesses:
-        depth_claim = claimed_locality_depth(plan, nest, acc)
+        depth_claim = claimed_locality_depth(plan, acc)
         if depth_claim is None:
             continue
         prefix_key = acc.statement, depth_claim

@@ -194,6 +194,23 @@ class TestValidate:
         assert [r["n_vals"] for r in json.loads(out.read_text())["reports"]] == [[]]
         assert capsys.readouterr().err == "N=(): pass (violations=0, comm=0)\n"
 
+    def test_vertex_domain_solves_but_cannot_validate(self, tmp_path, capsys):
+        # a domain given by vertices plans and reports, but the validator
+        # cannot enumerate it: bad input, exit 2
+        doc = fixture_doc("vecadd")
+        doc["statements"][0]["domain"] = {
+            "vertices": [{"R": [[0]], "omega": [0]}, {"R": [[1]], "omega": [0]}]}
+        nest, plan = tmp_path / "nest.json", tmp_path / "plan.json"
+        nest.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(nest), "--spatial-dims", "0",
+                     "--out", str(plan)]) == EXIT_OK
+        assert main(["report", "--input", str(nest), "--plan", str(plan)]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["validate", "--input", str(nest), "--plan", str(plan)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: explicit-vertex domains cannot be enumerated\n")
+
     def test_violation_exit_code(self, matmul_plan, tmp_path, capsys):
         doc = json.loads(matmul_plan.read_text())
         doc["statements"]["S1"]["T"] = [[-1, 0, 0], [0, 0, -1], [0, -1, 0]]

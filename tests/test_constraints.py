@@ -21,7 +21,6 @@ from affsched.constraints import (
     build_legality_columns,
     build_space_locality_columns,
     rank_witnesses,
-    row_locality,
 )
 from affsched.nest import load_nest
 from affsched.procedure import initial_sets
@@ -267,7 +266,7 @@ class TestAlignmentColumns:
 class TestSpaceLocality:
     def test_one_dimensional_arrays_contribute_nothing(self):
         nest = fixture_nest("chain")
-        assert row_locality(nest.accesses[0], nest) is None
+        assert nest.accesses[0].row_rule is None
         assert nest.accesses[0].key not in initial_sets(nest)[2]
 
     def test_full_rank_truncation_contributes_nothing(self):
@@ -276,7 +275,7 @@ class TestSpaceLocality:
         # matvec A access where truncation leaves rank 1 over depth 2 too
         nest = fixture_nest("stencil")
         lay = ExtendedLayout.for_nest(nest)
-        target, kernel = row_locality(nest.accesses[0], nest)
+        target, kernel = nest.accesses[0].row_rule
         assert target == 1
         cols = build_space_locality_columns(nest.accesses[0], kernel, lay)
         assert len(cols) == 1
@@ -302,19 +301,19 @@ class TestSpaceLocality:
         )
         nest = load_nest(doc)
         acc = nest.access(("R", "S1", 9))
-        rule = row_locality(acc, nest)
+        rule = acc.row_rule
         assert (rule[0] if rule else None) == target
         assert initial_sets(nest)[2].get(acc.key) == rule
 
     def test_truncation_side(self):
         # B[k][j]: the last index j is contiguous, the row matrix is [[0, 0, 1]]
         nest = fixture_nest("matmul")
-        target, kernel = row_locality(nest.access(("B", "S1", 1)), nest)
+        target, kernel = nest.access(("B", "S1", 1)).row_rule
         assert (target, [tuple(v) for v in kernel]) == (1, [(0, 1, 0), (1, 0, 0)])
 
     def test_locality_kernel(self):
         nest = fixture_nest("matmul")
-        _, kernel = row_locality(nest.access(("C", "S1", 1)), nest)
+        _, kernel = nest.access(("C", "S1", 1)).row_rule
         assert [tuple(v) for v in kernel] == [(0, 0, 1), (0, 1, 0)]
 
 

@@ -48,9 +48,10 @@ def _objectives(plan_doc):
 
 def test_weight_scaling(monkeypatch):
     # scaling every family weight by one rational scales every objective by
-    # it and changes nothing else: not the plan, not the nodes or passes
+    # it and changes nothing else: not the plan, not the nodes or passes, on
+    # the pinned cases and the generated chains alike
     moved = []
-    for cid, (doc, r, overrides, bound) in cases().items():
+    for cid, (doc, r, overrides, bound) in _pinned_and_generated().items():
         weights = WeightConfig.with_overrides(overrides)
         scaled = WeightConfig(**{f.name: getattr(weights, f.name) * SCALE
                                  for f in dataclasses.fields(weights)})

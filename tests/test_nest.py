@@ -280,9 +280,12 @@ class TestEnumeration:
     def test_explicit_vertex_domain_cannot_enumerate(self):
         doc = fixture_doc("vecadd")
         doc["statements"][0]["domain"] = {"vertices": [{"R": [[0]], "omega": [0]}]}
-        nest = load_nest(doc)
-        with pytest.raises(EnumerationError):
-            enumerate_domain(nest.statements[0].domain, [3])
+        dom = load_nest(doc).statements[0].domain
+        match = "^explicit-vertex domains cannot be enumerated$"
+        with pytest.raises(EnumerationError, match=match):
+            enumerate_domain(dom, [3])
+        with pytest.raises(EnumerationError, match=match):
+            contains_point(dom, [0], [3])
 
 
 class TestAccessAndDependence:

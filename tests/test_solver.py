@@ -255,7 +255,7 @@ def _draw_witnesses(draw, lay, depths):
         for s in draw(st.lists(vec, min_size=1, max_size=3, unique_by=tuple)):
             s_tilde = [0] * lay.size
             s_tilde[start:stop] = s
-            cands.append(RankWitness(sid, tuple(s), tuple(s_tilde)))
+            cands.append(RankWitness(tuple(s), tuple(s_tilde)))
         witnesses[sid] = cands
     return witnesses
 
@@ -493,7 +493,7 @@ class TestConstructedSystems:
         ]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
-        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness((1,), tuple(s_tilde))]}
         with pytest.raises(InfeasibleError):
             solve(self._system(cols, wit))
 
@@ -509,7 +509,7 @@ class TestConstructedSystems:
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
 
-        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness((1,), tuple(s_tilde))]}
         sol = solve(self._system(cols, wit))
         assert sol.objective == 0
         assert sol.x[a] == -sol.x[t]
@@ -526,7 +526,7 @@ class TestConstructedSystems:
             cols.append(ConstraintColumn(tuple(coeffs), sense, "align-f", name, Fraction(w)))
         s_tilde = [0] * lay.size
         s_tilde[x0] = 1
-        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness((1,), tuple(s_tilde))]}
         return self._system(cols, wit), x0, x1
 
     def test_pair_bound_before_its_last_variable(self):
@@ -592,7 +592,7 @@ class TestConstructedSystems:
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
 
-        wit = {"S1": [RankWitness("S1", (1,), tuple(s_tilde))]}
+        wit = {"S1": [RankWitness((1,), tuple(s_tilde))]}
         sol = solve(self._system(cols, wit))
         assert sol.objective == Fraction(1, 3)
 

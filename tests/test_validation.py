@@ -238,7 +238,7 @@ class TestRowLocality:
     def test_claimed_depth_none_for_1d(self):
         nest = fixture_nest("chain")
         acc = nest.access(("x", "S1", 2))
-        assert claimed_locality_depth(fixture_plan("chain"), nest, acc) is None
+        assert claimed_locality_depth(fixture_plan("chain"), acc) is None
 
     def test_degraded_locality_reflected_in_depth(self):
         # with the column index scheduled first, C stops being row-confined
@@ -249,8 +249,8 @@ class TestRowLocality:
             fixture_plan("matmul"), "S1", [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         )
         acc = nest.access(("C", "S1", 1))
-        assert claimed_locality_depth(fixture_plan("matmul"), nest, acc) == 1
-        assert claimed_locality_depth(shuffled, nest, acc) == 2
+        assert claimed_locality_depth(fixture_plan("matmul"), acc) == 1
+        assert claimed_locality_depth(shuffled, acc) == 2
         report = validate(nest, shuffled, [3])
         assert report.row_locality[("C", "S1", 1)]["metric"] == 1
 
@@ -265,7 +265,7 @@ class TestRowLocality:
         nest, plan = fixture_nest(name), fixture_plan(name, r)
         ruled = initial_sets(nest)[2]
         for acc in nest.accesses:
-            depth = claimed_locality_depth(plan, nest, acc)
+            depth = claimed_locality_depth(plan, acc)
             for d in plan.diagnostics:
                 active = acc.key in ruled and (depth is None or d.xi < depth)
                 assert (acc.key in d.active_space_accesses) == active
@@ -510,7 +510,7 @@ def scalar_validate(nest, plan, n_vals):
         report.reuse_histogram[len(times)] = report.reuse_histogram.get(len(times), 0) + 1
 
     for acc in nest.accesses:
-        depth = claimed_locality_depth(plan, nest, acc)
+        depth = claimed_locality_depth(plan, acc)
         if depth is None:
             continue
         groups = {}
