@@ -22,8 +22,8 @@ INELIGIBLE_WRITE_PRESENT = "write-present"
 INELIGIBLE_FLOW_KERNEL = "flow-kernel"
 
 
-def alignment_slacks(plan: TransformPlan, nest: LoopNest, acc) -> dict[str, dict[str, list]]:
-    """Exact per-recursion misalignment of one access, from the plan alone.
+def alignment_slacks(plan: TransformPlan, acc) -> dict[str, dict[str, list]]:
+    """Exact per-recursion misalignment of the access `acc`, from the plan alone.
 
     Recursion level (as a string) -> slack family (F, G, f) -> slack vector.
     """
@@ -52,7 +52,7 @@ def exchange_requirements(plan: TransformPlan, nest: LoopNest) -> list[dict]:
     for acc in nest.accesses:
         if acc.kind != "read":
             continue
-        slacks = alignment_slacks(plan, nest, acc)
+        slacks = alignment_slacks(plan, acc)
         reasons = []
         for fam in ("F", "G", "f"):
             if any(any(v != 0 for v in per[fam]) for per in slacks.values()):

@@ -227,16 +227,15 @@ def locality_depth(rows, rule: tuple[int, tuple[tuple[int, ...], ...]]) -> int |
 
 def build_space_locality_columns(
     acc: Access,
-    kernel: tuple[tuple[int, ...], ...],
     layout: ExtendedLayout,
     weight: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
-    """Row-locality columns for one access, one per vector of its `row_rule` kernel."""
+    """Row-locality columns for one access, one per vector of the kernel in `acc.row_rule`."""
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     tau = layout.offset("tau", acc.statement)
     return [
         _column(layout, [(tau, d)], ABS, "space-loc", f"space.{tag}.{g}", weight)
-        for g, d in enumerate(kernel)
+        for g, d in enumerate(acc.row_rule[1])
     ]
 
 

@@ -148,16 +148,16 @@ def build_recursion_system(
     weights: WeightConfig,
     active_deps,
     active_in_deps,
-    active_space: dict,
+    active_space: list,
     table: dict | None = None,
 ) -> ConstraintSystem:
     """Assemble the optimization system of recursion len(xs) + 1.
 
     `xs` holds the solution vectors of the earlier recursions; the rank
     witnesses come from the schedule rows read off them.  `active_space`
-    maps the key of each access not yet row-confined to its `row_rule`
-    (target, kernel), in the order of `nest.accesses`; each kernel vector
-    gives one locality column.  `table` holds the columns of one run, built
+    holds the accesses not yet row-confined, in the order of
+    `nest.accesses`; each vector of an access's `row_rule` kernel gives one
+    locality column.  `table` holds the columns of one run, built
     on first use: per dependence its legality columns, per access its
     alignment and its locality columns.  Each recursion only selects the
     active families from it.
@@ -180,10 +180,9 @@ def build_recursion_system(
                 ("align", acc.key), build_alignment_columns, acc, nest, layout,
                 weights.align_f_mat, weights.align_g_mat, weights.align_offset,
             )
-    for key, (_, kernel) in active_space.items():
+    for acc in active_space:
         columns += family(
-            ("space", key), build_space_locality_columns,
-            nest.access(key), kernel, layout, weights.space,
+            ("space", acc.key), build_space_locality_columns, acc, layout, weights.space
         )
     accumulated = {s.id: [layout.block(x, "tau", s.id) for x in xs] for s in nest.statements}
     witnesses = rank_witnesses(accumulated, nest.max_depth - len(xs), layout)
@@ -193,14 +192,12 @@ def build_recursion_system(
 def initial_sets(nest: LoopNest):
     """The bookkeeping sets before the first recursion.
 
-    Returns the non-`in` dependences, the `in` dependences, and for every
-    access with a `row_rule`, in the order of `nest.accesses`, its key
-    mapped to that (target, kernel).
+    Returns the non-`in` dependences, the `in` dependences, and the
+    accesses that have a `row_rule`, in the order of `nest.accesses`.
     """
     active_deps = [i for i, d in enumerate(nest.dependences) if d.kind != "in"]
     active_in_deps = [i for i, d in enumerate(nest.dependences) if d.kind == "in"]
-    rules = {acc.key: acc.row_rule for acc in nest.accesses if acc.row_rule}
-    return active_deps, active_in_deps, rules
+    return active_deps, active_in_deps, [acc for acc in nest.accesses if acc.row_rule]
 
 
 def run_procedure(
@@ -273,11 +270,10 @@ def run_procedure(
         active_in_deps = [i for i in active_in_deps if i not in dropped_in]
         ever_positive.update(i for i in active_deps if any(const[i]))
 
-        active_space = {
-            key: rule
-            for key, rule in active_space.items()
-            if locality_depth(rows("tau", key[1]), rule) is None  # key[1]: the statement
-        }
+        active_space = [
+            acc for acc in active_space
+            if locality_depth(rows("tau", acc.statement), acc.row_rule) is None
+        ]
 
         diagnostics.append(
             RecursionDiagnostics(
@@ -289,7 +285,7 @@ def run_procedure(
                 active_in_dependences=sorted(active_in_deps + dropped_in),
                 dropped_dependences=dropped,
                 dropped_in_dependences=dropped_in,
-                active_space_accesses=sorted(active_space),
+                active_space_accesses=sorted(acc.key for acc in active_space),
             )
         )
 

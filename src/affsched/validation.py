@@ -70,9 +70,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        row_ok = all(
-            info["metric"] == 1 for info in self.row_locality.values() if info["claimed_depth"]
-        )
+        row_ok = all(info["metric"] == 1 for info in self.row_locality.values())
         bc_ok = all(info["passed"] for info in self.broadcast_checks.values())
         return not self.legality_violations and not self.rank_failures and row_ok and bc_ok
 
@@ -319,25 +317,23 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
             "claimed_depth": depth_claim, "metric": int(np.bincount(prefix[first]).max())
         }
 
-    for entry in comm_report(plan, nest)["broadcasts"]:
-        if entry["eligible"]:
-            acc = nest.access(tuple(entry["access"]))
-            report.broadcast_checks[acc.key] = _check_broadcast(
-                nest, acc, entry["kernel_basis"], r, ops, image, n_vals
-            )
+    eligible = [b["access"] for b in comm_report(plan, nest)["broadcasts"] if b["eligible"]]
+    for acc in nest.accesses:
+        if list(acc.key) in eligible:
+            report.broadcast_checks[acc.key] = _check_broadcast(nest, acc, r, ops, image, n_vals)
 
     return report
 
 
-def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, image, n_vals) -> dict:
+def _check_broadcast(nest: LoopNest, acc, r: int, ops, image, n_vals) -> dict:
     """Enumerated broadcast conditions of one read, from the operation tables
     `ops` and the index images `image`.
 
     For each element read: every reading operation runs at one time
     (time_uniform); some reading operation stays in the domain when moved
-    along every kernel vector (nondegenerate); and at most one write of the
-    element runs before the earliest read (single_writer_ok).  Elements and
-    times of the reads and of every write of the array are ranked together.
+    along every vector of `acc.kernel` (nondegenerate); and at most one
+    write of the element runs before the earliest read (single_writer_ok).
+    Elements and times of reads and writes of the array are ranked together.
     """
     points, sched = ops(acc.statement)
     elems, times = [image(acc)], [sched[:, r:]]
@@ -361,7 +357,7 @@ def _check_broadcast(nest: LoopNest, acc, kernel, r: int, ops, image, n_vals) ->
     zero = [[0] * len(n_vals)] * depth
     domain = nest.statement(acc.statement).domain
     stays = np.ones(n_reads, dtype=bool)
-    for u in kernel:
+    for u in acc.kernel:
         shifted = _affine(points, identity, zero, u, n_vals)
         stays &= _inside(domain, shifted, n_vals)
     kept = np.zeros(n_elems, dtype=bool)

@@ -42,11 +42,11 @@ class TestExchanges:
     def test_matmul_slack_values(self):
         plan = fixture_plan("matmul")
         nest = fixture_nest("matmul")
-        slacks = alignment_slacks(plan, nest, nest.access(("B", "S1", 1)))
+        slacks = alignment_slacks(plan, nest.access(("B", "S1", 1)))
         assert slacks["1"]["F"] == [1, 0, 0]
         assert slacks["1"]["G"] == [0]
         assert slacks["1"]["f"] == [0]
-        aligned = alignment_slacks(plan, nest, nest.access(("C", "S1", 2)))
+        aligned = alignment_slacks(plan, nest.access(("C", "S1", 2)))
         assert aligned["1"] == {"F": [0, 0, 0], "G": [0], "f": [0]}
 
     def test_writes_are_not_exchanges(self):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from affsched.nest import (
+    Domain,
     EnumerationError,
     NestError,
     contains_point,
@@ -191,6 +192,11 @@ class TestValidationErrors:
         target[last] = value
         with pytest.raises(NestError, match=match):
             load_nest(doc)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"box": (), "explicit_vertices": ()}], ids=repr)
+    def test_domain_needs_exactly_one_form(self, kwargs):
+        with pytest.raises(NestError, match="^domain must have exactly one of box / vertices$"):
+            Domain(**kwargs)
 
     def test_unknown_statement_in_access(self):
         doc = fixture_doc("vecadd")

@@ -235,6 +235,14 @@ class TestRankAndErrors:
         )):
             run_procedure(load_nest(reversal_doc()), r_space=0)
 
+    def test_rank_deficient_schedule_refused(self, monkeypatch):
+        # with no rank witnesses nothing forces a schedule row to be nonzero
+        monkeypatch.setattr(procedure, "rank_witnesses", lambda *args: {})
+        with pytest.raises(ProcedureError, match=re.escape(
+            "statement 'S1': final schedule rank 0 < depth 2"
+        )):
+            run_procedure(fixture_nest("stencil"), r_space=1)
+
     def test_matmul_two_spatial_dims(self):
         plan = fixture_plan("matmul", 2)
         assert plan.r_space == 2
@@ -391,8 +399,8 @@ def _reference_columns(nest, layout, xs, r_space, weights, deps, in_deps, space)
             columns += build_alignment_columns(
                 acc, nest, layout, weights.align_f_mat, weights.align_g_mat, weights.align_offset
             )
-    for key, (_, kernel) in space.items():
-        columns += build_space_locality_columns(nest.access(key), kernel, layout, weights.space)
+    for acc in space:
+        columns += build_space_locality_columns(acc, layout, weights.space)
     return columns
 
 
@@ -414,7 +422,7 @@ class TestColumnTable:
             system = build(nest, layout, xs, r_space, weights, deps, in_deps, space, table)
             # the bookkeeping sets change after the call: keep them as they were
             args = (nest, layout, list(xs), r_space, weights,
-                    list(deps), list(in_deps), dict(space))
+                    list(deps), list(in_deps), list(space))
             calls.append((args, system))
             return system
 

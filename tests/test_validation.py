@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import affsched
 from affsched.algebra import rank
 from affsched.cli import EXIT_INPUT, main
 from affsched.comm import comm_report
@@ -37,6 +38,12 @@ from conftest import (
     index_at,
     source_point,
 )
+
+
+def test_unknown_package_attribute():
+    # the package resolves only the validator's names on first use
+    with pytest.raises(AttributeError, match="^module 'affsched' has no attribute 'nonexistent'$"):
+        affsched.nonexistent
 
 
 def _with_schedule(plan, sid, rows):
@@ -267,7 +274,7 @@ class TestRowLocality:
         for acc in nest.accesses:
             depth = claimed_locality_depth(plan, acc)
             for d in plan.diagnostics:
-                active = acc.key in ruled and (depth is None or d.xi < depth)
+                active = acc in ruled and (depth is None or d.xi < depth)
                 assert (acc.key in d.active_space_accesses) == active
 
 
