@@ -42,24 +42,25 @@ def alignment_slacks(plan: TransformPlan, acc) -> dict[str, dict[str, list]]:
     return out
 
 
+def _exchanges(plan: TransformPlan, nest: LoopNest):
+    """(access, exchange entry) of each read that needs an exchange, in access order."""
+    for acc in nest.accesses:
+        if acc.kind != "read":
+            continue
+        slacks = alignment_slacks(plan, acc)
+        reasons = [fam for fam in ("F", "G", "f")
+                   if any(any(per[fam]) for per in slacks.values())]
+        if reasons:
+            yield acc, {"access": list(acc.key), "reasons": reasons, "slacks": slacks}
+
+
 def exchange_requirements(plan: TransformPlan, nest: LoopNest) -> list[dict]:
     """Reads whose operands are not guaranteed local to the executing processor.
 
     Each is the report's exchange entry: the access, the slack families
     that are nonzero (`reasons`) and the slacks themselves.
     """
-    out = []
-    for acc in nest.accesses:
-        if acc.kind != "read":
-            continue
-        slacks = alignment_slacks(plan, acc)
-        reasons = []
-        for fam in ("F", "G", "f"):
-            if any(any(v != 0 for v in per[fam]) for per in slacks.values()):
-                reasons.append(fam)
-        if reasons:
-            out.append({"access": list(acc.key), "reasons": reasons, "slacks": slacks})
-    return out
+    return [entry for _, entry in _exchanges(plan, nest)]
 
 
 def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
@@ -67,6 +68,11 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
     acc = nest.access(access_key)
     if acc.kind != "read":
         raise ValueError(f"broadcast detection applies to reads, {access_key!r} is a write")
+    return _broadcast(plan, nest, acc)
+
+
+def _broadcast(plan: TransformPlan, nest: LoopNest, acc) -> dict:
+    """The broadcast finding of the read access `acc`."""
     kernel = acc.kernel
 
     def finding(failed_condition: str | None) -> dict:
@@ -87,13 +93,8 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
 
     written = any(a.array == acc.array and a.kind == "write" for a in nest.accesses)
     if written:
-        producing = [
-            d
-            for d in nest.dependences
-            if d.kind == "flow"
-            and d.target == acc.statement
-            and d.produced_by == (acc.array, acc.slot)
-        ]
+        producing = [d for d in nest.dependences if d.kind == "flow" and d.target == acc.statement
+                     and d.produced_by == (acc.array, acc.slot)]
         if not producing:
             return finding(INELIGIBLE_WRITE_PRESENT)
         for d in producing:
@@ -103,9 +104,8 @@ def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
 
 
 def comm_report(plan: TransformPlan, nest: LoopNest) -> dict:
-    """Machine-readable communication report for a plan."""
-    exchanges = exchange_requirements(plan, nest)
-    return {
-        "exchanges": exchanges,
-        "broadcasts": [detect_broadcast(plan, nest, ex["access"]) for ex in exchanges],
-    }
+    """Machine-readable communication report for a plan: each exchange entry
+    and the broadcast finding of its read, from one walk over the reads."""
+    found = list(_exchanges(plan, nest))
+    return {"exchanges": [entry for _, entry in found],
+            "broadcasts": [_broadcast(plan, nest, acc) for acc, _ in found]}

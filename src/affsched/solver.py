@@ -8,7 +8,7 @@ enters a child that is infeasible or worse than the incumbent.  The search
 runs in passes under a growing objective cap (iterative deepening): a pass
 cuts every subtree whose bound exceeds the cap, so the first pass whose cap
 reaches the optimum finds it without first hunting for an incumbent.
-Set-up reads each column's nonzero terms, not its dense coefficients:
+Set-up keeps every row, witness and derived ones too, as nonzero terms:
 columns whose slack is equal at every x share one row with the sum of their
 weights (scaled to integers once), which keeps every bound, and a zero
 column gets no row.  Set-up derives two kinds of row from every two rows
@@ -150,32 +150,25 @@ class _Search:
         nonzero = [tuple((pos[i], c) for i, c in terms) for terms, _ in merged]
         geq = [g for _, g in merged]
         weights = list(merged.values())
-        # the same rows with an entry per used variable
-        rows = []
-        for terms in nonzero:
-            row = [0] * nvars
-            for k, c in terms:
-                row[k] = c
-            rows.append(row)
         # paired columns: each pair's combination c = a +- b joins the rows
         # with weight 0, for the pair bound only; the implied rows join with
         # weight 0, for the dead check only
-        derived, implied = _derived_rows(rows, nonzero, geq)
-        pairs = [(a, b, len(rows) + i, min(weights[a], weights[b]))
+        derived, implied = _derived_rows(nonzero, geq)
+        pairs = [(a, b, len(nonzero) + i, min(weights[a], weights[b]))
                  for i, (a, b, _) in enumerate(derived)]
-        rows += [c for _, _, c in derived] + implied
+        nonzero += [c for _, _, c in derived] + implied
         geq += [False] * len(pairs) + [True] * len(implied)
         weights += [0] * (len(pairs) + len(implied))
-        self.rows, self.implied = len(rows), len(implied)
-        ncols = len(rows)
+        self.rows = ncols = len(nonzero)
+        self.implied = len(implied)
         # statements with witnesses, in layout order, and their witness rows
         self.statements = [s for s in system.layout.statement_ids if s in system.witnesses]
         witness_rows = []
         for sid in self.statements:
             cands = system.witnesses[sid]
-            witness_rows.append(range(len(rows), len(rows) + len(cands)))
-            rows.extend([w.s_tilde[g] for g in used] for w in cands)
-        nonzero += [tuple((k, c) for k, c in enumerate(row) if c) for row in rows[len(nonzero):]]
+            witness_rows.append(range(len(nonzero), len(nonzero) + len(cands)))
+            nonzero.extend(tuple((k, w.s_tilde[g]) for k, g in enumerate(used) if w.s_tilde[g])
+                           for w in cands)
         # rest[r][k]: max |contribution| of variables k.. to row r
         rest = []
         self.by_pos = [[] for _ in used]
@@ -199,11 +192,12 @@ class _Search:
         ]
         self.pairs_at = [[] for _ in used]
         for a, b, c, m in pairs:
-            for k in sorted({k for ri in (a, b, c) for k, _ in nonzero[ri]}):
+            ta, tb, tc = (dict(nonzero[ri]) for ri in (a, b, c))
+            for k in sorted(ta.keys() | tb.keys() | tc.keys()):
                 self.pairs_at[k].append(
-                    (a, rows[a][k], rest[a][k], rest[a][k + 1], b, rows[b][k], rest[b][k],
-                     rest[b][k + 1], c, rows[c][k], rest[c][k], rest[c][k + 1], m))
-        self.partial = [0] * len(rows)
+                    (a, ta.get(k, 0), rest[a][k], rest[a][k + 1], b, tb.get(k, 0), rest[b][k],
+                     rest[b][k + 1], c, tc.get(k, 0), rest[c][k], rest[c][k + 1], m))
+        self.partial = [0] * len(nonzero)
         self.assign = [0] * nvars
         self.nodes = 0
         self.passes = 0
@@ -360,10 +354,19 @@ class _Search:
         self.assign[k] = 0
 
 
-def _derived_rows(rows, nonzero, geq):
+def _combined(u, s, v, t):
+    """The nonzero terms of u*s + v*t, for rows s and t given as terms."""
+    row = {k: u * c for k, c in s}
+    for k, c in t:
+        row[k] = row.get(k, 0) + v * c
+    return tuple(sorted(kc for kc in row.items() if kc[1]))
+
+
+def _derived_rows(nonzero, geq):
     """The pairs and the implied rows of every two rows that end at the same
-    variable k in search order; `rows` hold an entry per variable and
-    `nonzero` their (never empty) nonzero terms.
+    variable k in search order.  Every row, given or derived, is its nonzero
+    (position, coefficient) terms in position order, never empty, so a row's
+    coefficient at k is its last term.
 
     Pairs are disjoint, of one sense with equal |coefficient| at k, as
     (a, b, c): c is a - b or, for opposite coefficients, a + b, so it
@@ -378,27 +381,23 @@ def _derived_rows(rows, nonzero, geq):
     candidates, implied = [], []
     for k, members in buckets.items():
         for i, a in enumerate(members):
-            ra = rows[a]
             for b in members[i + 1:]:
-                rb = rows[b]
-                ca, cb = ra[k], rb[k]
+                ta, tb = nonzero[a], nonzero[b]
+                ca, cb = ta[-1][1], tb[-1][1]
                 if geq[a] == geq[b] and abs(ca) == abs(cb):
-                    sign = -1 if ca == cb else 1
-                    j = k - 1
-                    while j >= 0 and ra[j] + sign * rb[j] == 0:
-                        j -= 1
-                    if j >= 0:
-                        candidates.append((j - k, a, b, sign))
+                    c = _combined(1, ta, -1 if ca == cb else 1, tb)
+                    if c:
+                        candidates.append((c[-1][0] - k, a, b, c))
                 if geq[a] and geq[b] and ca * cb < 0:
-                    row = [abs(cb) * x + abs(ca) * y for x, y in zip(ra, rb)]
-                    if any(row):
+                    row = _combined(abs(cb), ta, abs(ca), tb)
+                    if row:
                         implied.append(row)
-    candidates.sort()
+    candidates.sort()  # (end, a, b) is unique, so c is never compared
     taken, pairs = set(), []
-    for _, a, b, sign in candidates:
+    for _, a, b, c in candidates:
         if a not in taken and b not in taken:
             taken.update((a, b))
-            pairs.append((a, b, [x + sign * y for x, y in zip(rows[a], rows[b])]))
+            pairs.append((a, b, c))
     return pairs, implied
 
 

@@ -317,9 +317,9 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
             "claimed_depth": depth_claim, "metric": int(np.bincount(prefix[first]).max())
         }
 
-    eligible = [b["access"] for b in comm_report(plan, nest)["broadcasts"] if b["eligible"]]
+    eligible = {tuple(b["access"]) for b in comm_report(plan, nest)["broadcasts"] if b["eligible"]}
     for acc in nest.accesses:
-        if list(acc.key) in eligible:
+        if acc.key in eligible:
             report.broadcast_checks[acc.key] = _check_broadcast(nest, acc, r, ops, image, n_vals)
 
     return report

@@ -235,6 +235,8 @@ class TestValidate:
         ("N=abc", "bad value 'abc' for parameter 'N'; expected an integer"),
         ("N=", "bad value '' for parameter 'N'; expected an integer"),
         ("N4", "bad parameter setting 'N4'; expected name=value"),
+        # 101^3 matmul points pass the enumeration cap
+        ("N=101", "domain has more than 1000000 points"),
     ])
     def test_bad_parameter_setting(self, matmul_plan, capsys, setting, message):
         rc = main(["validate", "--input", fixture_path("matmul"), "--plan", str(matmul_plan),

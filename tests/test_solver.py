@@ -26,6 +26,7 @@ from affsched.solver import (
     Solution,
     SolverConfig,
     SolverTimeout,
+    _derived_rows,
     _Search,
     solve,
 )
@@ -472,6 +473,21 @@ class TestImpliedRows:
 
         check()
         assert sum(n > 0 for n in implied) >= len(implied) // 2
+
+
+class TestDerivedRows:
+    def test_pairs_and_implied_rows_of_hand_built_rows(self):
+        # ABS r0..r3 end at position 2, GEQ0 r4 and r5 at position 3
+        nonzero = [((0, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 2), (2, 1)), ((0, 1), (2, 1)),
+                   ((1, 1), (3, 2)), ((0, 1), (3, -1))]
+        geq = [False] * 4 + [True] * 2
+        pairs, implied = _derived_rows(nonzero, geq)
+        # r0 - r2 and r2 - r3 end at 0, the earliest: r0 with r2 wins the tie
+        # by row index, so r2 is taken and r1 pairs with r3 (c ends at 1);
+        # r0 - r3 is zero and never taken
+        assert pairs == [(0, 2, ((0, -1),)), (1, 3, ((0, 1), (1, 1)))]
+        # 1*r4 + 2*r5 cancels position 3
+        assert implied == [((0, 2), (1, 1))]
 
 
 class TestConstructedSystems:
