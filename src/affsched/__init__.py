@@ -4,7 +4,7 @@ from .algebra import integer_kernel_basis, rank
 from .nest import LoopNest, load_nest
 from .solver import SolverConfig
 from .procedure import TransformPlan, WeightConfig, plan_from_doc, plan_to_doc, run_procedure
-from .comm import comm_report, detect_broadcast, exchange_requirements
+from .comm import comm_report
 
 
 def __getattr__(name):
@@ -23,9 +23,7 @@ __all__ = [
     "TransformPlan",
     "WeightConfig",
     "comm_report",
-    "detect_broadcast",
     "enumerate_domain",
-    "exchange_requirements",
     "integer_kernel_basis",
     "load_nest",
     "plan_from_doc",

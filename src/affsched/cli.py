@@ -54,10 +54,7 @@ def _parse_weights(items) -> WeightConfig:
             overrides[fam] = Fraction(val)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad weight value {val!r}")
-    try:
-        return WeightConfig.with_overrides(overrides)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    return WeightConfig.with_overrides(overrides)
 
 
 def _parse_params(nest, items) -> list[tuple[int, ...]]:

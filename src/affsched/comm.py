@@ -42,35 +42,6 @@ def alignment_slacks(plan: TransformPlan, acc) -> dict[str, dict[str, list]]:
     return out
 
 
-def _exchanges(plan: TransformPlan, nest: LoopNest):
-    """(access, exchange entry) of each read that needs an exchange, in access order."""
-    for acc in nest.accesses:
-        if acc.kind != "read":
-            continue
-        slacks = alignment_slacks(plan, acc)
-        reasons = [fam for fam in ("F", "G", "f")
-                   if any(any(per[fam]) for per in slacks.values())]
-        if reasons:
-            yield acc, {"access": list(acc.key), "reasons": reasons, "slacks": slacks}
-
-
-def exchange_requirements(plan: TransformPlan, nest: LoopNest) -> list[dict]:
-    """Reads whose operands are not guaranteed local to the executing processor.
-
-    Each is the report's exchange entry: the access, the slack families
-    that are nonzero (`reasons`) and the slacks themselves.
-    """
-    return [entry for _, entry in _exchanges(plan, nest)]
-
-
-def detect_broadcast(plan: TransformPlan, nest: LoopNest, access_key) -> dict:
-    """Test the broadcast-eligibility conditions for one read access."""
-    acc = nest.access(access_key)
-    if acc.kind != "read":
-        raise ValueError(f"broadcast detection applies to reads, {access_key!r} is a write")
-    return _broadcast(plan, nest, acc)
-
-
 def _broadcast(plan: TransformPlan, nest: LoopNest, acc) -> dict:
     """The broadcast finding of the read access `acc`."""
     kernel = acc.kernel
@@ -104,8 +75,20 @@ def _broadcast(plan: TransformPlan, nest: LoopNest, acc) -> dict:
 
 
 def comm_report(plan: TransformPlan, nest: LoopNest) -> dict:
-    """Machine-readable communication report for a plan: each exchange entry
-    and the broadcast finding of its read, from one walk over the reads."""
-    found = list(_exchanges(plan, nest))
-    return {"exchanges": [entry for _, entry in found],
-            "broadcasts": [_broadcast(plan, nest, acc) for acc, _ in found]}
+    """Machine-readable communication report for a plan, from one walk over the reads.
+
+    Each read whose operand is not guaranteed local to the executing
+    processor gets an exchange entry (the access, the nonzero slack
+    families as `reasons`, and the slacks) and its broadcast finding.
+    """
+    exchanges, broadcasts = [], []
+    for acc in nest.accesses:
+        if acc.kind != "read":
+            continue
+        slacks = alignment_slacks(plan, acc)
+        reasons = [fam for fam in ("F", "G", "f")
+                   if any(any(per[fam]) for per in slacks.values())]
+        if reasons:
+            exchanges.append({"access": list(acc.key), "reasons": reasons, "slacks": slacks})
+            broadcasts.append(_broadcast(plan, nest, acc))
+    return {"exchanges": exchanges, "broadcasts": broadcasts}

@@ -40,22 +40,11 @@ class OuterVars:
 
 
 @dataclass(frozen=True)
-class AffineBound:
-    param_coeffs: tuple[int, ...]  # length e
-    constant: int
-
-    def value_at(self, n_vals) -> int:
-        if len(n_vals) != len(self.param_coeffs):
-            raise ValueError(f"{len(n_vals)} parameter values for a bound over "
-                             f"{len(self.param_coeffs)} outer variables")
-        return dot(self.param_coeffs, n_vals) + self.constant
-
-
-@dataclass(frozen=True)
 class Domain:
     """Either a parametric box or an explicit list of parametric vertices."""
 
-    box: tuple[tuple[AffineBound, AffineBound], ...] | None = None
+    # per dimension (lower, upper), each bound (coeffs over N, const) as ints
+    box: tuple[tuple[tuple, tuple], ...] | None = None
     # per vertex (R by rows, omega), v = R*N + omega, as int tuples
     explicit_vertices: tuple[tuple[tuple, tuple[int, ...]], ...] | None = None
 
@@ -79,15 +68,18 @@ class Domain:
         """
         if self.explicit_vertices is not None:
             return self.explicit_vertices
-        picks = [[(b.param_coeffs, b.constant) for b in pair] for pair in self.box]
         return tuple((tuple(r for r, _ in corner), tuple(w for _, w in corner))
-                     for corner in dict.fromkeys(itertools.product(*picks)))
+                     for corner in dict.fromkeys(itertools.product(*self.box)))
 
     def bounds_at(self, n_vals) -> list[tuple[int, int]]:
         """The (lo, hi) of each box dimension at the concrete outer variables `n_vals`."""
         if self.box is None:
             raise EnumerationError("explicit-vertex domains cannot be enumerated")
-        return [(lo.value_at(n_vals), hi.value_at(n_vals)) for lo, hi in self.box]
+        e = len(self.box[0][0][0]) if self.box else len(n_vals)  # every bound has e coeffs
+        if len(n_vals) != e:
+            raise ValueError(f"{len(n_vals)} parameter values for a bound over {e} outer variables")
+        return [(dot(lo, n_vals) + c_lo, dot(hi, n_vals) + c_hi)
+                for (lo, c_lo), (hi, c_hi) in self.box]
 
 
 @dataclass(frozen=True)
@@ -265,9 +257,9 @@ def read_matrix(obj, key: str, nrows: int, ncols: int, where: str) -> tuple[tupl
     return tuple(tuple([read_int(x, entry) for x in row]) for row in rows)
 
 
-def _parse_bound(obj, e: int, where: str) -> AffineBound:
+def _parse_bound(obj, e: int, where: str) -> tuple[tuple[int, ...], int]:
     const = read_int(read_field(obj, "const", where), f"{where} bound const")
-    return AffineBound(read_vector(obj, "coeffs", e, where), const)
+    return read_vector(obj, "coeffs", e, where), const
 
 
 def _parse_domain(obj, dim: int, e: int, where: str) -> Domain:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from affsched.algebra import dot
+from affsched.comm import comm_report
 from affsched.nest import load_nest
 from affsched.procedure import run_procedure
 
@@ -61,6 +62,12 @@ def fixture_plan(name, r_space=None, **kwargs):
     if key not in _plan_cache:
         _plan_cache[key] = run_procedure(fixture_nest(name), r_space=r_space, **kwargs)
     return _plan_cache[key]
+
+
+def broadcast_finding(plan, nest, key):
+    """The broadcast finding of the read `key` in the plan's communication report."""
+    (finding,) = [b for b in comm_report(plan, nest)["broadcasts"] if b["access"] == list(key)]
+    return finding
 
 
 def index_at(acc, point, n_vals):

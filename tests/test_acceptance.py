@@ -10,7 +10,6 @@ import random
 import time
 
 from affsched.algebra import dot, integer_kernel_basis, rank
-from affsched.comm import detect_broadcast
 from affsched.constraints import ExtendedLayout, build_legality_columns
 from affsched.solver import SolverConfig, solve
 from affsched.validation import (
@@ -19,7 +18,9 @@ from affsched.validation import (
     first_recursion_system,
     validate,
 )
-from conftest import DEFAULT_R, fixture_nest, fixture_plan, index_at, source_point
+from conftest import (
+    DEFAULT_R, broadcast_finding, fixture_nest, fixture_plan, index_at, source_point,
+)
 from test_algebra import rank_oracle
 
 
@@ -146,7 +147,7 @@ def test_criterion_7_broadcast():
 
         nest = fixture_nest("matmul")
         plan = fixture_plan("matmul", 1)
-        finding = detect_broadcast(plan, nest, ("B", "S1", 1))
+        finding = broadcast_finding(plan, nest, ("B", "S1", 1))
         assert finding["eligible"]
         kernel = finding["kernel_basis"]
 
@@ -176,12 +177,10 @@ def test_criterion_7_broadcast():
             sts["S1"] = dataclasses.replace(sts["S1"], schedule=rows)
             return dataclasses.replace(p, statements=sts)
 
-        f = detect_broadcast(
-            fixture_plan("stencil", 1), fixture_nest("stencil"), ("u", "S1", 2)
-        )
+        f = broadcast_finding(fixture_plan("stencil", 1), fixture_nest("stencil"), ("u", "S1", 2))
         assert (f["eligible"], f["failed_condition"]) == (False, "degenerate")
 
-        f = detect_broadcast(
+        f = broadcast_finding(
             with_schedule(plan, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
             nest,
             ("B", "S1", 1),
@@ -189,7 +188,7 @@ def test_criterion_7_broadcast():
         assert (f["eligible"], f["failed_condition"]) == (False, "time-variance")
 
         mv_nest = fixture_nest("matvec")
-        f = detect_broadcast(
+        f = broadcast_finding(
             with_schedule(fixture_plan("matvec", 1), [[0, 1], [1, 0]]),
             mv_nest,
             ("y", "S1", 2),

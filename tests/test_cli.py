@@ -337,17 +337,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: plan ") and err.count("\n") == 1
 
-    def test_plan_with_a_diagnostics_entry_too_many(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_plan_with_a_diagnostics_entry_too_many(self, command, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         assert main(["solve", "--input", fixture_path("stencil"), "--out", str(plan)]) == EXIT_OK
         doc = json.loads(plan.read_text())
         doc["diagnostics"].append({**doc["diagnostics"][-1], "xi": 3})
         plan.write_text(json.dumps(doc))
         capsys.readouterr()
-        rc = main(["validate", "--input", fixture_path("stencil"), "--plan", str(plan),
-                   "--params", "N=4"])
+        rc = main([command, "--input", fixture_path("stencil"), "--plan", str(plan)])
         assert rc == EXIT_INPUT
-        assert "field 'diagnostics': 3 entries, expected 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: plan document, field 'diagnostics': 3 entries, expected 2\n")
 
     def test_unwritable_out(self, matmul_plan, tmp_path, capsys):
         out = tmp_path / "missing" / "v.json"

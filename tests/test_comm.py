@@ -2,8 +2,7 @@
 
 import dataclasses
 
-import pytest
-
+from affsched import comm
 from affsched.comm import (
     INELIGIBLE_DEGENERATE,
     INELIGIBLE_FLOW_KERNEL,
@@ -11,12 +10,10 @@ from affsched.comm import (
     INELIGIBLE_WRITE_PRESENT,
     alignment_slacks,
     comm_report,
-    detect_broadcast,
-    exchange_requirements,
 )
 from affsched.nest import load_nest
 from affsched.procedure import run_procedure
-from conftest import fixture_doc, fixture_nest, fixture_plan
+from conftest import broadcast_finding, fixture_doc, fixture_nest, fixture_plan
 
 
 def _with_schedule(plan, sid, rows):
@@ -29,14 +26,14 @@ def _with_schedule(plan, sid, rows):
 class TestExchanges:
     def test_aligned_fixtures_need_none(self):
         for name in ("vecadd", "chain", "addmat"):
-            assert exchange_requirements(fixture_plan(name), fixture_nest(name)) == []
+            assert comm_report(fixture_plan(name), fixture_nest(name))["exchanges"] == []
 
     def test_stencil_single_offset_exchange(self):
-        reqs = exchange_requirements(fixture_plan("stencil"), fixture_nest("stencil"))
+        reqs = comm_report(fixture_plan("stencil"), fixture_nest("stencil"))["exchanges"]
         assert [(r["access"], r["reasons"]) for r in reqs] == [(["u", "S1", 2], ["f"])]
 
     def test_matvec_operand_exchange(self):
-        reqs = exchange_requirements(fixture_plan("matvec"), fixture_nest("matvec"))
+        reqs = comm_report(fixture_plan("matvec"), fixture_nest("matvec"))["exchanges"]
         assert [(r["access"], r["reasons"]) for r in reqs] == [(["x", "S1", 1], ["F"])]
 
     def test_matmul_slack_values(self):
@@ -50,24 +47,20 @@ class TestExchanges:
         assert aligned["1"] == {"F": [0, 0, 0], "G": [0], "f": [0]}
 
     def test_writes_are_not_exchanges(self):
-        reqs = exchange_requirements(fixture_plan("matmul"), fixture_nest("matmul"))
+        reqs = comm_report(fixture_plan("matmul"), fixture_nest("matmul"))["exchanges"]
         assert all(fixture_nest("matmul").access(r["access"]).kind == "read" for r in reqs)
 
 
 class TestBroadcastPositive:
     def test_matmul_b_operand(self):
-        finding = detect_broadcast(
-            fixture_plan("matmul"), fixture_nest("matmul"), ("B", "S1", 1)
-        )
+        finding = broadcast_finding(fixture_plan("matmul"), fixture_nest("matmul"), ("B", "S1", 1))
         assert finding["eligible"]
         assert finding["failed_condition"] is None
         assert finding["kernel_basis"] == [[1, 0, 0]]
         assert finding["nondegeneracy_pending"]
 
     def test_matvec_x_operand(self):
-        finding = detect_broadcast(
-            fixture_plan("matvec"), fixture_nest("matvec"), ("x", "S1", 1)
-        )
+        finding = broadcast_finding(fixture_plan("matvec"), fixture_nest("matvec"), ("x", "S1", 1))
         assert finding["eligible"]
         assert finding["kernel_basis"] == [[1, 0]]
 
@@ -75,9 +68,8 @@ class TestBroadcastPositive:
 class TestBroadcastNegative:
     def test_degenerate(self):
         # one-to-one access: nothing to share
-        finding = detect_broadcast(
-            fixture_plan("stencil"), fixture_nest("stencil"), ("u", "S1", 2)
-        )
+        nest = fixture_nest("stencil")
+        finding = broadcast_finding(fixture_plan("stencil"), nest, ("u", "S1", 2))
         assert not finding["eligible"]
         assert finding["failed_condition"] == INELIGIBLE_DEGENERATE
 
@@ -86,7 +78,7 @@ class TestBroadcastNegative:
         plan = _with_schedule(
             fixture_plan("matmul"), "S1", [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         )
-        finding = detect_broadcast(plan, fixture_nest("matmul"), ("B", "S1", 1))
+        finding = broadcast_finding(plan, fixture_nest("matmul"), ("B", "S1", 1))
         assert not finding["eligible"]
         assert finding["failed_condition"] == INELIGIBLE_TIME_VARIANCE
 
@@ -94,7 +86,7 @@ class TestBroadcastNegative:
         # the y operand is written, and its producing dependence moves along
         # the access kernel
         plan = _with_schedule(fixture_plan("matvec"), "S1", [[0, 1], [1, 0]])
-        finding = detect_broadcast(plan, fixture_nest("matvec"), ("y", "S1", 2))
+        finding = broadcast_finding(plan, fixture_nest("matvec"), ("y", "S1", 2))
         assert not finding["eligible"]
         assert finding["failed_condition"] == INELIGIBLE_FLOW_KERNEL
 
@@ -104,15 +96,9 @@ class TestBroadcastNegative:
         doc["dependences"][0]["produced_by"] = None
         nest = load_nest(doc)
         plan = _with_schedule(run_procedure(nest, r_space=1), "S1", [[0, 1], [1, 0]])
-        finding = detect_broadcast(plan, nest, ("y", "S1", 2))
+        finding = broadcast_finding(plan, nest, ("y", "S1", 2))
         assert not finding["eligible"]
         assert finding["failed_condition"] == INELIGIBLE_WRITE_PRESENT
-
-    def test_write_access_rejected(self):
-        with pytest.raises(ValueError, match="read"):
-            detect_broadcast(
-                fixture_plan("matmul"), fixture_nest("matmul"), ("C", "S1", 1)
-            )
 
 
 class TestReport:
@@ -121,6 +107,17 @@ class TestReport:
         assert [e["access"] for e in rep["exchanges"]] == [["B", "S1", 1]]
         assert [b["eligible"] for b in rep["broadcasts"]] == [True]
         assert rep["broadcasts"][0]["kernel_basis"] == [[1, 0, 0]]
+
+    def test_one_walk_over_the_reads(self, monkeypatch):
+        # the slacks of each read once, and a finding for each exchanged read alone
+        calls = []
+        for name in ("alignment_slacks", "_broadcast"):
+            monkeypatch.setattr(comm, name, lambda *args, name=name, real=getattr(comm, name):
+                                calls.append(name) or real(*args))
+        nest = fixture_nest("matmul")
+        rep = comm_report(fixture_plan("matmul"), nest)
+        assert calls.count("alignment_slacks") == sum(a.kind == "read" for a in nest.accesses) == 3
+        assert calls.count("_broadcast") == len(rep["exchanges"]) == 1
 
     def test_communication_free_report_empty(self):
         rep = comm_report(fixture_plan("addmat"), fixture_nest("addmat"))

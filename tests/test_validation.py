@@ -461,9 +461,7 @@ class TestReportDoc:
 
 def _box_points(domain, n_vals):
     """Points of a box domain in lex order, from its bounds alone."""
-    return itertools.product(
-        *(range(lo.value_at(n_vals), hi.value_at(n_vals) + 1) for lo, hi in domain.box)
-    )
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in domain.bounds_at(n_vals)))
 
 
 def scalar_validate(nest, plan, n_vals):
