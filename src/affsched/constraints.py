@@ -6,7 +6,9 @@ z, and the constant terms a and y.  Every legality, alignment and locality
 requirement becomes a linear form over that vector, kept as an explicit
 integer column so the solver and the diagnostics can evaluate it exactly;
 each column also carries its nonzero terms, which evaluation and the
-solver's set-up read.  A legality form that several vertices share is one
+solver's set-up read.  The builders read the terms off the blocks a column
+can touch and hand them to the column, which then never rescans its dense
+coefficients.  A legality form that several vertices share is one
 column, weighted by their number.  The layout is the same in every
 recursion, so a column does not depend on the recursion: the procedure
 builds each family once per run and selects the active ones per recursion.
@@ -14,7 +16,8 @@ builds each family once per run and selects the active ones per recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 from .algebra import dot, integer_kernel_basis, rank
@@ -85,14 +88,21 @@ class ConstraintColumn:
     family: str
     label: str
     weight: Fraction
+    # the terms below, when the builder has them: `coeffs` is then not rescanned
+    nonzero: InitVar[tuple[tuple[int, int], ...] | None] = None
     # the nonzero (index, coefficient) pairs of `coeffs`, in index order
     terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple([(i, c) for i, c in enumerate(self.coeffs) if c]))
+    def __post_init__(self, nonzero):
+        if nonzero is None:
+            nonzero = tuple([(i, c) for i, c in enumerate(self.coeffs) if c])
+        object.__setattr__(self, "terms", nonzero)
 
     def value(self, x) -> int:
-        return sum(c * x[i] for i, c in self.terms)
+        v = 0
+        for i, c in self.terms:
+            v += c * x[i]
+        return v
 
     def slack(self, x) -> int:
         v = self.value(x)
@@ -121,8 +131,13 @@ def _add(coeffs: list, parts) -> list:
 
 
 def _column(layout, parts, sense, family, label, weight) -> ConstraintColumn:
-    """A column whose coefficients are the sum of `parts`, (offset, entries) pairs."""
-    return ConstraintColumn(tuple(_add([0] * layout.size, parts)), sense, family, label, weight)
+    """A column whose coefficients are `parts`, (offset, entries) pairs of
+    disjoint blocks in index order; its terms are read off the blocks alone."""
+    coeffs = [0] * layout.size
+    for start, entries in parts:
+        coeffs[start:start + len(entries)] = entries
+    terms = tuple([(i, c) for start, entries in parts for i, c in enumerate(entries, start) if c])
+    return ConstraintColumn(tuple(coeffs), sense, family, label, weight, terms)
 
 
 def build_legality_columns(
@@ -141,41 +156,53 @@ def build_legality_columns(
     (all of a uniform dependence's) gets no column; a zero constant form
     keeps one, whose value 0 keeps the procedure from dropping the
     dependence.  The sense is `geq0` for flow/anti/out dependences and
-    `abs` (slack to be minimized) for in-dependences.
+    `abs` (slack to be minimized) for in-dependences.  A form is dense, its
+    schedule entries written into a copy of its b and a entries, and a
+    column's terms are read off the blocks the dependence touches.
     """
     sense = ABS if dep.kind == "in" else GEQ0
     n0 = nest.outer_vars.minima
-    tau_t, tau_s = layout.offset("tau", dep.target), layout.offset("tau", dep.source)
+    (tau_t, end_t), (tau_s, end_s) = layout.spans["tau", dep.target], layout.spans["tau", dep.source]
     b_t, b_s = layout.offset("b", dep.target), layout.offset("b", dep.source)
+    a_t, a_s = layout.offset("a", dep.target), layout.offset("a", dep.source)
     phi, psi = dep.source_map, dep.param_map
     # source-side constant of every vertex: shift - Psi·N^(0)
     base = [h - dot(q, n0) for h, q in zip(dep.shift, psi)]
-    # the b and a entries, the same in every constant column and, per outer
-    # variable, in every parameter column
-    const = _add([0] * layout.size, [
-        (b_t, n0), (b_s, [-v for v in n0]),
-        (layout.offset("a", dep.target), (1,)), (layout.offset("a", dep.source), (-1,)),
-    ])
+    # the b and a entries, the same in every constant form and, per outer
+    # variable, in every parameter form
+    const = _add([0] * layout.size, [(b_t, n0), (b_s, [-v for v in n0]), (a_t, (1,)), (a_s, (-1,))])
     params = [_add([0] * layout.size, [(b_t + j, (1,)), (b_s + j, (-1,))]) for j in range(len(n0))]
     forms = {}  # (family, coeffs) -> [label of its first vertex, number of forms]
 
-    def add(family, coeffs, label):
-        forms.setdefault((family, tuple(coeffs)), [label, 0])[1] += 1
+    def add(family, fixed, target, source, label):
+        coeffs = fixed[:]
+        if tau_t == tau_s:  # one statement: the two schedule blocks are one
+            coeffs[tau_t:end_t] = map(operator.add, target, source)
+        else:
+            coeffs[tau_t:end_t] = target
+            coeffs[tau_s:end_s] = source
+        if family == "legality-const" or any(coeffs):
+            forms.setdefault((family, tuple(coeffs)), [label, 0])[1] += 1
 
     for m, (r_rows, omega) in enumerate(dep.domain.vertices):
         corner = [dot(r, n0) + w for r, w in zip(r_rows, omega)]  # vertex at N^(0)
-        add("legality-const",
-            _add(const[:], [(tau_t, corner),
-                            (tau_s, [c - dot(p, corner) for p, c in zip(phi, base)])]),
+        add("legality-const", const, corner, [c - dot(p, corner) for p, c in zip(phi, base)],
             f"dep{dep_index}.v{m}")
         for j, fixed in enumerate(params):
             r_col = [r[j] for r in r_rows]
-            coeffs = _add(fixed[:], [(tau_t, r_col),
-                                     (tau_s, [-dot(p, r_col) - q[j] for p, q in zip(phi, psi)])])
-            if any(coeffs):
-                add("legality-param", coeffs, f"dep{dep_index}.v{m}.N{j}")
-    return [ConstraintColumn(coeffs, sense, family, label, weight * count)
-            for (family, coeffs), (label, count) in forms.items()]
+            add("legality-param", fixed, r_col, [-dot(p, r_col) - q[j] for p, q in zip(phi, psi)],
+                f"dep{dep_index}.v{m}.N{j}")
+    # the indices a form can be nonzero at
+    touched = sorted({*range(tau_t, end_t), *range(tau_s, end_s), *range(b_t, b_t + len(n0)),
+                      *range(b_s, b_s + len(n0)), a_t, a_s})
+    scaled = {}  # number of forms -> weight times that number
+    cols = []
+    for (family, coeffs), (label, count) in forms.items():
+        if count not in scaled:
+            scaled[count] = weight * count
+        terms = tuple([(i, coeffs[i]) for i in touched if coeffs[i]])
+        cols.append(ConstraintColumn(coeffs, sense, family, label, scaled[count], terms))
+    return cols
 
 
 def build_alignment_columns(
@@ -186,7 +213,10 @@ def build_alignment_columns(
     weight_g_mat: Fraction = Fraction(1),
     weight_offset: Fraction = Fraction(1),
 ) -> list[ConstraintColumn]:
-    """Communication-free allocation columns for one access (abs slacks)."""
+    """Communication-free allocation columns for one access (abs slacks).
+
+    Each column's blocks are given in layout order: tau, eta, b, z, a, y.
+    """
     tag = f"{acc.array}.{acc.statement}.q{acc.slot}"
     eta = layout.offset("eta", acc.array)
     tau, b = layout.offset("tau", acc.statement), layout.offset("b", acc.statement)
@@ -197,12 +227,12 @@ def build_alignment_columns(
     ]
     z = layout.offset("z", acc.array)
     cols += [
-        _column(layout, [(b + j, (1,)), (eta, [-r[j] for r in acc.param_coeffs]),
+        _column(layout, [(eta, [-r[j] for r in acc.param_coeffs]), (b + j, (1,)),
                          (z + j, (-1,))],
                 ABS, "align-G", f"align-G.{tag}.{j}", weight_g_mat)
         for j in range(nest.outer_vars.count)
     ]
-    parts = [(layout.offset("a", acc.statement), (1,)), (eta, [-v for v in acc.offset]),
+    parts = [(eta, [-v for v in acc.offset]), (layout.offset("a", acc.statement), (1,)),
              (layout.offset("y", acc.array), (-1,))]
     cols.append(_column(layout, parts, ABS, "align-f", f"align-f.{tag}", weight_offset))
     return cols

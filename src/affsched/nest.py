@@ -171,12 +171,6 @@ class LoopNest:
                 return a
         raise NestError(f"unknown array {aid!r}")
 
-    def access(self, key) -> Access:
-        for acc in self.accesses:
-            if acc.key == tuple(key):
-                return acc
-        raise NestError(f"unknown access {key!r}")
-
     def textually_ordered(self, dep: Dependence) -> bool:
         """Whether a tie (equal schedule vectors) leaves `dep` in order.
 

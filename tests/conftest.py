@@ -64,6 +64,12 @@ def fixture_plan(name, r_space=None, **kwargs):
     return _plan_cache[key]
 
 
+def access_of(nest, key):
+    """The access of `nest` with key (array, statement, slot)."""
+    (acc,) = [acc for acc in nest.accesses if acc.key == tuple(key)]
+    return acc
+
+
 def broadcast_finding(plan, nest, key):
     """The broadcast finding of the read `key` in the plan's communication report."""
     (finding,) = [b for b in comm_report(plan, nest)["broadcasts"] if b["access"] == list(key)]

@@ -19,7 +19,7 @@ from affsched.validation import (
     validate,
 )
 from conftest import (
-    DEFAULT_R, broadcast_finding, fixture_nest, fixture_plan, index_at, source_point,
+    DEFAULT_R, access_of, broadcast_finding, fixture_nest, fixture_plan, index_at, source_point,
 )
 from test_algebra import rank_oracle
 
@@ -161,7 +161,7 @@ def test_criterion_7_broadcast():
         # identical time vector
         from affsched.procedure import schedule_of
 
-        acc = nest.access(("B", "S1", 1))
+        acc = access_of(nest, ("B", "S1", 1))
         by_elem = {}
         for point in enumerate_domain(nest.statements[0].domain, [3]):
             elem = tuple(index_at(acc, point, [3]))

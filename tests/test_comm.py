@@ -13,7 +13,7 @@ from affsched.comm import (
 )
 from affsched.nest import load_nest
 from affsched.procedure import run_procedure
-from conftest import broadcast_finding, fixture_doc, fixture_nest, fixture_plan
+from conftest import access_of, broadcast_finding, fixture_doc, fixture_nest, fixture_plan
 
 
 def _with_schedule(plan, sid, rows):
@@ -39,16 +39,16 @@ class TestExchanges:
     def test_matmul_slack_values(self):
         plan = fixture_plan("matmul")
         nest = fixture_nest("matmul")
-        slacks = alignment_slacks(plan, nest.access(("B", "S1", 1)))
+        slacks = alignment_slacks(plan, access_of(nest, ("B", "S1", 1)))
         assert slacks["1"]["F"] == [1, 0, 0]
         assert slacks["1"]["G"] == [0]
         assert slacks["1"]["f"] == [0]
-        aligned = alignment_slacks(plan, nest.access(("C", "S1", 2)))
+        aligned = alignment_slacks(plan, access_of(nest, ("C", "S1", 2)))
         assert aligned["1"] == {"F": [0, 0, 0], "G": [0], "f": [0]}
 
     def test_writes_are_not_exchanges(self):
         reqs = comm_report(fixture_plan("matmul"), fixture_nest("matmul"))["exchanges"]
-        assert all(fixture_nest("matmul").access(r["access"]).kind == "read" for r in reqs)
+        assert all(access_of(fixture_nest("matmul"), r["access"]).kind == "read" for r in reqs)
 
 
 class TestBroadcastPositive:

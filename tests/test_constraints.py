@@ -25,7 +25,9 @@ from affsched.constraints import (
 from affsched.nest import load_nest
 from affsched.procedure import initial_sets
 from affsched.validation import enumerate_domain
-from conftest import fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at
+from conftest import (
+    access_of, fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at,
+)
 
 FIXTURES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul", "chain23", "chain42")
 
@@ -221,7 +223,7 @@ class TestAlignmentColumns:
     def test_column_count(self):
         nest = fixture_nest("matvec")
         lay = ExtendedLayout.for_nest(nest)
-        acc = nest.access(("A", "S1", 1))
+        acc = access_of(nest, ("A", "S1", 1))
         cols = build_alignment_columns(acc, nest, lay)
         # depth schedule columns, e parameter columns, one offset column
         assert len(cols) == 2 + 1 + 1
@@ -230,7 +232,7 @@ class TestAlignmentColumns:
     def test_perfect_alignment_has_zero_slack(self):
         nest = fixture_nest("addmat")
         lay = ExtendedLayout.for_nest(nest)
-        acc = nest.access(("a", "S1", 1))
+        acc = access_of(nest, ("a", "S1", 1))
         x = [0] * lay.size
         x[lay.offset("tau", "S1")] = 1  # tau = (1, 0)
         x[lay.offset("eta", "a")] = 1  # eta = (1, 0)
@@ -240,7 +242,7 @@ class TestAlignmentColumns:
     def test_misalignment_shows_in_offset_column(self):
         nest = fixture_nest("chain")
         lay = ExtendedLayout.for_nest(nest)
-        acc = nest.access(("x", "S1", 2))  # reads x[i-1]
+        acc = access_of(nest, ("x", "S1", 2))  # reads x[i-1]
         x = [0] * lay.size
         x[lay.offset("tau", "S1")] = 1
         x[lay.offset("eta", "x")] = 1
@@ -300,7 +302,7 @@ class TestSpaceLocality:
              "F": rows, "G": [[0]] * len(rows), "f": [0] * len(rows)}
         )
         nest = load_nest(doc)
-        acc = nest.access(("R", "S1", 9))
+        acc = access_of(nest, ("R", "S1", 9))
         rule = acc.row_rule
         assert (rule[0] if rule else None) == target
         assert (acc in initial_sets(nest)[2]) == (rule is not None)
@@ -308,12 +310,12 @@ class TestSpaceLocality:
     def test_truncation_side(self):
         # B[k][j]: the last index j is contiguous, the row matrix is [[0, 0, 1]]
         nest = fixture_nest("matmul")
-        target, kernel = nest.access(("B", "S1", 1)).row_rule
+        target, kernel = access_of(nest, ("B", "S1", 1)).row_rule
         assert (target, [tuple(v) for v in kernel]) == (1, [(0, 1, 0), (1, 0, 0)])
 
     def test_locality_kernel(self):
         nest = fixture_nest("matmul")
-        _, kernel = nest.access(("C", "S1", 1)).row_rule
+        _, kernel = access_of(nest, ("C", "S1", 1)).row_rule
         assert [tuple(v) for v in kernel] == [(0, 0, 1), (0, 1, 0)]
 
 

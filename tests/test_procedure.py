@@ -147,6 +147,25 @@ class TestGeneratedChains:
         for n in (6, 8):
             assert validate(nest, plan, [n]).passed
 
+    def test_chain_8_3_seed_83(self, monkeypatch):
+        # the one search of about 10**5 nodes the tests run: its recursions'
+        # node counts, passes and objectives are pinned
+        gen = perfbench_module("gen")
+        nest = load_nest(gen.chain(gen.draw_offsets(8, 3, random.Random(83))))
+        searches = []
+        solve = procedure.solve
+
+        def counting(system, cfg):
+            sol = solve(system, cfg)
+            searches.append((sol.nodes, sol.passes, sol.objective))
+            return sol
+
+        monkeypatch.setattr(procedure, "solve", counting)
+        plan = run_procedure(nest, r_space=1, solver_cfg=SolverConfig(time_limit=20))
+        assert searches == [(88, 1, 0), (98258, 1, 0), (52, 1, 0)]
+        for n in (6, 8):
+            assert validate(nest, plan, [n]).passed
+
 
 class TestSearchEvents:
     def test_debug_event_per_recursion(self, caplog):

@@ -26,6 +26,7 @@ from affsched.solver import (
     Solution,
     SolverConfig,
     SolverTimeout,
+    _combined,
     _derived_rows,
     _Search,
     solve,
@@ -339,13 +340,13 @@ def _opposed_systems(draw):
 def _pair_kinds(system):
     """The kinds of the pairs that the search bounds together."""
     search = _Search(system, 1, None)
-    geq = {ri: g for cols in search.columns_at for ri, _, g, *_ in cols}
+    geq = {ri for rows, *_ in search.levels for ri, *_ in rows}
     kinds = set()
-    for pairs in search.pairs_at:
+    for _, _, pairs, _ in search.levels:
         # at the variable the pair cancels, a sum's coefficients are opposite
-        for a, ca, _, _, _, cb, _, _, _, cc, *_ in pairs:
-            if ca and not cc:
-                kinds.add("ABS" if not geq[a] else "GEQ0 sum" if ca == -cb else "GEQ0 difference")
+        for a, ca, _, _, _, _, cb, _, _, _, sign, *_ in pairs:
+            if ca and not ca + sign * cb:
+                kinds.add("ABS" if a not in geq else "GEQ0 sum" if ca == -cb else "GEQ0 difference")
     return kinds
 
 
@@ -433,6 +434,113 @@ class TestRandomSystems:
             assert sol.nodes == nodes
 
 
+def _reference_pass(system, bound, cap):
+    """One pass of a plain search under `cap`, as (nodes, over_cap, best_x).
+
+    It builds the search's rows as `_Search` does (merged columns, pairs,
+    implied rows) but prices every child from scratch: every row at every
+    value, with the dead check on every GEQ0 row, and every statement's
+    witness options at every depth.  No value interval, free rows, witness
+    depth or stop at a leaf of objective 0."""
+    scale = lcm(*{col.weight.denominator for col in system.columns})
+    merged = {}
+    for col in system.columns:
+        terms = col.terms
+        if not terms:
+            continue
+        if terms[0][1] < 0 and col.sense == ABS:
+            terms = tuple((i, -c) for i, c in terms)
+        key = (terms, col.sense == GEQ0)
+        merged[key] = merged.get(key, 0) + int(col.weight * scale)
+    rows, weights = list(merged), list(merged.values())
+    pairs, implied = _derived_rows([t for t, _ in rows], [g for _, g in rows])
+    pairs = [(a, b, _combined(1, rows[a][0], sign, rows[b][0]), min(weights[a], weights[b]))
+             for a, b, sign in pairs]
+    rows += [(t, True) for t in implied]
+    weights += [0] * len(implied)
+    options = [[[(i, c) for i, c in enumerate(w.s_tilde) if c] for w in system.witnesses[sid]]
+               for sid in system.layout.statement_ids if sid in system.witnesses]
+    used = sorted({i for t, _ in rows for i, _ in t}
+                  | {i for opts in options for t in opts for i, _ in t})
+    values = [0] + [u for v in range(1, bound + 1) for u in (v, -v)]
+    x = [0] * system.layout.size
+    state = {"nodes": 0, "best": cap + 1, "best_x": None, "least": None}
+
+    def interval(terms, free):
+        return (sum(c * x[i] for i, c in terms if i not in free),
+                sum(abs(c) * bound for i, c in terms if i in free))
+
+    def price(free):
+        dist, total = [], 0
+        for (terms, geq), w in zip(rows, weights):
+            p, spread = interval(terms, free)
+            if geq and p + spread < 0:
+                return None
+            dist.append(max(0, abs(p) - spread))
+            total += w * dist[-1]
+        for a, b, c, m in pairs:
+            p, spread = interval(c, free)
+            total += m * max(0, abs(p) - spread - dist[a] - dist[b])
+        return total
+
+    def dfs(k, lb):
+        state["nodes"] += 1
+        free = set(used[k:])
+        for opts in options:
+            if not any(p + spread >= 1 or p - spread <= -1
+                       for p, spread in (interval(t, free) for t in opts)):
+                return
+        if k == len(used):
+            state["best"], state["best_x"] = lb, tuple(x[i] for i in used)
+            return
+        for v in values:
+            x[used[k]] = v
+            child = price(free - {used[k]})
+            if child is None:
+                continue
+            if child < state["best"]:
+                dfs(k + 1, child)
+            elif state["least"] is None or child < state["least"]:
+                state["least"] = child
+        x[used[k]] = 0
+
+    dfs(0, 0)
+    over_cap = None if state["best_x"] is not None else state["least"]
+    return state["nodes"], over_cap, state["best_x"]
+
+
+def _options_end_apart(system):
+    """Whether some statement's witness options end at different variables."""
+    return any(len({max(i for i, c in enumerate(w.s_tilde) if c) for w in cands}) > 1
+               for cands in system.witnesses.values())
+
+
+class TestReferenceSearch:
+    def test_passes_match_a_plain_search(self):
+        # the search's value interval, free rows, witness depth and stop at
+        # 0 change what a node costs, never which nodes it enters: every
+        # pass of solve's cap sequence matches the plain search's
+        apart = []
+
+        @_forty_systems
+        @given(st.one_of(_random_systems(), _paired_systems(), _opposed_systems()))
+        def check(system):
+            apart.append(_options_end_apart(system))
+            for bound in (1, 2):
+                search, cap = _Search(system, bound, None), 0
+                while True:
+                    nodes = search.nodes
+                    search.run(cap)
+                    got = (search.nodes - nodes, search.over_cap, search.best_x)
+                    assert got == _reference_pass(system, bound, cap)
+                    if search.best_x is not None or search.over_cap is None:
+                        break
+                    cap = max(search.over_cap, 2 * cap)
+
+        check()
+        assert sum(apart) >= 5
+
+
 class TestPairedSystems:
     # the checks of TestRandomSystems, on 40 systems whose columns pair up
 
@@ -485,7 +593,9 @@ class TestDerivedRows:
         # r0 - r2 and r2 - r3 end at 0, the earliest: r0 with r2 wins the tie
         # by row index, so r2 is taken and r1 pairs with r3 (c ends at 1);
         # r0 - r3 is zero and never taken
-        assert pairs == [(0, 2, ((0, -1),)), (1, 3, ((0, 1), (1, 1)))]
+        assert pairs == [(0, 2, -1), (1, 3, 1)]
+        assert [_combined(1, nonzero[a], sign, nonzero[b]) for a, b, sign in pairs] == [
+            ((0, -1),), ((0, 1), (1, 1))]
         # 1*r4 + 2*r5 cancels position 3
         assert implied == [((0, 2), (1, 1))]
 

@@ -32,6 +32,7 @@ from affsched.validation import (
 )
 from conftest import (
     FIXTURE_NAMES,
+    access_of,
     fixture_doc,
     fixture_nest,
     fixture_plan,
@@ -244,7 +245,7 @@ class TestRowLocality:
 
     def test_claimed_depth_none_for_1d(self):
         nest = fixture_nest("chain")
-        acc = nest.access(("x", "S1", 2))
+        acc = access_of(nest, ("x", "S1", 2))
         assert claimed_locality_depth(fixture_plan("chain"), acc) is None
 
     def test_degraded_locality_reflected_in_depth(self):
@@ -255,7 +256,7 @@ class TestRowLocality:
         shuffled = _with_schedule(
             fixture_plan("matmul"), "S1", [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         )
-        acc = nest.access(("C", "S1", 1))
+        acc = access_of(nest, ("C", "S1", 1))
         assert claimed_locality_depth(fixture_plan("matmul"), acc) == 1
         assert claimed_locality_depth(shuffled, acc) == 2
         report = validate(nest, shuffled, [3])
@@ -528,7 +529,7 @@ def scalar_validate(nest, plan, n_vals):
     for entry in comm_report(plan, nest)["broadcasts"]:
         if not entry["eligible"]:
             continue
-        acc = nest.access(tuple(entry["access"]))
+        acc = access_of(nest, tuple(entry["access"]))
         own = ops[acc.statement]
         readers = {}
         for point, vec in own.items():
