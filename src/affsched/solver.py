@@ -22,7 +22,8 @@ Fourier-Motzkin elimination (as in Pugh's Omega test).  Each nonzero such
 row joins the dead check with weight 0, so a child that r1 and r2 can only
 rule out together is cut at the depth of the implied row's last variable.
 The rows are built once and cut no feasible vector, so plans do not depend
-on them; a repeated row, or a multiple of one, cuts nothing more.
+on them.  An implied row is divided by the gcd of its coefficients and kept
+once: a repeated row, or a multiple of one, cuts nothing more.
 
 Each node does only the work that can change what it enters.  Its GEQ0
 rows narrow the next variable to one interval of values, outside which
@@ -54,7 +55,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import dot
 from .constraints import ABS, GEQ0, ConstraintSystem
@@ -506,11 +507,12 @@ def _derived_rows(nonzero, geq):
     ends comes from a walk back over both rows.  Implied rows are one round of
     Fourier-Motzkin elimination: for GEQ0 rows r1 and r2 with coefficients
     c1 > 0 and -c2 < 0 at k, c2*r1 + c1*r2 >= 0 holds wherever both do and
-    cancels k; a zero row is left out."""
+    cancels k.  Each is divided by the gcd of its coefficients, and a zero
+    row or a repeat of an earlier one is left out."""
     buckets = {}
     for ri, terms in enumerate(nonzero):
         buckets.setdefault(terms[-1][0], ([], []))[geq[ri]].append((ri, terms, terms[-1][1]))
-    candidates, implied = [], []
+    candidates, implied = [], {}
     for k, groups in buckets.items():
         for is_geq, members in enumerate(groups):
             for i, (a, ta, ca) in enumerate(members):
@@ -523,14 +525,15 @@ def _derived_rows(nonzero, geq):
                     if is_geq and (ca > 0) != (cb > 0):
                         row = _combined(abs(cb), ta, abs(ca), tb)
                         if row:
-                            implied.append(row)
+                            g = gcd(*(c for _, c in row))
+                            implied.setdefault(tuple((pos, c // g) for pos, c in row))
     candidates.sort()  # (end, a, b) is unique
     taken, pairs = set(), []
     for _, a, b, sign in candidates:
         if a not in taken and b not in taken:
             taken.update((a, b))
             pairs.append((a, b, sign))
-    return pairs, implied
+    return pairs, list(implied)
 
 
 def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution:

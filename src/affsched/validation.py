@@ -4,12 +4,17 @@ Everything here works by enumerating iteration domains at concrete
 parameter values and evaluating schedules and placements directly, without
 going through the constraint columns, so it can certify the constraint
 machinery rather than echo it.  `validate` holds each statement's
-operations as two int64 arrays, built once per size: its enumerated points,
+operations as two int64 arrays, built once per call: its enumerated points,
 one per row, and their schedule vectors.  Source points, array indices and
-owners are matrix products over such arrays, and the legality,
-communication/reuse, row-locality and broadcast checks work on whole
-arrays; each access's index image and each schedule prefix's ranks are
-also built once per size.  Each product is bounded in Python ints first:
+owners are matrix products over such arrays (`np.einsum`: int64 `@` has no
+BLAS path), and the legality, communication/reuse, row-locality and
+broadcast checks work on whole arrays.  Each quantity is computed once per
+call: each access's index image and each schedule prefix's ranks; row
+locality once per statement and row matrix F[:-1], since another G or f
+moves every row by one vector.  A schedule of full rank gives every
+operation a schedule vector of its own, so a read's transfers are its
+moved operations; only a rank-deficient one has its distinct (element,
+schedule) rows counted.  Each product is bounded in Python ints first:
 one whose entries could reach 2**62 raises `EnumerationError` instead of
 wrapping around.  Rows (elements, reuse keys, schedule prefixes) are
 ranked by `_distinct_rows`, which packs each row into one int64 key, first
@@ -135,12 +140,17 @@ def _affine(points: np.ndarray, coeffs, params, const, n_vals) -> np.ndarray:
     reach = max(int(np.abs(points).max(initial=0)), 1)
     for row, off in zip(coeffs, offset):
         if sum(map(abs, row)) * reach + abs(off) >= INT64_SAFE:
-            raise EnumerationError(
-                f"affine image at N={tuple(n_vals)} may reach 2**62, "
-                "beyond what the validator holds in int64"
-            )
+            raise _beyond_int64(n_vals)
     mat = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), points.shape[1])
-    return points @ mat.T + np.array(offset, dtype=np.int64)
+    # int64 `@` has no BLAS path; einsum's loop is about twice as fast
+    return np.einsum("ij,kj->ik", points, mat) + np.array(offset, dtype=np.int64)
+
+
+def _beyond_int64(n_vals) -> EnumerationError:
+    return EnumerationError(
+        f"affine image at N={tuple(n_vals)} may reach 2**62, "
+        "beyond what the validator holds in int64"
+    )
 
 
 def _inside(domain: Domain, points: np.ndarray, n_vals) -> np.ndarray:
@@ -200,10 +210,8 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairs(di: int, sources: np.ndarray, targets: np.ndarray, mask) -> list[tuple]:
-    return [
-        ((di,), tuple(s), tuple(t))
-        for s, t in zip(sources[mask].tolist(), targets[mask].tolist())
-    ]
+    return list(zip(itertools.repeat((di,)), map(tuple, sources[mask].tolist()),
+                    map(tuple, targets[mask].tolist())))
 
 
 def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
@@ -247,12 +255,14 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
                                       acc.param_coeffs, acc.offset, n_vals)
         return images[acc.key]
 
+    # statements whose operations each have a schedule vector of their own
+    injective = set()
     for sid, st in plan.statements.items():
-        depth = nest.statement(sid).depth
-        if rank(st.schedule) != depth:
-            report.rank_failures.append(
-                f"statement {sid!r}: schedule rank {rank(st.schedule)} != depth {depth}"
-            )
+        depth, got = nest.statement(sid).depth, rank(st.schedule)
+        if got == depth:
+            injective.add(sid)
+        else:
+            report.rank_failures.append(f"statement {sid!r}: schedule rank {got} != depth {depth}")
 
     for di, dep in enumerate(nest.dependences):
         if dep.kind == "in":
@@ -288,7 +298,11 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
         al = plan.arrays[acc.array]
         owners = _affine(elems, al.placement, al.param, al.const, n_vals)
         moved = (owners != sched[:, :r]).any(axis=1)
-        report.comm_by_access[acc.key] = len(_distinct_rows(np.hstack([elems, sched])[moved])[1])
+        if acc.statement in injective:  # no two moved reads share a schedule vector
+            report.comm_by_access[acc.key] = int(np.count_nonzero(moved))
+        else:
+            report.comm_by_access[acc.key] = len(
+                _distinct_rows(np.hstack([elems, sched])[moved])[1])
         array_no = np.full((len(points), 1), nest.arrays.index(nest.array(acc.array)))
         padding = np.zeros((len(points), width - elems.shape[1]), dtype=np.int64)
         keys.append(np.hstack([array_no, elems, padding, sched[:, :r]]))
@@ -303,19 +317,27 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
         for i in np.argsort(first_count):
             report.reuse_histogram[int(values[i])] = int(n[i])
 
-    for acc in nest.accesses:
-        depth_claim = claimed_locality_depth(plan, acc)
-        if depth_claim is None:
-            continue
-        prefix_key = acc.statement, depth_claim
-        if prefix_key not in prefixes:
-            prefixes[prefix_key] = _distinct_rows(ops(acc.statement)[1][:, :depth_claim])[0]
-        prefix = prefixes[prefix_key]
+    def rows_per_prefix(acc, depth) -> int:
+        """The most rows `acc` touches under one schedule prefix of `depth` entries."""
+        if (acc.statement, depth) not in prefixes:
+            prefixes[acc.statement, depth] = _distinct_rows(ops(acc.statement)[1][:, :depth])[0]
+        prefix = prefixes[acc.statement, depth]
         rest = image(acc)[:, :-1]  # the row: every index but the contiguous last
         first = _distinct_rows(np.column_stack([prefix, rest]))[1]
-        report.row_locality[acc.key] = {
-            "claimed_depth": depth_claim, "metric": int(np.bincount(prefix[first]).max())
-        }
+        return int(np.bincount(prefix[first]).max())
+
+    # accesses of one statement and row matrix F[:-1] share their claim and
+    # metric: another G or f moves the row by one vector at every operation
+    locality: dict[tuple, dict | None] = {}
+    for acc in nest.accesses:
+        rows_key = acc.statement, acc.iter_coeffs[:-1]
+        if rows_key not in locality:
+            depth = claimed_locality_depth(plan, acc)
+            locality[rows_key] = None if depth is None else {
+                "claimed_depth": depth, "metric": rows_per_prefix(acc, depth)
+            }
+        if locality[rows_key] is not None:
+            report.row_locality[acc.key] = dict(locality[rows_key])
 
     eligible = {tuple(b["access"]) for b in comm_report(plan, nest)["broadcasts"] if b["eligible"]}
     for acc in nest.accesses:
@@ -352,14 +374,13 @@ def _check_broadcast(nest: LoopNest, acc, r: int, ops, image, n_vals) -> dict:
     read = latest >= 0
 
     time_uniform = bool((earliest == latest)[read].all())
-    depth = points.shape[1]
-    identity = [[int(i == j) for j in range(depth)] for i in range(depth)]
-    zero = [[0] * len(n_vals)] * depth
     domain = nest.statement(acc.statement).domain
+    reach = int(np.abs(points).max(initial=0))
     stays = np.ones(n_reads, dtype=bool)
     for u in acc.kernel:
-        shifted = _affine(points, identity, zero, u, n_vals)
-        stays &= _inside(domain, shifted, n_vals)
+        if reach + max(map(abs, u)) >= INT64_SAFE:
+            raise _beyond_int64(n_vals)
+        stays &= _inside(domain, points + np.array(u, dtype=np.int64), n_vals)
     kept = np.zeros(n_elems, dtype=bool)
     kept[read_elem[stays]] = True
     nondegenerate = bool(kept[read].all())

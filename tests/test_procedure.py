@@ -189,8 +189,8 @@ class TestSearchEvents:
             run_procedure(load_nest(perfbench_module("gen").jacobi2()), r_space=1)
         events = [r.getMessage() for r in caplog.records if r.name == "affsched"]
         assert [e.split(", ")[1:3] for e in events] == [
-            ["66 nodes", "97 rows (44 implied)"],
-            ["216 nodes", "74 rows (44 implied)"],
+            ["66 nodes", "89 rows (36 implied)"],
+            ["216 nodes", "66 rows (36 implied)"],
         ]
 
 

@@ -599,6 +599,14 @@ class TestDerivedRows:
         # 1*r4 + 2*r5 cancels position 3
         assert implied == [((0, 2), (1, 1))]
 
+    def test_implied_rows_divided_by_their_gcd_and_kept_once(self):
+        # GEQ0 r0 and r2 = 2*r0 end at position 2 with +, r1 and r3 with -
+        nonzero = [((0, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 2), (2, 2)), ((0, 3), (2, -3))]
+        implied = _derived_rows(nonzero, [True] * 4)[1]
+        # r0 + r1 and 2*r1 + r2 = 2*(r0 + r1); 3*r0 + r3 = 6*x0 and
+        # 3*r2 + 2*r3 = 12*x0: the first of each form, divided by its gcd
+        assert implied == [((0, 1), (1, 1)), ((0, 1),)]
+
 
 class TestConstructedSystems:
     def _system(self, columns, witnesses=None):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import affsched
-from affsched.algebra import rank
+from affsched.algebra import dot, rank
 from affsched.cli import EXIT_INPUT, main
 from affsched.comm import comm_report
 from affsched.nest import EnumerationError, load_nest
@@ -37,6 +38,7 @@ from conftest import (
     fixture_nest,
     fixture_plan,
     index_at,
+    perfbench_module,
     source_point,
 )
 
@@ -369,10 +371,14 @@ class TestBroadcastChecks:
         assert not report.passed
 
     @staticmethod
-    def _one_row_broadcast():
+    def _one_row_broadcast(last_two=False):
         """S1 over i = 1 only reads x[j] into y[i][j]: a broadcast along i
-        whose every read leaves the domain when moved along i."""
-        line = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}
+        whose every read leaves the domain when moved along i.
+
+        With `last_two`, j runs over N - 1 and N only, so N may be huge.
+        """
+        lower = {"coeffs": [1], "const": -1} if last_two else {"coeffs": [0], "const": 1}
+        line = {"lower": lower, "upper": {"coeffs": [1], "const": 0}}
         one = {"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [0], "const": 1}}
         doc = {
             "params": [{"name": "N", "min": 2}],
@@ -416,6 +422,15 @@ class TestBroadcastChecks:
         assert check["time_uniform"] and check["single_writer_ok"]
         assert check["nondegenerate"] is False
         assert check["passed"] is False
+
+    def test_kernel_shift_refused_where_it_could_reach_2_62(self):
+        # the schedule and every image stay below 2**62 at N = 2**62 - 1;
+        # moving j = N along the kernel (1, 0) could reach it
+        nest, plan = self._one_row_broadcast(last_two=True)
+        check = validate(nest, plan, [(1 << 61) - 1]).broadcast_checks[("x", "S1", 2)]
+        assert check["nondegenerate"] is False
+        with pytest.raises(EnumerationError, match=r"2\*\*62"):
+            validate(nest, plan, [(1 << 62) - 1])
 
 
 class TestOracle:
@@ -732,3 +747,162 @@ class TestDistinctRows:
         ranks, first = validation._distinct_rows(table)
         assert len(calls) == ranked
         assert (ranks.tolist(), first.tolist()) == _distinct_reference(table)
+
+
+def _images(points, coeffs, params, const, n_vals):
+    """`coeffs·p + params·N + const` per row p of `points`, by numpy's `@`."""
+    mat = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), points.shape[1])
+    offset = [c + dot(q, n_vals) for c, q in zip(const, params)]
+    return points @ mat.T + np.array(offset, dtype=np.int64)
+
+
+def _access_tables(nest, plan, acc, n_vals):
+    """(schedule vectors, elements) of every operation of the access's statement."""
+    points = validation.enumerate_domain(nest.statement(acc.statement).domain, n_vals)
+    st = plan.statements[acc.statement]
+    return (_images(points, st.schedule, st.param, st.const, n_vals),
+            _images(points, acc.iter_coeffs, acc.param_coeffs, acc.offset, n_vals))
+
+
+def _row_locality_reference(nest, plan, n_vals):
+    """`row_locality`, each access measured alone from its own elements."""
+    out = {}
+    for acc in nest.accesses:
+        depth = claimed_locality_depth(plan, acc)
+        if depth is None:
+            continue
+        sched, elems = _access_tables(nest, plan, acc, n_vals)
+        pairs = np.unique(np.hstack([sched[:, :depth], elems[:, :-1]]), axis=0)
+        rows_per_prefix = np.unique(pairs[:, :depth], axis=0, return_counts=True)[1]
+        out[acc.key] = {"claimed_depth": depth, "metric": int(rows_per_prefix.max())}
+    return out
+
+
+def _transfer_reference(nest, plan, n_vals):
+    """Per read: (moved operations, distinct (element, schedule vector) among them)."""
+    out = {}
+    for acc in nest.accesses:
+        if acc.kind != "read":
+            continue
+        sched, elems = _access_tables(nest, plan, acc, n_vals)
+        al = plan.arrays[acc.array]
+        owners = _images(elems, al.placement, al.param, al.const, n_vals)
+        moved = (owners != sched[:, :plan.r_space]).any(axis=1)
+        distinct = np.unique(np.hstack([elems, sched])[moved], axis=0)
+        out[acc.key] = int(moved.sum()), len(distinct)
+    return out
+
+
+def _generated_plan(doc, r):
+    nest = load_nest(doc)
+    return nest, run_procedure(nest, r_space=r)
+
+
+def _shared_work_cases():
+    """(nest, plan) makers: every fixture at every r, chain23, chain42,
+    jacobi2 and generated chains, all planned by the procedure."""
+    for name in FIXTURE_NAMES:
+        for r in range(fixture_nest(name).max_depth):
+            yield pytest.param(lambda n=name, r=r: (fixture_nest(n), fixture_plan(n, r)),
+                               id=f"{name} r={r}")
+    for name in ("chain23", "chain42"):
+        yield pytest.param(lambda n=name: (fixture_nest(n), fixture_plan(n, 1)), id=f"{name} r=1")
+    gen = perfbench_module("gen")
+    yield pytest.param(lambda: _generated_plan(gen.jacobi2(), 1), id="jacobi2 r=1")
+    for k, seed in ((2, 1), (2, 5), (3, 2)):
+        doc = gen.chain(gen.draw_offsets(k, 2, random.Random(seed)))
+        yield pytest.param(lambda doc=doc: _generated_plan(doc, 1), id=f"chain({k},2) S={seed}")
+
+
+def _sizes(nest):
+    """N^(0) + 2, then the size `bigN` validates nests of this depth at."""
+    n0 = nest.outer_vars.minima[0]
+    return [n0 + 2], [12 if nest.max_depth == 3 else 40]
+
+
+class TestSharedWork:
+    """`validate` measures row locality once per (statement, F[:-1]) and
+    counts a full-rank statement's transfers as its moved reads; both must
+    give what a per-access computation gives."""
+
+    @pytest.mark.parametrize("case", _shared_work_cases())
+    def test_row_locality_matches_per_access_reference(self, case):
+        nest, plan = case()
+        for n_vals in _sizes(nest):
+            report = validate(nest, plan, n_vals)
+            assert report.row_locality == _row_locality_reference(nest, plan, n_vals)
+
+    def test_stencil_reads_share_one_row_measure(self):
+        # u[i - 1][j] and u[i][j - 1] share F[:-1]; each keeps its own entry
+        nest, plan = fixture_nest("stencil"), fixture_plan("stencil", 1)
+        reads = [access_of(nest, ("u", "S1", slot)) for slot in (2, 3)]
+        assert reads[0].iter_coeffs[:-1] == reads[1].iter_coeffs[:-1]
+        assert reads[0].offset[:-1] != reads[1].offset[:-1]
+        for n_vals in _sizes(nest):
+            locality = validate(nest, plan, n_vals).row_locality
+            want = _row_locality_reference(nest, plan, n_vals)
+            assert [locality[r.key] for r in reads] == [want[r.key] for r in reads]
+
+    @pytest.mark.parametrize("case", _shared_work_cases())
+    def test_transfers_are_moved_reads_on_full_rank_plans(self, case):
+        nest, plan = case()
+        for n_vals in _sizes(nest):
+            report = validate(nest, plan, n_vals)
+            assert report.rank_failures == []
+            reference = _transfer_reference(nest, plan, n_vals)
+            assert report.comm_by_access == {k: d for k, (_, d) in reference.items()}
+            assert all(m == d for m, d in reference.values())
+
+    def test_transfers_are_distinct_on_a_rank_deficient_plan(self):
+        # matmul's schedule (i, k, j) with its k row repeated in place of i:
+        # the B[k][j] reads of one k and j at every i share an element and a
+        # schedule vector, so the count falls back to distinct pairs
+        nest = fixture_nest("matmul")
+        rows = fixture_plan("matmul").statements["S1"].schedule
+        plan = _with_schedule(fixture_plan("matmul"), "S1", [rows[1], rows[1], rows[2]])
+        for n_vals in _sizes(nest):
+            report = validate(nest, plan, n_vals)
+            assert report.rank_failures
+            reference = _transfer_reference(nest, plan, n_vals)
+            assert report.comm_by_access == {k: d for k, (_, d) in reference.items()}
+            assert any(m > d for m, d in reference.values())
+
+
+# products of the widest entries overflow int64 unless they are refused
+_WIDE = st.one_of(st.integers(-3, 3), st.integers(-(1 << 31), 1 << 31),
+                  st.integers(-(1 << 40), 1 << 40))
+
+
+@st.composite
+def _affine_inputs(draw):
+    n, dim, k = draw(st.integers(0, 6)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    points = np.array(draw(st.lists(st.lists(_WIDE, min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n)), dtype=np.int64).reshape(n, dim)
+    coeffs = draw(st.lists(st.lists(_WIDE, min_size=dim, max_size=dim), min_size=k, max_size=k))
+    params = draw(st.lists(st.lists(_WIDE, min_size=1, max_size=1), min_size=k, max_size=k))
+    const = draw(st.lists(_WIDE, min_size=k, max_size=k))
+    return points, coeffs, params, const, (draw(_WIDE),)
+
+
+class TestAffineProduct:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_affine_inputs())
+    @example((np.zeros((3, 2), dtype=np.int64), [], [], [], (5,)))  # a matrix without rows
+    @example((np.zeros((3, 0), dtype=np.int64), [[], []], [[1], [2]], [0, -1], (5,)))
+    @example((np.zeros((0, 2), dtype=np.int64), [[1, 2]], [[0]], [3], (5,)))
+    def test_matches_matmul(self, inputs):
+        points, coeffs, params, const, n_vals = inputs
+        try:
+            got = validation._affine(points, coeffs, params, const, n_vals)
+        except EnumerationError:
+            # refused only where the Python-int bound could reach 2**62
+            reach = max(int(np.abs(points).max(initial=0)), 1)
+            assert any(sum(map(abs, row)) * reach + abs(c + dot(q, n_vals)) >= 1 << 62
+                       for row, q, c in zip(coeffs, params, const))
+            return
+        assert got.dtype == np.int64 and got.shape == (len(points), len(coeffs))
+        assert (got == _images(points, coeffs, params, const, n_vals)).all()
+        # and exact: no entry wrapped around
+        assert got.tolist() == [[dot(row, p) + dot(q, n_vals) + c
+                                 for row, q, c in zip(coeffs, params, const)]
+                                for p in points.tolist()]
