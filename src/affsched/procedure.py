@@ -434,7 +434,7 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     depths = {s.id: s.depth for s in nest.statements}
     other_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind != "in"]
     in_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind == "in"]
-    access_keys = [list(acc.key) for acc in nest.accesses]
+    access_keys = [acc.key for acc in nest.accesses]
     r_space = read_int(read_field(doc, "r_space", "plan document"), "plan r_space")
     if not 0 <= r_space < n:
         raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
@@ -470,10 +470,11 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
         spaces = read_field(d, "active_space_accesses", where, list)
         if not all(isinstance(k, list) for k in spaces):
             raise ValueError(f"{where}, field 'active_space_accesses' must hold lists")
+        what = f"{where}, field 'active_space_accesses': entry"
         for k in spaces:
-            if k not in access_keys:
-                raise ValueError(f"{where}, field 'active_space_accesses': entry {k!r} "
-                                 "is not the key of an access of the nest")
+            # two strings and an int: a slot 1.0 or true would equal the slot 1
+            if len(k) != 3 or (k[0], k[1], read_int(k[2], f"{what} {k!r} slot")) not in access_keys:
+                raise ValueError(f"{what} {k!r} is not the key of an access of the nest")
         witnesses = {}
         for sid, w in read_field(d, "witnesses", where, dict).items():
             if sid not in depths:

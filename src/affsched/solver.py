@@ -172,15 +172,9 @@ class _Search:
             key = (terms, col.sense == GEQ0)
             w = col.weight
             merged[key] = merged.get(key, 0) + w.numerator * (scale // w.denominator)
-        # statements with witnesses, in layout order; each option is the
-        # nonzero terms of its s~, which lie in the statement's schedule block
-        layout = system.layout
-        self.statements = [s for s in layout.statement_ids if s in system.witnesses]
-        options = []
-        for sid in self.statements:
-            start, stop = layout.spans["tau", sid]
-            options.append([[(i, c) for i, c in enumerate(w.s_tilde[start:stop], start) if c]
-                            for w in system.witnesses[sid]])
+        # per statement with witnesses, its options as the nonzero terms of s~
+        options = [[[(i, c) for i, c in enumerate(w.s_tilde) if c] for w in cands]
+                   for cands in system.witnesses.values()]
         # variables in no row and no witness stay 0, the others are searched in
         # layout order, so a row's terms, in layout order, are in search order
         rows = [terms for terms, _ in merged]
@@ -282,8 +276,8 @@ class _Search:
             full[g] = v
         full = tuple(full)
         witness_used = {}
-        for sid in self.statements:
-            for w in system.witnesses[sid]:
+        for sid, cands in system.witnesses.items():
+            for w in cands:
                 v = dot(w.s_tilde, full)
                 if v:
                     witness_used[sid] = (w.s, 1 if v > 0 else -1)

@@ -9,19 +9,22 @@ one per row, and their schedule vectors.  Source points, array indices and
 owners are matrix products over such arrays (`np.einsum`: int64 `@` has no
 BLAS path), and the legality, communication/reuse, row-locality and
 broadcast checks work on whole arrays.  Each quantity is computed once per
-call: each access's index image and each schedule prefix's ranks; row
-locality once per statement and row matrix F[:-1], since another G or f
-moves every row by one vector.  A schedule of full rank gives every
-operation a schedule vector of its own, so a read's transfers are its
-moved operations; only a rank-deficient one has its distinct (element,
-schedule) rows counted.  Each product is bounded in Python ints first:
-one whose entries could reach 2**62 raises `EnumerationError` instead of
-wrapping around.  Rows (elements, reuse keys, schedule prefixes) are
-ranked by `_distinct_rows`, which packs each row into one int64 key, first
-column most significant, and sorts the keys once.
-Also hosts the exhaustive solver oracle.  This is the only module that
-imports numpy: the package loads it on the first use of `validate` or
-`enumerate_domain`, so planning and reporting never pay for it.
+call: each access's index image, and row locality once per statement and
+row matrix F[:-1], since another G or f moves every row by one vector.  A
+schedule of full rank gives every operation a schedule vector of its own,
+so a read's transfers are its moved operations; only a rank-deficient one
+has its distinct (element, schedule) rows counted.  Each product is bounded
+in Python ints first: one whose entries could reach 2**62 raises
+`EnumerationError` instead of wrapping around.  Rows (elements, reuse keys,
+schedule prefixes) are ranked by `_distinct_rows`, which packs each row
+into one int64 key, first column most significant, and sorts the keys once;
+where a key would reach 2**62, `np.unique` ranks the whole rows instead.
+Also hosts the exhaustive solver oracle, `brute_force_minimum`: the first
+vector of least objective in the coefficient box, found by enumeration
+alone, for the solver's optimum and its choice among equal optima.  This is
+the only module that imports numpy: the package loads it on the first use
+of `validate` or `enumerate_domain`, so planning and reporting never pay
+for it.
 """
 
 from __future__ import annotations
@@ -184,10 +187,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The columns are packed into one int64 key per row, first column most
     significant: each column with values in [lo, lo + width) folds in as
-    `key * width + (col - lo)`.  Where that would carry a key to 2**62, the
-    keys are first replaced by their dense ranks, and a column still too
-    wide by its own ranks.  Either keeps the rows' order, so ranking the
-    keys ranks the rows.
+    `key * width + (col - lo)`, which keeps the rows' order, so ranking the
+    keys ranks the rows.  Where a key would reach 2**62, the rows are
+    ranked by `np.unique` over whole rows instead.
     """
     key = np.zeros(len(rows), dtype=np.int64)
     if not len(rows):
@@ -199,11 +201,8 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if width == 1:
             continue
         if span * width >= INT64_SAFE:
-            key, first = _dense_rank(key)
-            span = len(first)
-            if span * width >= INT64_SAFE:
-                col, first = _dense_rank(col)
-                lo, width = 0, len(first)
+            _, first, ranks = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+            return ranks.reshape(-1), first
         key = col - lo if span == 1 else key * width + (col - lo)
         span *= width
     return _dense_rank(key)
@@ -235,7 +234,6 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
     r = plan.r_space
     tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     images: dict[tuple, np.ndarray] = {}
-    prefixes: dict[tuple[str, int], np.ndarray] = {}
 
     def schedule(sid, points):
         st = plan.statements[sid]
@@ -319,9 +317,7 @@ def validate(nest: LoopNest, plan: TransformPlan, n_vals) -> ValidationReport:
 
     def rows_per_prefix(acc, depth) -> int:
         """The most rows `acc` touches under one schedule prefix of `depth` entries."""
-        if (acc.statement, depth) not in prefixes:
-            prefixes[acc.statement, depth] = _distinct_rows(ops(acc.statement)[1][:, :depth])[0]
-        prefix = prefixes[acc.statement, depth]
+        prefix = _distinct_rows(ops(acc.statement)[1][:, :depth])[0]
         rest = image(acc)[:, :-1]  # the row: every index but the contiguous last
         first = _distinct_rows(np.column_stack([prefix, rest]))[1]
         return int(np.bincount(prefix[first]).max())
@@ -421,57 +417,57 @@ def brute_force_best_alignment(
 ) -> Fraction:
     """Exhaustive minimum of the recursion-1 objective over the coefficient box."""
     system = first_recursion_system(nest, r_space, weights)
-    return brute_force_minimum(system, bound)
+    return brute_force_minimum(system, bound)[0]
 
 
-def brute_force_minimum(system: ConstraintSystem, bound: int = 1) -> Fraction:
-    """Exhaustive minimum of a system's objective over the coefficient box.
+def brute_force_minimum(
+    system: ConstraintSystem, bound: int = 1
+) -> tuple[Fraction, tuple[int, ...]]:
+    """(objective, x) of the first vector of least objective in the coefficient box.
 
-    Enumerates every assignment of the full extended vector (no pruning, no
-    shared search code with the solver), so it certifies solver optimality.
+    The used variables, those in some column's terms or some witness's s~,
+    run in layout order through the values 0, 1, -1, ..., bound, -bound,
+    the first variable slowest; every other entry of x is 0.  Exhaustive, in
+    numpy chunks, and sharing no code with the solver, so it certifies both
+    the solver's optimum and the vector it picks among equal optima.  Raises
+    InfeasibleError when no vector in the box is feasible.
     """
     m = system.layout.size
     if m > ORACLE_MAX_VARS:
         raise ValueError(f"oracle cap exceeded: extended vector has {m} > {ORACLE_MAX_VARS} entries")
-
-    scale = lcm(*[c.weight.denominator for c in system.columns]) if system.columns else 1
-    coeff = np.array([c.coeffs for c in system.columns], dtype=np.int64).T if system.columns else np.zeros((m, 0), dtype=np.int64)
-    w_int = np.array([int(c.weight * scale) for c in system.columns], dtype=np.int64)
-    is_geq = np.array([c.sense == GEQ0 for c in system.columns], dtype=bool)
     assert all(c.sense in (GEQ0, ABS) for c in system.columns)
-
-    witness_mats = []
-    for sid in system.layout.statement_ids:
-        if sid in system.witnesses:
-            witness_mats.append(
-                np.array([w.s_tilde for w in system.witnesses[sid]], dtype=np.int64).T
-            )
-
-    vals = np.arange(-bound, bound + 1, dtype=np.int64)
-    tail = min(m, 10)
-    head = m - tail
-    tail_grid = np.array(
-        list(itertools.product(vals.tolist(), repeat=tail)), dtype=np.int64
-    )
+    used = sorted({i for col in system.columns for i, _ in col.terms}
+                  | {i for cands in system.witnesses.values() for w in cands
+                     for i, c in enumerate(w.s_tilde) if c})
+    values = [0] + [u for v in range(1, bound + 1) for u in (v, -v)]
+    scale = lcm(*[col.weight.denominator for col in system.columns])
+    coeff = np.array([[col.coeffs[i] for col in system.columns] for i in used],
+                     dtype=np.int64).reshape(len(used), len(system.columns))
+    weights = np.array([int(col.weight * scale) for col in system.columns], dtype=np.int64)
+    is_geq = np.array([col.sense == GEQ0 for col in system.columns], dtype=bool)
+    witness_mats = [np.array([[w.s_tilde[i] for w in cands] for i in used], dtype=np.int64)
+                    for cands in system.witnesses.values()]
+    tail = min(len(used), 10)
+    x = np.array(list(itertools.product(values, repeat=tail)),
+                 dtype=np.int64).reshape(len(values) ** tail, tail)
+    x = np.hstack([np.zeros((len(x), len(used) - tail), dtype=np.int64), x])
     best = None
-    for prefix in itertools.product(vals.tolist(), repeat=head):
-        x = np.empty((tail_grid.shape[0], m), dtype=np.int64)
-        if head:
-            x[:, :head] = np.array(prefix, dtype=np.int64)
-        x[:, head:] = tail_grid
-        values = x @ coeff  # rows x ncols
-        feasible = np.ones(x.shape[0], dtype=bool)
-        if is_geq.any():
-            feasible &= (values[:, is_geq] >= 0).all(axis=1)
+    for prefix in itertools.product(values, repeat=len(used) - tail):
+        x[:, :len(prefix)] = prefix
+        slack = x @ coeff
+        feasible = (slack[:, is_geq] >= 0).all(axis=1)
         for smat in witness_mats:
             feasible &= (np.abs(x @ smat) >= 1).any(axis=1)
         if not feasible.any():
             continue
-        contrib = np.where(is_geq, values, np.abs(values))
-        obj = contrib[feasible] @ w_int
-        cand = int(obj.min())
-        if best is None or cand < best:
-            best = cand
+        objective = np.where(is_geq, slack, np.abs(slack)) @ weights
+        # argmin returns the first of equal minima
+        first = np.flatnonzero(feasible)[np.argmin(objective[feasible])]
+        if best is None or objective[first] < best[0]:
+            best = int(objective[first]), x[first].tolist()
     if best is None:
         raise InfeasibleError(f"oracle found no feasible assignment at bound {bound}")
-    return Fraction(best, scale)
+    full = [0] * m
+    for i, v in zip(used, best[1]):
+        full[i] = v
+    return Fraction(best[0], scale), tuple(full)

@@ -319,6 +319,9 @@ class TestValidate:
                         "align-f": [64, 1], "space": [2, 1]}),
         (("weights", "speed"), [1, 1]),
         (("weights", "legality"), [-1, 1]),
+        # a slot that equals an access's int slot without being an int
+        (("diagnostics", 0, "active_space_accesses"), [["u", "S1", 1.0]]),
+        (("diagnostics", 0, "active_space_accesses"), [["u", "S1", True]]),
     ])
     def test_plan_of_wrong_shape(self, tmp_path, capsys, path, value):
         plan = tmp_path / "plan.json"

@@ -586,6 +586,11 @@ class TestSerialization:
         (("weights", "speed"), [1, 1], "plan weights, field 'speed' names no weight family"),
         (("weights", "legality"), [-1, 1],
          "plan weights, field 'legality': -1 is not strictly positive"),
+        # a slot that equals an access's int slot without being an int
+        (("diagnostics", 0, "active_space_accesses"), [["u", "S1", 1.0]],
+         r"entry \['u', 'S1', 1.0\] slot 1.0 is not an int"),
+        (("diagnostics", 0, "active_space_accesses"), [["u", "S1", True]],
+         r"entry \['u', 'S1', True\] slot True is not an int"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks

@@ -1,12 +1,10 @@
 """Branch-and-bound solver: optimality, determinism, verification."""
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -74,52 +72,6 @@ def verify(solution: Solution, system: ConstraintSystem) -> VerifyReport:
     if obj != solution.objective:
         rep.violations.append(f"objective mismatch: recorded {solution.objective}, actual {obj}")
     return rep
-
-
-def first_least(system: ConstraintSystem, bound: int):
-    """(objective, x) of the first vector of least objective, or None when
-    no vector in the box is feasible.
-
-    The used variables, those in some column's terms or some witness's s~,
-    run in layout order through the values 0, 1, -1, ..., bound, -bound,
-    the first variable slowest; every other entry is 0.  Exhaustive, in
-    numpy chunks, and sharing no code with the search.
-    """
-    used = sorted({i for col in system.columns for i, _ in col.terms}
-                  | {i for cands in system.witnesses.values() for w in cands
-                     for i, c in enumerate(w.s_tilde) if c})
-    values = [0] + [v for m in range(1, bound + 1) for v in (m, -m)]
-    scale = lcm(*[col.weight.denominator for col in system.columns])
-    coeff = np.array([[col.coeffs[i] for col in system.columns] for i in used],
-                     dtype=np.int64).reshape(len(used), len(system.columns))
-    weights = np.array([int(col.weight * scale) for col in system.columns], dtype=np.int64)
-    is_geq = np.array([col.sense == GEQ0 for col in system.columns], dtype=bool)
-    witness_mats = [np.array([[w.s_tilde[i] for w in cands] for i in used], dtype=np.int64)
-                    for cands in system.witnesses.values()]
-    tail = min(len(used), 10)
-    x = np.array(list(itertools.product(values, repeat=tail)),
-                 dtype=np.int64).reshape(len(values) ** tail, tail)
-    x = np.hstack([np.zeros((len(x), len(used) - tail), dtype=np.int64), x])
-    best = None
-    for prefix in itertools.product(values, repeat=len(used) - tail):
-        x[:, :len(prefix)] = prefix
-        slack = x @ coeff
-        feasible = (slack[:, is_geq] >= 0).all(axis=1)
-        for smat in witness_mats:
-            feasible &= (np.abs(x @ smat) >= 1).any(axis=1)
-        if not feasible.any():
-            continue
-        objective = np.where(is_geq, slack, np.abs(slack)) @ weights
-        # argmin returns the first of equal minima
-        first = np.flatnonzero(feasible)[np.argmin(objective[feasible])]
-        if best is None or objective[first] < best[0]:
-            best = int(objective[first]), x[first].tolist()
-    if best is None:
-        return None
-    full = [0] * system.layout.size
-    for i, v in zip(used, best[1]):
-        full[i] = v
-    return Fraction(best[0], scale), tuple(full)
 
 
 def _layout(name):
@@ -215,8 +167,7 @@ class TestExhaustiveEquivalence:
     def test_same_objective(self, name, r):
         system = first_recursion_system(fixture_nest(name), r_space=r)
         sol = solve(system, SolverConfig(coeff_bound=1))
-        assert sol.objective == brute_force_minimum(system, bound=1)
-        assert (sol.objective, sol.x) == first_least(system, 1)
+        assert (sol.objective, sol.x) == brute_force_minimum(system, bound=1)
         assert verify(sol, system).ok
 
     def test_later_recursion(self, monkeypatch):
@@ -224,15 +175,14 @@ class TestExhaustiveEquivalence:
         # spatial row are dropped and the witness comes from its kernel
         system = _recursion_systems(monkeypatch, fixture_nest("stencil"), 1)[1]
         sol = solve(system, SolverConfig(coeff_bound=1))
-        assert sol.objective == brute_force_minimum(system, bound=1)
-        assert (sol.objective, sol.x) == first_least(system, 1)
+        assert (sol.objective, sol.x) == brute_force_minimum(system, bound=1)
         assert verify(sol, system).ok
 
 
 def _draw_layout(draw):
     """A layout of at most 14 entries, with the statement depths: at most
-    one array, and a parameter only sometimes, because the oracle costs
-    3**size."""
+    one array, and a parameter only sometimes, because the oracle costs up
+    to 3**size."""
     depths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
     dims = draw(st.lists(st.integers(1, 2), max_size=1))
     lay = ExtendedLayout(
@@ -364,11 +314,9 @@ class TestRandomSystems:
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 solve(system, SolverConfig(coeff_bound=1))
-            assert first_least(system, 1) is None
             return
         sol = solve(system, SolverConfig(coeff_bound=1))
-        assert sol.objective == expected
-        assert (sol.objective, sol.x) == first_least(system, 1)
+        assert (sol.objective, sol.x) == expected
         assert verify(sol, system).ok
 
     @_forty_systems

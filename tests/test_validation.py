@@ -701,9 +701,9 @@ def _distinct_reference(rows):
 
 INT64_ENTRIES = st.one_of(
     st.integers(-3, 3),
-    # two columns this wide carry a key past 2**62, so the keys are ranked
+    # two columns this wide carry a key past 2**62, so np.unique ranks the rows
     st.integers(-(1 << 40), 1 << 40),
-    # a column with both is too wide on its own, so it is ranked too
+    # a column with both is too wide on its own
     st.integers((1 << 61) - 2, (1 << 61) + 2),
     st.integers(-(1 << 61) - 2, -(1 << 61) + 2),
     st.sampled_from([-(1 << 63), (1 << 63) - 1]),
@@ -729,23 +729,28 @@ class TestDistinctRows:
             ranks, first = validation._distinct_rows(rows)
             assert (ranks.tolist(), first.tolist()) == _distinct_reference(rows)
 
-    @pytest.mark.parametrize("rows, ranked", [
-        ([[1, 2], [0, 5]], 1),  # the final ranking only
-        ([[1 << 40, 1 << 40], [0, 0], [-(1 << 40), 5]], 2),  # and the keys
-        ([[1 << 61, 0], [-(1 << 61), 1]], 3),  # and a column too wide alone
+    @pytest.mark.parametrize("rows, packed", [
+        ([[1, 2], [0, 5]], True),
+        ([[1 << 40, 1 << 40], [0, 0], [-(1 << 40), 5]], False),  # two columns past 2**62
+        ([[1 << 61, 0], [-(1 << 61), 1]], False),  # a column past it alone
+        ([[1 << 30, 1 << 30], [0, 0], [-(1 << 30), 5]], True),  # a key just below it
     ])
-    def test_ranks_where_a_key_would_reach_2_62(self, monkeypatch, rows, ranked):
+    def test_ranks_where_a_key_would_reach_2_62(self, monkeypatch, rows, packed):
+        # a table whose packed key stays below 2**62 is ranked by its keys,
+        # one dense ranking; one whose key would reach it by np.unique alone
         calls = []
-        dense_rank = validation._dense_rank
 
-        def counting(values):
-            calls.append(len(values))
-            return dense_rank(values)
+        def counting(f):
+            def call(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(validation, "_dense_rank", counting)
+        monkeypatch.setattr(validation, "_dense_rank", counting(validation._dense_rank))
+        monkeypatch.setattr(np, "unique", counting(np.unique))
         table = np.array(rows, dtype=np.int64)
         ranks, first = validation._distinct_rows(table)
-        assert len(calls) == ranked
+        assert calls == (["_dense_rank"] if packed else ["unique"])
         assert (ranks.tolist(), first.tolist()) == _distinct_reference(table)
 
 
