@@ -24,23 +24,19 @@ EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _read_json(path: str, what: str) -> dict:
     """The JSON object in an input file; a file that cannot be read is an input error."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"{what} file not found: {path}") from None
+        raise ValueError(f"{what} file not found: {path}") from None
     except OSError as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {what} file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{what} file {path}: {exc}") from None
+        raise ValueError(f"{what} file {path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise InputError(f"{what} file {path} does not hold a JSON object")
+        raise ValueError(f"{what} file {path} does not hold a JSON object")
     return doc
 
 
@@ -48,12 +44,12 @@ def _parse_weights(items) -> WeightConfig:
     overrides = {}
     for item in items or []:
         if "=" not in item:
-            raise InputError(f"bad weight override {item!r}; expected family=value")
+            raise ValueError(f"bad weight override {item!r}; expected family=value")
         fam, val = item.split("=", 1)
         try:
             overrides[fam] = Fraction(val)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad weight value {val!r}")
+            raise ValueError(f"bad weight value {val!r}")
     return WeightConfig.with_overrides(overrides)
 
 
@@ -69,20 +65,20 @@ def _parse_params(nest, items) -> list[tuple[int, ...]]:
         vals = dict()
         for piece in item.split(","):
             if "=" not in piece:
-                raise InputError(f"bad parameter setting {piece!r}; expected name=value")
+                raise ValueError(f"bad parameter setting {piece!r}; expected name=value")
             name, val = piece.split("=", 1)
             if name not in names:
-                raise InputError(f"unknown outer variable {name!r}")
+                raise ValueError(f"unknown outer variable {name!r}")
             if name in vals:
-                raise InputError(f"parameter {name!r} given twice in {item!r}")
+                raise ValueError(f"parameter {name!r} given twice in {item!r}")
             try:
                 vals[name] = int(val)
             except ValueError:
-                raise InputError(f"bad value {val!r} for parameter {name!r}; "
+                raise ValueError(f"bad value {val!r} for parameter {name!r}; "
                                  "expected an integer") from None
         missing = [n for n in names if n not in vals]
         if missing:
-            raise InputError(f"parameter setting {item!r} misses {missing}")
+            raise ValueError(f"parameter setting {item!r} misses {missing}")
         settings.append(tuple(vals[n] for n in names))
     return settings
 
@@ -95,7 +91,7 @@ def _write_json(doc, path):
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write output file {path}: {exc.strerror}") from None
+            raise ValueError(f"cannot write output file {path}: {exc.strerror}") from None
     else:
         print(text, end="")
 
@@ -129,23 +125,9 @@ def _print_plan_summary(plan, report):
 
 def cmd_solve(args) -> int:
     nest = load_nest(_read_json(args.input, "input"))
-    if not 0 <= args.spatial_dims < nest.max_depth:
-        raise InputError(f"r must be < n: got r={args.spatial_dims}, n={nest.max_depth}")
     weights = _parse_weights(args.weight)
     cfg = SolverConfig(coeff_bound=args.bound, time_limit=args.time_limit)
-    try:
-        plan = run_procedure(
-            nest,
-            r_space=args.spatial_dims,
-            weights=weights,
-            solver_cfg=cfg,
-        )
-    except ProcedureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except SolverTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
+    plan = run_procedure(nest, r_space=args.spatial_dims, weights=weights, solver_cfg=cfg)
     report = comm_report(plan, nest)
     doc = plan_to_doc(plan)
     doc["comm_report"] = report
@@ -220,9 +202,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:  # NestError and EnumerationError included
+    except (ValueError, ProcedureError, SolverTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, ValueError):  # NestError and EnumerationError included
+            return EXIT_INPUT
+        return EXIT_VIOLATION if isinstance(exc, ProcedureError) else EXIT_TIMEOUT
 
 
 if __name__ == "__main__":

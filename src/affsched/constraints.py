@@ -7,17 +7,17 @@ requirement becomes a linear form over that vector, kept as an explicit
 integer column so the solver and the diagnostics can evaluate it exactly;
 each column also carries its nonzero terms, which evaluation and the
 solver's set-up read.  The builders read the terms off the blocks a column
-can touch and hand them to the column, which then never rescans its dense
-coefficients.  A legality form that several vertices share is one
-column, weighted by their number.  The layout is the same in every
-recursion, so a column does not depend on the recursion: the procedure
-builds each family once per run and selects the active ones per recursion.
+can touch and hand them to the column.  A legality form that several
+vertices share is one column, weighted by their number.  The layout is the
+same in every recursion, so a column does not depend on the recursion: the
+procedure builds each family once per run and selects the active ones per
+recursion.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import dot, integer_kernel_basis, rank
@@ -88,15 +88,8 @@ class ConstraintColumn:
     family: str
     label: str
     weight: Fraction
-    # the terms below, when the builder has them: `coeffs` is then not rescanned
-    nonzero: InitVar[tuple[tuple[int, int], ...] | None] = None
     # the nonzero (index, coefficient) pairs of `coeffs`, in index order
-    terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, nonzero):
-        if nonzero is None:
-            nonzero = tuple([(i, c) for i, c in enumerate(self.coeffs) if c])
-        object.__setattr__(self, "terms", nonzero)
+    terms: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     def value(self, x) -> int:
         v = 0

@@ -401,9 +401,11 @@ def load_nest(source) -> LoopNest:
             produced,
         )
         if produced is not None:
-            acc = next((a for a in accesses if a.key == (produced[0], tgt.id, produced[1])), None)
-            if acc is None:
-                raise NestError(f"{where}: produced_by does not name an access of the target")
+            if kind != "flow":
+                raise NestError(f"{where}: produced_by on an {kind} dependence, not a flow one")
+            if not any(a.key == (produced[0], tgt.id, produced[1]) and a.kind == "read"
+                       for a in accesses):
+                raise NestError(f"{where}: produced_by does not name a read of the target")
         # every vertex of the dependence domain must map into the source
         # domain and lie inside the target domain (checked at N^(0)); the
         # source image is Phi v - (phi - Psi N^(0))

@@ -38,14 +38,14 @@ class ProcedureError(RuntimeError):
 
 # objective family (CLI and plan-file key) -> WeightConfig field, in
 # serialization order
-_FAMILY_FIELDS = (
-    ("legality", "legality"),
-    ("indep", "indep"),
-    ("align-F", "align_f_mat"),
-    ("align-G", "align_g_mat"),
-    ("align-f", "align_offset"),
-    ("space", "space"),
-)
+_FAMILY_FIELDS = {
+    "legality": "legality",
+    "indep": "indep",
+    "align-F": "align_f_mat",
+    "align-G": "align_g_mat",
+    "align-f": "align_offset",
+    "space": "space",
+}
 
 
 @dataclass(frozen=True)
@@ -62,31 +62,29 @@ class WeightConfig:
     @staticmethod
     def with_overrides(overrides: dict[str, Fraction] | None) -> "WeightConfig":
         kw = {}
-        mapping = dict(_FAMILY_FIELDS)
         for key, val in (overrides or {}).items():
-            if key not in mapping:
+            if key not in _FAMILY_FIELDS:
                 raise ValueError(f"unknown weight family {key!r}")
             val = Fraction(val)
             if val <= 0:
                 raise ValueError("weights must be strictly positive")
-            kw[mapping[key]] = val
+            kw[_FAMILY_FIELDS[key]] = val
         return WeightConfig(**kw)
 
     def to_doc(self) -> dict:
         return {
             fam: [getattr(self, name).numerator, getattr(self, name).denominator]
-            for fam, name in _FAMILY_FIELDS
+            for fam, name in _FAMILY_FIELDS.items()
         }
 
     @staticmethod
     def from_doc(doc: dict) -> "WeightConfig":
         """Every family is required; a key that names none is rejected."""
-        mapping = dict(_FAMILY_FIELDS)
         for key in doc:
-            if key not in mapping:
+            if key not in _FAMILY_FIELDS:
                 raise ValueError(f"plan weights, field {key!r} names no weight family")
         kw = {}
-        for fam, name in _FAMILY_FIELDS:
+        for fam, name in _FAMILY_FIELDS.items():
             kw[name] = _fraction(doc, fam, "plan weights", f"plan weight {fam!r}")
             if kw[name] <= 0:
                 raise ValueError(
@@ -149,7 +147,7 @@ def build_recursion_system(
     active_deps,
     active_in_deps,
     active_space: list,
-    table: dict | None = None,
+    table: dict,
 ) -> ConstraintSystem:
     """Assemble the optimization system of recursion len(xs) + 1.
 
@@ -162,7 +160,6 @@ def build_recursion_system(
     alignment and its locality columns.  Each recursion only selects the
     active families from it.
     """
-    table = {} if table is None else table
 
     def family(key, build, *args):
         if key not in table:
@@ -214,7 +211,7 @@ def run_procedure(
     """
     n = nest.max_depth
     if not 0 <= r_space < n:
-        raise ProcedureError(f"spatial dimension count must satisfy 0 <= r < {n}")
+        raise ValueError(f"spatial dimension count must satisfy 0 <= r < n: got r={r_space}, n={n}")
     weights = weights or WeightConfig()
     solver_cfg = solver_cfg or SolverConfig()
     layout = ExtendedLayout.for_nest(nest)
@@ -432,8 +429,7 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
     e = nest.outer_vars.count
     n = nest.max_depth
     depths = {s.id: s.depth for s in nest.statements}
-    other_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind != "in"]
-    in_deps = [i for i, dep in enumerate(nest.dependences) if dep.kind == "in"]
+    other_deps, in_deps, _ = initial_sets(nest)
     access_keys = [acc.key for acc in nest.accesses]
     r_space = read_int(read_field(doc, "r_space", "plan document"), "plan r_space")
     if not 0 <= r_space < n:

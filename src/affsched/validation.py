@@ -405,7 +405,7 @@ def first_recursion_system(
     """The optimization system of recursion 1 with all sets at their initial value."""
     return build_recursion_system(
         nest, ExtendedLayout.for_nest(nest), [], r_space, weights or WeightConfig(),
-        *initial_sets(nest),
+        *initial_sets(nest), {},
     )
 
 
@@ -430,16 +430,17 @@ def brute_force_minimum(
     the first variable slowest; every other entry of x is 0.  Exhaustive, in
     numpy chunks, and sharing no code with the solver, so it certifies both
     the solver's optimum and the vector it picks among equal optima.  Raises
-    InfeasibleError when no vector in the box is feasible.
+    InfeasibleError when no vector in the box is feasible, and ValueError
+    when the box holds more than 3**ORACLE_MAX_VARS vectors.
     """
-    m = system.layout.size
-    if m > ORACLE_MAX_VARS:
-        raise ValueError(f"oracle cap exceeded: extended vector has {m} > {ORACLE_MAX_VARS} entries")
     assert all(c.sense in (GEQ0, ABS) for c in system.columns)
     used = sorted({i for col in system.columns for i, _ in col.terms}
                   | {i for cands in system.witnesses.values() for w in cands
                      for i, c in enumerate(w.s_tilde) if c})
     values = [0] + [u for v in range(1, bound + 1) for u in (v, -v)]
+    if len(values) ** len(used) > 3 ** ORACLE_MAX_VARS:
+        raise ValueError(f"oracle cap exceeded: {len(values)}**{len(used)} vectors "
+                         f"> 3**{ORACLE_MAX_VARS}")
     scale = lcm(*[col.weight.denominator for col in system.columns])
     coeff = np.array([[col.coeffs[i] for col in system.columns] for i in used],
                      dtype=np.int64).reshape(len(used), len(system.columns))
@@ -447,7 +448,9 @@ def brute_force_minimum(
     is_geq = np.array([col.sense == GEQ0 for col in system.columns], dtype=bool)
     witness_mats = [np.array([[w.s_tilde[i] for w in cands] for i in used], dtype=np.int64)
                     for cands in system.witnesses.values()]
-    tail = min(len(used), 10)
+    tail = len(used)  # variables per chunk: at most 3**10 vectors
+    while len(values) ** tail > 3 ** 10:
+        tail -= 1
     x = np.array(list(itertools.product(values, repeat=tail)),
                  dtype=np.int64).reshape(len(values) ** tail, tail)
     x = np.hstack([np.zeros((len(x), len(used) - tail), dtype=np.int64), x])
@@ -467,7 +470,7 @@ def brute_force_minimum(
             best = int(objective[first]), x[first].tolist()
     if best is None:
         raise InfeasibleError(f"oracle found no feasible assignment at bound {bound}")
-    full = [0] * m
+    full = [0] * system.layout.size
     for i, v in zip(used, best[1]):
         full[i] = v
     return Fraction(best[0], scale), tuple(full)

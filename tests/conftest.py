@@ -2,11 +2,13 @@ import importlib
 import json
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from affsched.algebra import dot
 from affsched.comm import comm_report
+from affsched.constraints import _column
 from affsched.nest import load_nest
 from affsched.procedure import run_procedure
 
@@ -62,6 +64,11 @@ def fixture_plan(name, r_space=None, **kwargs):
     if key not in _plan_cache:
         _plan_cache[key] = run_procedure(fixture_nest(name), r_space=r_space, **kwargs)
     return _plan_cache[key]
+
+
+def column(coeffs, sense, family, label, weight):
+    """The constraint column with dense coefficients `coeffs`, built as the builders build one."""
+    return _column(SimpleNamespace(size=len(coeffs)), [(0, coeffs)], sense, family, label, weight)
 
 
 def access_of(nest, key):

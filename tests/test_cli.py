@@ -63,7 +63,7 @@ class TestSolve:
     def test_r_must_be_smaller_than_depth(self, capsys):
         rc = main(["solve", "--input", fixture_path("vecadd"), "--spatial-dims", "1"])
         assert rc == EXIT_INPUT
-        assert "r must be < n" in capsys.readouterr().err
+        assert "0 <= r < n: got r=1, n=1" in capsys.readouterr().err
 
     def test_missing_input(self, capsys):
         rc = main(["solve", "--input", "/nonexistent.json"])
@@ -135,6 +135,7 @@ class TestSolve:
         (("accesses", 0, "F"), 3),
         (("arrays", 0, "dim"), 1.5),
         (("params", 0, "min"), "4"),
+        (("dependences", 0, "produced_by", "slot"), 1),
     ])
     def test_malformed_nest_field(self, tmp_path, capsys, path, value):
         doc = fixture_doc("chain")

@@ -1,6 +1,5 @@
 """Constraint-column construction: layout, legality, alignment, locality."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
@@ -14,7 +13,6 @@ from affsched.algebra import dot
 from affsched.constraints import (
     ABS,
     GEQ0,
-    ConstraintColumn,
     ExtendedLayout,
     _column,
     build_alignment_columns,
@@ -26,7 +24,7 @@ from affsched.nest import load_nest
 from affsched.procedure import initial_sets
 from affsched.validation import enumerate_domain
 from conftest import (
-    access_of, fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at,
+    access_of, column, fixture_doc, fixture_nest, perfbench_module, source_point, vertex_at,
 )
 
 FIXTURES = ("vecadd", "chain", "stencil", "addmat", "matvec", "matmul", "chain23", "chain42")
@@ -117,19 +115,20 @@ def _coeffs_and_vector(draw):
 
 
 class TestColumnTerms:
-    @given(_coeffs_and_vector(), st.sampled_from([GEQ0, ABS]))
-    def test_terms_agree_with_dense_coefficients(self, drawn, sense):
+    @given(_coeffs_and_vector(), st.sampled_from([GEQ0, ABS]), st.data())
+    def test_terms_agree_with_dense_coefficients(self, drawn, sense, data):
         coeffs, x = drawn
-        col = ConstraintColumn(coeffs, sense, "f", "c", Fraction(1))
+        col = column(coeffs, sense, "f", "c", Fraction(1))
         dense = sum(c * v for c, v in zip(coeffs, x))
         assert col.value(x) == dense
         assert col.slack(x) == (abs(dense) if sense == ABS else dense)
         assert col.terms == tuple((i, c) for i, c in enumerate(coeffs) if c)
-        # a builder's column and a rebuilt column carry the same terms
-        built = _column(SimpleNamespace(size=len(coeffs)), [(0, coeffs)], sense, "f", "c",
-                        Fraction(1))
+        # the coefficients given as two blocks make the same column and terms
+        k = data.draw(st.integers(0, len(coeffs)))
+        built = _column(SimpleNamespace(size=len(coeffs)), [(0, coeffs[:k]), (k, coeffs[k:])],
+                        sense, "f", "c", Fraction(1))
         assert built == col and built.terms == col.terms
-        negated = dataclasses.replace(col, coeffs=tuple(-c for c in coeffs))
+        negated = column(tuple(-c for c in coeffs), sense, "f", "c", Fraction(1))
         assert negated.terms == tuple((i, -c) for i, c in col.terms)
 
 

@@ -183,6 +183,11 @@ class TestValidationErrors:
         (("accesses", 0, "kind"), "modify", "bad kind 'modify'$"),
         (("dependences", 0, "domain", "box"), [{"lower": {"coeffs": [0], "const": 1}, "upper": {"coeffs": [1], "const": 0}}] * 2,
          "^dependence #0: domain dimensionality != target depth$"),
+        # produced_by links a flow dependence to a read; slot 1 is the write of x
+        (("dependences", 0, "produced_by", "slot"), 1,
+         "^dependence #0: produced_by does not name a read of the target$"),
+        (("dependences", 0, "kind"), "anti",
+         "^dependence #0: produced_by on an anti dependence, not a flow one$"),
     ])
     def test_field_of_wrong_json_type(self, path, value, match):
         doc = fixture_doc("chain")

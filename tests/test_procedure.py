@@ -243,9 +243,9 @@ class TestRankAndErrors:
             assert rank(plan.statements[s.id].schedule) == s.depth
 
     def test_r_out_of_range(self):
-        with pytest.raises(ProcedureError, match="spatial dimension"):
+        with pytest.raises(ValueError, match="spatial dimension"):
             run_procedure(fixture_nest("vecadd"), r_space=1)
-        with pytest.raises(ProcedureError, match="spatial dimension"):
+        with pytest.raises(ValueError, match="spatial dimension"):
             run_procedure(fixture_nest("matmul"), r_space=-1)
 
     def test_infeasible_recursion(self):

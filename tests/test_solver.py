@@ -14,7 +14,6 @@ from affsched.algebra import dot
 from affsched.constraints import (
     ABS,
     GEQ0,
-    ConstraintColumn,
     ConstraintSystem,
     ExtendedLayout,
     RankWitness,
@@ -30,7 +29,7 @@ from affsched.solver import (
     solve,
 )
 from affsched.validation import brute_force_minimum, first_recursion_system
-from conftest import fixture_nest
+from conftest import column, fixture_nest
 
 
 @dataclass
@@ -163,7 +162,11 @@ class TestDeterminism:
 
 
 class TestExhaustiveEquivalence:
-    @pytest.mark.parametrize("name,r", [("vecadd", 0), ("chain", 0), ("stencil", 1)])
+    # addmat, matmul, chain23 (two statements) and mixed (two parameters) at
+    # r=0 lay out 16-25 entries but use at most 10 of them
+    @pytest.mark.parametrize("name,r", [("vecadd", 0), ("chain", 0), ("stencil", 1),
+                                        ("addmat", 0), ("matmul", 0), ("chain23", 0),
+                                        ("mixed", 0)])
     def test_same_objective(self, name, r):
         system = first_recursion_system(fixture_nest(name), r_space=r)
         sol = solve(system, SolverConfig(coeff_bound=1))
@@ -227,7 +230,7 @@ def _random_systems(draw):
             coeffs[k] = c
         weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
         sense = draw(st.sampled_from((GEQ0, ABS)))
-        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", f"c{i}", weight))
+        columns.append(column(coeffs, sense, "f", f"c{i}", weight))
     return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
 
 
@@ -251,7 +254,7 @@ def _paired_systems(draw):
                 coeffs[k] = c
             weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
             i = len(columns)
-            columns.append(ConstraintColumn(tuple(coeffs), sense, "f", f"c{i}", weight))
+            columns.append(column(coeffs, sense, "f", f"c{i}", weight))
     return ConstraintSystem(lay, columns, _draw_witnesses(draw, lay, depths))
 
 
@@ -266,7 +269,7 @@ def _opposed_systems(draw):
 
     def add(coeffs, sense):
         weight = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
-        columns.append(ConstraintColumn(tuple(coeffs), sense, "f", f"c{len(columns)}", weight))
+        columns.append(column(coeffs, sense, "f", f"c{len(columns)}", weight))
 
     for _ in range(draw(st.integers(1, 3))):
         last = draw(st.integers(1, lay.size - 1))
@@ -348,8 +351,8 @@ class TestRandomSystems:
         for col in system.columns:
             sign = -1 if col.sense == ABS else 1
             split.append(replace(col, weight=col.weight / 3))
-            split.append(replace(col, coeffs=tuple(sign * c for c in col.coeffs),
-                                 label=col.label + "'", weight=col.weight * 2 / 3))
+            split.append(column([sign * c for c in col.coeffs], col.sense, col.family,
+                                col.label + "'", col.weight * 2 / 3))
         twin = ConstraintSystem(system.layout, split, system.witnesses)
         for bound in (1, 2):
             cfg = SolverConfig(coeff_bound=bound)
@@ -564,7 +567,7 @@ class TestConstructedSystems:
     def _column(self, lay, index, coeff, sense, weight=Fraction(1)):
         coeffs = [0] * lay.size
         coeffs[index] = coeff
-        return ConstraintColumn(tuple(coeffs), sense, "legality-const", f"c{index}", weight)
+        return column(coeffs, sense, "legality-const", f"c{index}", weight)
 
     def test_infeasible_when_witness_conflicts(self):
         lay = _layout("vecadd")
@@ -587,7 +590,7 @@ class TestConstructedSystems:
         coeffs = [0] * lay.size
         coeffs[t] = 1
         coeffs[a] = 1
-        cols = [ConstraintColumn(tuple(coeffs), ABS, "align-f", "tie", Fraction(5))]
+        cols = [column(coeffs, ABS, "align-f", "tie", Fraction(5))]
         s_tilde = [0] * lay.size
         s_tilde[t] = 1
 
@@ -605,7 +608,7 @@ class TestConstructedSystems:
         for name, (c0, c1), w in zip("ab", (a, b), weights):
             coeffs = [0] * lay.size
             coeffs[x0], coeffs[x1] = c0, c1
-            cols.append(ConstraintColumn(tuple(coeffs), sense, "align-f", name, Fraction(w)))
+            cols.append(column(coeffs, sense, "align-f", name, Fraction(w)))
         s_tilde = [0] * lay.size
         s_tilde[x0] = 1
         wit = {"S1": [RankWitness((1,), tuple(s_tilde))]}

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,9 @@ from affsched import validation
 from affsched.validation import (
     ValidationReport,
     brute_force_best_alignment,
+    brute_force_minimum,
     claimed_locality_depth,
+    first_recursion_system,
     validate,
 )
 from conftest import (
@@ -442,6 +446,15 @@ class TestOracle:
     def test_cap_on_large_systems(self):
         with pytest.raises(ValueError, match="cap"):
             brute_force_best_alignment(fixture_nest("matmul"), 1, bound=1)
+
+    def test_cap_counts_vectors_of_the_box(self):
+        # matvec r=1 uses 14 variables: 3**14 vectors at bound 1, but 5**14 at
+        # bound 2, which is refused before any chunk is built
+        system = first_recursion_system(fixture_nest("matvec"), 1)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=re.escape("cap exceeded: 5**14 vectors > 3**14")):
+            brute_force_minimum(system, bound=2)
+        assert time.monotonic() - start < 2
 
     def test_fractional_weights(self):
         from affsched.procedure import WeightConfig
