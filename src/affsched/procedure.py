@@ -11,8 +11,9 @@ grow are forced through the rank witnesses.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import dot, rank
@@ -26,7 +27,7 @@ from .constraints import (
     rank_witnesses,
 )
 from .nest import LoopNest, contains_point, read_field, read_int, read_matrix, read_vector
-from .solver import InfeasibleError, SolverConfig, SolverTimeout, solve
+from .solver import InfeasibleError, SolverConfig, SolverTimeout, evaluate, solve
 
 
 log = logging.getLogger("affsched")
@@ -85,20 +86,15 @@ class WeightConfig:
                 raise ValueError(f"plan weights, field {key!r} names no weight family")
         kw = {}
         for fam, name in _FAMILY_FIELDS.items():
-            kw[name] = _fraction(doc, fam, "plan weights", f"plan weight {fam!r}")
+            num, den = read_vector(doc, fam, 2, "plan weights")  # [numerator, denominator]
+            if den == 0:
+                raise ValueError(f"plan weight {fam!r} has denominator 0")
+            kw[name] = Fraction(num, den)
             if kw[name] <= 0:
                 raise ValueError(
                     f"plan weights, field {fam!r}: {kw[name]} is not strictly positive"
                 )
         return WeightConfig(**kw)
-
-
-def _fraction(obj, key: str, where: str, what: str) -> Fraction:
-    """Field `key` of `obj`, a [numerator, denominator] pair."""
-    num, den = read_vector(obj, key, 2, where)
-    if den == 0:
-        raise ValueError(f"{what} has denominator 0")
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,8 @@ class TransformPlan:
     arrays: dict[str, ArrayAllocation]
     r_space: int
     weights: WeightConfig
-    diagnostics: list[RecursionDiagnostics] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    diagnostics: list[RecursionDiagnostics]
+    warnings: list[str]
 
 
 def build_recursion_system(
@@ -203,17 +199,50 @@ def run_procedure(
     weights: WeightConfig | None = None,
     solver_cfg: SolverConfig | None = None,
 ) -> TransformPlan:
-    """Execute all recursions and assemble the transform plan.
+    """Execute all recursions, each on the vector the exact search finds,
+    and assemble the transform plan.  A statement whose final schedule
+    rows fall short of its depth raises ProcedureError."""
+    solver_cfg = solver_cfg or SolverConfig()
 
-    The solution vector of each recursion is the one record kept: every
-    schedule row, placement row and accumulated rank is read off `xs`
-    through the layout.
+    def search(xi, system, active_deps, active_in_deps):
+        try:
+            sol = solve(system, solver_cfg)
+        except InfeasibleError as exc:
+            raise ProcedureError(
+                f"recursion {xi} infeasible (active dependences {active_deps}, "
+                f"in-dependences {active_in_deps}): {exc}"
+            ) from exc
+        except SolverTimeout as exc:
+            raise SolverTimeout(f"recursion {xi}: {exc}") from exc
+        log.debug(
+            "recursion %d: objective %s after %d passes (final cap %s), %d nodes, "
+            "%d rows (%d implied), witnesses %s",
+            xi, sol.objective, sol.passes, sol.cap, sol.nodes, sol.rows, sol.implied_rows,
+            sol.witness_used,
+        )
+        return sol.x, sol.objective, sol.slacks, sol.witness_used
+
+    plan = _recursions(nest, r_space, weights or WeightConfig(), search)
+    for s in nest.statements:
+        t_rows = plan.statements[s.id].schedule
+        if rank(t_rows) != s.depth:
+            raise ProcedureError(
+                f"statement {s.id!r}: final schedule rank {rank(t_rows)} < depth {s.depth}"
+            )
+    return plan
+
+
+def _recursions(nest: LoopNest, r_space: int, weights: WeightConfig, pick) -> TransformPlan:
+    """Run every recursion and assemble the plan.
+
+    `pick(xi, system, active_deps, active_in_deps)` gives recursion xi's
+    vector with its objective, slacks and witnesses.  The vector of each
+    recursion is the one record kept: every schedule row, placement row and
+    accumulated rank is read off `xs` through the layout.
     """
     n = nest.max_depth
     if not 0 <= r_space < n:
         raise ValueError(f"spatial dimension count must satisfy 0 <= r < n: got r={r_space}, n={n}")
-    weights = weights or WeightConfig()
-    solver_cfg = solver_cfg or SolverConfig()
     layout = ExtendedLayout.for_nest(nest)
 
     active_deps, active_in_deps, active_space = initial_sets(nest)
@@ -238,23 +267,7 @@ def run_procedure(
             active_space,
             table,
         )
-        try:
-            sol = solve(system, solver_cfg)
-        except InfeasibleError as exc:
-            raise ProcedureError(
-                f"recursion {xi} infeasible (active dependences {active_deps}, "
-                f"in-dependences {active_in_deps}): {exc}"
-            ) from exc
-        except SolverTimeout as exc:
-            raise SolverTimeout(f"recursion {xi}: {exc}") from exc
-        witnesses = sol.witness_used
-        log.debug(
-            "recursion %d: objective %s after %d passes (final cap %s), %d nodes, "
-            "%d rows (%d implied), witnesses %s",
-            xi, sol.objective, sol.passes, sol.cap, sol.nodes, sol.rows, sol.implied_rows,
-            witnesses,
-        )
-        x = sol.x
+        x, objective, slacks, witnesses = pick(xi, system, active_deps, active_in_deps)
         xs.append(x)
 
         # per active dependence, the values at x of its constant forms
@@ -275,8 +288,8 @@ def run_procedure(
         diagnostics.append(
             RecursionDiagnostics(
                 xi=xi,
-                objective=sol.objective,
-                slacks=sol.slacks,
+                objective=objective,
+                slacks=slacks,
                 witnesses=witnesses,
                 active_dependences=sorted(active_deps + dropped),
                 active_in_dependences=sorted(active_in_deps + dropped_in),
@@ -286,16 +299,12 @@ def run_procedure(
             )
         )
 
-    statements = {}
-    for s in nest.statements:
-        t_rows = rows("tau", s.id)
-        if rank(t_rows) != s.depth:
-            raise ProcedureError(
-                f"statement {s.id!r}: final schedule rank {rank(t_rows)} < depth {s.depth}"
-            )
-        statements[s.id] = StatementTransform(
-            t_rows, rows("b", s.id), tuple(x[layout.offset("a", s.id)] for x in xs)
+    statements = {
+        s.id: StatementTransform(
+            rows("tau", s.id), rows("b", s.id), tuple(x[layout.offset("a", s.id)] for x in xs)
         )
+        for s in nest.statements
+    }
     arrays = {
         a.id: ArrayAllocation(
             rows("eta", a.id, r_space),
@@ -400,37 +409,20 @@ def plan_to_doc(plan: TransformPlan) -> dict:
     }
 
 
-def _indices(obj, key: str, where: str, allowed: list[int]) -> list[int]:
-    """Field `key` of `obj` as a list of ints, each one of `allowed`."""
-    what = f"{where}, field {key!r}: entry"
-    out = [read_int(v, what) for v in read_field(obj, key, where, list)]
-    for i in out:
-        if i not in allowed:
-            raise ValueError(f"{what} {i} is not one of {allowed}")
-    return out
-
-
 def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
-    """Read a plan document back, each matrix at the width `nest` gives it.
+    """Read a plan document back, each matrix at the width `nest` gives it,
+    and replay its transforms through the recursions for the diagnostics
+    and warnings.
 
     A missing field, a field of the wrong JSON type, a non-integer where an
     integer is expected, statements or arrays other than the nest's, an
     r_space outside [0, depth), a matrix or vector whose shape disagrees with
-    the nest and r_space, or a zero denominator raise ValueError.  So do
-    diagnostics out of range: a witness for a statement the nest lacks, of
-    the wrong length or with a sign other than +-1, a dependence index that
-    is not one of the nest's dependences of that kind (`in` or not), an
-    active space access that is not the [array, statement, slot] key of one
-    of the nest's accesses, and an `xi` other than the recursion's position
-    + 1.  So do a diagnostics list that is neither empty nor one entry per
-    recursion, a weights object that lacks a family, and a warning that is
-    not a string.
+    the nest and r_space, a weights object that lacks a family, or a zero
+    denominator raise ValueError.  So do `diagnostics` and `warnings`, where
+    the document gives them, if they are not what the transforms give.
     """
     e = nest.outer_vars.count
     n = nest.max_depth
-    depths = {s.id: s.depth for s in nest.statements}
-    other_deps, in_deps, _ = initial_sets(nest)
-    access_keys = [acc.key for acc in nest.accesses]
     r_space = read_int(read_field(doc, "r_space", "plan document"), "plan r_space")
     if not 0 <= r_space < n:
         raise ValueError(f"plan r_space {r_space!r} is not an int in [0, {n})")
@@ -438,64 +430,56 @@ def plan_from_doc(doc: dict, nest: LoopNest) -> TransformPlan:
         ids = sorted(x.id for x in items)
         if sorted(read_field(doc, kind, "plan document", dict)) != ids:
             raise ValueError(f"plan {kind} {sorted(doc[kind])} are not the nest's {ids}")
-    statements = {
-        s.id: StatementTransform(
-            read_matrix(doc["statements"][s.id], "T", n, s.depth, f"plan statement {s.id!r}"),
-            read_matrix(doc["statements"][s.id], "B", n, e, f"plan statement {s.id!r}"),
-            read_vector(doc["statements"][s.id], "a", n, f"plan statement {s.id!r}"),
-        )
-        for s in nest.statements
-    }
-    arrays = {
-        a.id: ArrayAllocation(
-            read_matrix(doc["arrays"][a.id], "H", r_space, a.dim, f"plan array {a.id!r}"),
-            read_matrix(doc["arrays"][a.id], "Z", r_space, e, f"plan array {a.id!r}"),
-            read_vector(doc["arrays"][a.id], "y", r_space, f"plan array {a.id!r}"),
-        )
-        for a in nest.arrays
-    }
-    diagnostics = []
-    diags = read_field(doc, "diagnostics", "plan document", list) if "diagnostics" in doc else []
-    if diags and len(diags) != n:
-        raise ValueError(f"plan document, field 'diagnostics': {len(diags)} entries, expected {n}")
-    for i, d in enumerate(diags):
-        where = f"plan diagnostics #{i}"
-        xi = read_int(read_field(d, "xi", where), f"{where} xi")
-        if xi != i + 1:
-            raise ValueError(f"{where}: xi {xi} is not {i + 1}")
-        spaces = read_field(d, "active_space_accesses", where, list)
-        if not all(isinstance(k, list) for k in spaces):
-            raise ValueError(f"{where}, field 'active_space_accesses' must hold lists")
-        what = f"{where}, field 'active_space_accesses': entry"
-        for k in spaces:
-            # two strings and an int: a slot 1.0 or true would equal the slot 1
-            if len(k) != 3 or (k[0], k[1], read_int(k[2], f"{what} {k!r} slot")) not in access_keys:
-                raise ValueError(f"{what} {k!r} is not the key of an access of the nest")
-        witnesses = {}
-        for sid, w in read_field(d, "witnesses", where, dict).items():
-            if sid not in depths:
-                raise ValueError(f"{where}: witness for statement {sid!r}, which the nest lacks")
-            sign = read_int(read_field(w, "sign", where), f"{where} witness sign")
-            if sign not in (1, -1):
-                raise ValueError(f"{where} witness sign {sign} is not 1 or -1")
-            witnesses[sid] = (read_vector(w, "s", depths[sid], where), sign)
-        diagnostics.append(
-            RecursionDiagnostics(
-                xi=xi,
-                objective=_fraction(d, "objective", where, f"plan objective of recursion {xi}"),
-                slacks={label: read_int(v, f"{where} slack {label!r}")
-                        for label, v in read_field(d, "slacks", where, dict).items()},
-                witnesses=witnesses,
-                active_dependences=_indices(d, "active_dependences", where, other_deps),
-                active_in_dependences=_indices(d, "active_in_dependences", where, in_deps),
-                dropped_dependences=_indices(d, "dropped_dependences", where, other_deps),
-                dropped_in_dependences=_indices(d, "dropped_in_dependences", where, in_deps),
-                active_space_accesses=[tuple(k) for k in spaces],
-            )
-        )
-    warnings = read_field(doc, "warnings", "plan document", list) if "warnings" in doc else []
-    for w in warnings:
-        if not isinstance(w, str):
-            raise ValueError(f"plan document, field 'warnings': entry {w!r} is not a string")
+    blocks = {}  # (kind, id) -> the block's entries per recursion
+    for s in nest.statements:
+        where, st = f"plan statement {s.id!r}", doc["statements"][s.id]
+        blocks["tau", s.id] = read_matrix(st, "T", n, s.depth, where)
+        blocks["b", s.id] = read_matrix(st, "B", n, e, where)
+        blocks["a", s.id] = [(v,) for v in read_vector(st, "a", n, where)]
+    for a in nest.arrays:
+        where, al = f"plan array {a.id!r}", doc["arrays"][a.id]
+        blocks["eta", a.id] = read_matrix(al, "H", r_space, a.dim, where)
+        blocks["z", a.id] = read_matrix(al, "Z", r_space, e, where)
+        blocks["y", a.id] = [(v,) for v in read_vector(al, "y", r_space, where)]
     weights = WeightConfig.from_doc(read_field(doc, "weights", "plan document", dict))
-    return TransformPlan(statements, arrays, r_space, weights, diagnostics, list(warnings))
+
+    def read_off(xi, system, *_):
+        x = [0] * system.layout.size
+        for key, (start, stop) in system.layout.spans.items():
+            if xi <= len(blocks[key]):  # the array blocks are 0 after recursion r_space
+                x[start:stop] = blocks[key][xi - 1]
+        x = tuple(x)
+        slacks, witnesses = evaluate(system, x)
+        objective = sum((col.weight * slacks[col.label] for col in system.columns), Fraction(0))
+        return x, objective, slacks, witnesses
+
+    plan = _recursions(nest, r_space, weights, read_off)
+    derived = plan_to_doc(plan)
+    for key in ("diagnostics", "warnings"):
+        if key in doc:
+            given = read_field(doc, key, "plan document", list)
+            if len(given) != len(derived[key]):
+                raise ValueError(f"plan document, field {key!r}: {len(given)} entries, "
+                                 f"its transforms give {len(derived[key])}")
+            for i, entry in enumerate(given):
+                _same_as_derived(entry, derived[key][i], f"plan {key} #{i}:")
+    return plan
+
+
+def _same_as_derived(given, derived, where: str) -> None:
+    """Raise ValueError at the first value of `given` that is not
+    `derived`'s, compared as canonical JSON text, so that 1.0 and true do
+    not equal 1.  Objects are compared field by field, `derived`'s fields
+    first; a field that one of them lacks reads as (none)."""
+    if isinstance(given, dict) and isinstance(derived, dict):
+        for key in {**derived, **given}:
+            _same_as_derived(given.get(key, _NONE), derived.get(key, _NONE), f"{where} {key}")
+    elif _text(given) != _text(derived):
+        raise ValueError(f"{where} {_text(given)}, its transforms give {_text(derived)}")
+
+
+_NONE = object()
+
+
+def _text(value) -> str:
+    return "(none)" if value is _NONE else json.dumps(value, sort_keys=True)

@@ -267,25 +267,17 @@ class _Search:
                 self.over_cap = self.least
 
     def solution(self) -> Solution:
-        """The incumbent of the last pass as a full-layout solution.  Each
-        statement's witness is its first candidate with s~.x != 0, the sign
-        that of s~.x: the earliest option the search saw met at the leaf."""
-        system = self.system
-        full = [0] * system.layout.size
+        """The incumbent of the last pass as a full-layout solution, with
+        its slacks and witnesses as `evaluate` gives them."""
+        full = [0] * self.system.layout.size
         for g, v in zip(self.used, self.best_x):
             full[g] = v
         full = tuple(full)
-        witness_used = {}
-        for sid, cands in system.witnesses.items():
-            for w in cands:
-                v = dot(w.s_tilde, full)
-                if v:
-                    witness_used[sid] = (w.s, 1 if v > 0 else -1)
-                    break
+        slacks, witness_used = evaluate(self.system, full)
         return Solution(
             x=full,
             objective=Fraction(self.best, self.scale),
-            slacks={col.label: col.slack(full) for col in system.columns},
+            slacks=slacks,
             witness_used=witness_used,
             nodes=self.nodes,
             passes=self.passes,
@@ -528,6 +520,22 @@ def _derived_rows(nonzero, geq):
             taken.update((a, b))
             pairs.append((a, b, sign))
     return pairs, list(implied)
+
+
+def evaluate(system: ConstraintSystem, x) -> tuple[dict, dict]:
+    """The slack of each column at `x`, by label, and the witness of each
+    statement that must grow, as (s, sign): its first candidate with
+    s~.x != 0, the sign that of s~.x.  At a search's leaf that is the
+    earliest option the search saw met.  A statement with no such candidate
+    has no witness."""
+    witnesses = {}
+    for sid, cands in system.witnesses.items():
+        for w in cands:
+            v = dot(w.s_tilde, x)
+            if v:
+                witnesses[sid] = (w.s, 1 if v > 0 else -1)
+                break
+    return {col.label: col.slack(x) for col in system.columns}, witnesses
 
 
 def solve(system: ConstraintSystem, cfg: SolverConfig | None = None) -> Solution:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from affsched.cli import EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, EXIT_VIOLATION, main
-from conftest import FIXTURE_DIR, fixture_doc, reversal_doc
+from affsched.procedure import plan_from_doc
+from conftest import FIXTURE_DIR, fixture_doc, fixture_nest, reversal_doc
 
 
 def fixture_path(name):
@@ -215,6 +216,8 @@ class TestValidate:
     def test_violation_exit_code(self, matmul_plan, tmp_path, capsys):
         doc = json.loads(matmul_plan.read_text())
         doc["statements"]["S1"]["T"] = [[-1, 0, 0], [0, 0, -1], [0, -1, 0]]
+        # the solved schedule's diagnostics are not what the new one gives
+        del doc["diagnostics"], doc["warnings"]
         bad = tmp_path / "bad_plan.json"
         bad.write_text(json.dumps(doc))
         rc = main(
@@ -352,7 +355,7 @@ class TestValidate:
         rc = main([command, "--input", fixture_path("stencil"), "--plan", str(plan)])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "error: plan document, field 'diagnostics': 3 entries, expected 2\n")
+            "error: plan document, field 'diagnostics': 3 entries, its transforms give 2\n")
 
     def test_unwritable_out(self, matmul_plan, tmp_path, capsys):
         out = tmp_path / "missing" / "v.json"
@@ -380,3 +383,58 @@ class TestReport:
                    "--out", str(out)])
         assert rc == EXIT_INPUT
         assert f"cannot write output file {out}" in capsys.readouterr().err
+
+
+def _edited_plan(tmp_path, name, edit):
+    """The path of `name`'s solved plan after `edit` of its document."""
+    plan = tmp_path / "plan.json"
+    assert main(["solve", "--input", fixture_path(name), "--out", str(plan)]) == EXIT_OK
+    doc = json.loads(plan.read_text())
+    edit(doc)
+    plan.write_text(json.dumps(doc))
+    return plan
+
+
+class TestReplayedDiagnostics:
+    """A plan's diagnostics and warnings are what its transforms give."""
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_forged_diagnostics_rejected(self, command, tmp_path, capsys):
+        def forge(doc):
+            for d in doc["diagnostics"]:
+                d["objective"] = [0, 1]
+                d["slacks"] = dict.fromkeys(d["slacks"], 0)
+            doc["warnings"] = ["anything"]
+
+        plan = _edited_plan(tmp_path, "stencil", forge)
+        capsys.readouterr()
+        rc = main([command, "--input", fixture_path("stencil"), "--plan", str(plan)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: plan diagnostics #0: objective [0, 1], its transforms give [68, 1]\n")
+
+    @pytest.mark.parametrize("name,params,verdict", [
+        ("stencil", "N=6", "N=(6,): FAIL (violations=0, comm=66)"),
+        ("matmul", "N=4", "N=(4,): FAIL (violations=0, comm=32)"),
+        ("chain23", "N=4", "N=(4,): FAIL (violations=36, comm=128)"),
+        ("mixed", "N=4,M=4", "N=(4, 4): FAIL (violations=16, comm=23)"),
+    ])
+    def test_rank_deficient_plan_replays(self, name, params, verdict, tmp_path, capsys):
+        # every schedule row zeroed, the diagnostics and warnings dropped:
+        # the plan reads back, and validate, not the reading, reports it
+        def zero(doc):
+            for st in doc["statements"].values():
+                st["T"] = [[0] * len(row) for row in st["T"]]
+            del doc["diagnostics"], doc["warnings"]
+
+        plan = _edited_plan(tmp_path, name, zero)
+        replayed = plan_from_doc(json.loads(plan.read_text()), fixture_nest(name))
+        capsys.readouterr()
+        assert main(["report", "--input", fixture_path(name), "--plan", str(plan)]) == EXIT_OK
+        printed = [line.removeprefix("warning: ") for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("warning: ")]
+        assert printed == replayed.warnings
+        rc = main(["validate", "--input", fixture_path(name), "--plan", str(plan),
+                   "--params", params])
+        assert rc == EXIT_VIOLATION
+        assert capsys.readouterr().err == verdict + "\n"

@@ -8,8 +8,10 @@ N^(0)+2 and N^(0)+4, so a change to `comm_report` or `validate` that moves
 a byte of their output fails here too.  `tests/data/search_counts.json` pins,
 per case, the (nodes, passes, objective) of each recursion's search, so a
 change meant to leave the search alone (a cheaper set-up, fewer columns)
-cannot move it unnoticed.  Rewrite the files only for a deliberate change,
-from a checkout whose plans, reports and searches are the intended ones:
+cannot move it unnoticed.  Each solved plan, stripped of its diagnostics
+and warnings, must read back through `plan_from_doc` as the same document.
+Rewrite the files only for a deliberate change, from a checkout whose
+plans, reports and searches are the intended ones:
 
     PYTHONPATH=src python tests/test_plan_digests.py --write
 
@@ -28,7 +30,7 @@ import pytest
 from affsched import procedure
 from affsched.comm import comm_report
 from affsched.nest import load_nest
-from affsched.procedure import WeightConfig, plan_to_doc, run_procedure
+from affsched.procedure import WeightConfig, plan_from_doc, plan_to_doc, run_procedure
 from affsched.solver import SolverConfig
 from affsched.validation import validate
 from conftest import fixture_doc, perfbench_module
@@ -92,7 +94,8 @@ def _sha(doc):
 
 def digests(doc, r, overrides, bound):
     """The sha256 of the plan document, per report name that of the report,
-    and the [nodes, passes, objective] of each recursion's search."""
+    the [nodes, passes, objective] of each recursion's search, and the plan
+    document."""
     nest = load_nest(doc)
     searches = []
     solve = procedure.solve
@@ -113,16 +116,17 @@ def digests(doc, r, overrides, bound):
     for k in (2, 4):
         n_vals = [m + k for m in nest.outer_vars.minima]
         reports[f"validate N0+{k}"] = _sha(validate(nest, plan, n_vals).to_doc())
-    return _sha(plan_to_doc(plan)), reports, searches
+    plan_doc = plan_to_doc(plan)
+    return _sha(plan_doc), reports, searches, plan_doc
 
 
 def all_digests():
     """(case id -> plan digest, case id -> report digests, case id -> search
-    counts) over every case."""
-    plans, reports, searches = {}, {}, {}
+    counts, case id -> plan document) over every case."""
+    plans, reports, searches, docs = {}, {}, {}, {}
     for cid, case in cases().items():
-        plans[cid], reports[cid], searches[cid] = digests(*case)
-    return plans, reports, searches
+        plans[cid], reports[cid], searches[cid], docs[cid] = digests(*case)
+    return plans, reports, searches, docs
 
 
 def _changed(got, pinned):
@@ -147,11 +151,23 @@ def test_searches_match_pinned_counts(computed):
     assert _changed(computed[2], json.loads(SEARCH_COUNTS.read_text())) == []
 
 
+def test_transforms_replay_to_the_solved_plan(computed):
+    # a plan is its transforms: without its diagnostics and warnings, each
+    # solved plan reads back as the same document
+    solved = computed[3]
+    differ = []
+    for cid, (doc, *_) in cases().items():
+        given = {k: v for k, v in solved[cid].items() if k not in ("diagnostics", "warnings")}
+        if plan_to_doc(plan_from_doc(given, load_nest(doc))) != solved[cid]:
+            differ.append(cid)
+    assert differ == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_plan_digests.py --write")
     DATA.mkdir(exist_ok=True)
-    for path, pinned in zip((DIGESTS, REPORT_DIGESTS, SEARCH_COUNTS), all_digests()):
+    for path, pinned in zip((DIGESTS, REPORT_DIGESTS, SEARCH_COUNTS), all_digests()[:3]):
         old = json.loads(path.read_text()) if path.exists() else {}
         changed = sorted(cid for cid in pinned if old.get(cid) != pinned[cid])
         print(f"{path.name}: {len(changed)} of {len(pinned)} cases changed")

@@ -493,7 +493,9 @@ class TestSerialization:
         for key in path:
             target = target[key]
         del target[last]
-        with pytest.raises(ValueError, match="misses field"):
+        # a diagnostics entry is not read but compared with the replay's
+        match = r"xi \(none\), its transforms give 1" if drop[0] == "diagnostics" else "misses field"
+        with pytest.raises(ValueError, match=match):
             plan_from_doc(doc, fixture_nest("stencil"))
 
     def test_width_disagreeing_with_nest_rejected(self):
@@ -517,7 +519,8 @@ class TestSerialization:
         (("arrays", "u", "Z"), [], "field 'Z': 0 rows, expected 1"),
         (("arrays", "u", "y"), [0, 0], "field 'y': 2 entries, expected 1"),
         (("weights", "space"), [1, 0], "weight 'space' has denominator 0"),
-        (("diagnostics", 0, "objective"), [1, 0], "objective of recursion 1 has denominator 0"),
+        (("diagnostics", 0, "objective"), [1, 0],
+         r"plan diagnostics #0: objective \[1, 0\], its transforms give \[68, 1\]"),
         # non-integers are rejected, not truncated into another plan
         (("statements", "S1", "a"), [1.5, 0], "field 'a': entry 1.5 is not an int"),
         (("statements", "S1", "a"), [True, 0], "field 'a': entry True is not an int"),
@@ -532,51 +535,63 @@ class TestSerialization:
         (("statements",), ["S1"], "field 'statements' must be an object, got list"),
         (("warnings",), 3, "field 'warnings' must be a list, got int"),
         (("diagnostics",), 3, "field 'diagnostics' must be a list, got int"),
-        (("diagnostics", 0, "objective"), 3, "field 'objective' must be a list, got int"),
-        (("diagnostics", 0, "witnesses"), [1], "field 'witnesses' must be an object, got list"),
+        (("diagnostics", 0, "objective"), 3,
+         r"plan diagnostics #0: objective 3, its transforms give \[68, 1\]"),
+        (("diagnostics", 0, "witnesses"), [1],
+         r'plan diagnostics #0: witnesses \[1\], its transforms give {"S1": '),
         (("diagnostics", 0, "active_space_accesses"), [1],
-         "field 'active_space_accesses' must hold lists"),
-        # non-integer diagnostics
-        (("diagnostics", 0, "slacks", "dep0.v0"), 0.5, "slack 'dep0.v0' 0.5 is not an int"),
-        (("diagnostics", 0, "slacks", "dep0.v0"), "1", "slack 'dep0.v0' '1' is not an int"),
-        (("diagnostics", 0, "witnesses", "S1", "sign"), "x", "witness sign 'x' is not an int"),
-        (("diagnostics", 0, "witnesses", "S1", "sign"), 1.0, "witness sign 1.0 is not an int"),
+         r"plan diagnostics #0: active_space_accesses \[1\], its transforms give \[\]"),
+        # diagnostics are compared with the replay's as JSON text, so a
+        # non-integer differs from the integer it equals in Python
+        (("diagnostics", 0, "slacks", "dep0.v0"), 0.5,
+         "plan diagnostics #0: slacks dep0.v0 0.5, its transforms give 1"),
+        (("diagnostics", 0, "slacks", "dep0.v0"), "1",
+         'plan diagnostics #0: slacks dep0.v0 "1", its transforms give 1'),
+        (("diagnostics", 0, "witnesses", "S1", "sign"), "x",
+         'plan diagnostics #0: witnesses S1 sign "x", its transforms give 1'),
+        (("diagnostics", 0, "witnesses", "S1", "sign"), 1.0,
+         "plan diagnostics #0: witnesses S1 sign 1.0, its transforms give 1"),
         (("diagnostics", 0, "witnesses", "S1", "s"), [0.5, 1],
-         "field 's': entry 0.5 is not an int"),
+         r"plan diagnostics #0: witnesses S1 s \[0.5, 1\], its transforms give \[1, 0\]"),
         (("diagnostics", 0, "active_dependences"), [0, "1"],
-         "field 'active_dependences': entry '1' is not an int"),
+         r'plan diagnostics #0: active_dependences \[0, "1"\], its transforms give \[0, 1\]'),
         (("diagnostics", 0, "active_in_dependences"), [True],
-         "field 'active_in_dependences': entry True is not an int"),
+         r"plan diagnostics #0: active_in_dependences \[true\], its transforms give \[\]"),
         (("diagnostics", 0, "dropped_dependences"), [1.0],
-         "field 'dropped_dependences': entry 1.0 is not an int"),
+         r"plan diagnostics #0: dropped_dependences \[1.0\], its transforms give \[\]"),
         (("diagnostics", 0, "dropped_in_dependences"), [None],
-         "field 'dropped_in_dependences': entry None is not an int"),
+         r"plan diagnostics #0: dropped_in_dependences \[null\], its transforms give \[\]"),
         # diagnostics of the wrong JSON type
-        (("diagnostics", 0, "slacks"), [1], "field 'slacks' must be an object, got list"),
-        (("diagnostics", 0, "witnesses", "S1", "s"), 1, "field 's' must be a list, got int"),
+        (("diagnostics", 0, "slacks"), [1],
+         r'plan diagnostics #0: slacks \[1\], its transforms give {"align-F.u.S1.q1.0": 0, '),
+        (("diagnostics", 0, "witnesses", "S1", "s"), 1,
+         r"plan diagnostics #0: witnesses S1 s 1, its transforms give \[1, 0\]"),
         (("diagnostics", 0, "dropped_dependences"), 0,
-         "field 'dropped_dependences' must be a list, got int"),
+         r"plan diagnostics #0: dropped_dependences 0, its transforms give \[\]"),
         # diagnostics out of range
-        (("diagnostics", 0, "witnesses", "S1", "sign"), 5, "witness sign 5 is not 1 or -1"),
-        (("diagnostics", 0, "witnesses", "S1", "sign"), 0, "witness sign 0 is not 1 or -1"),
-        (("diagnostics", 0, "witnesses", "S1", "s"), [1, 0, 7], "field 's': 3 entries, expected 2"),
+        (("diagnostics", 0, "witnesses", "S1", "sign"), 5,
+         "plan diagnostics #0: witnesses S1 sign 5, its transforms give 1"),
+        (("diagnostics", 0, "witnesses", "S1", "sign"), 0,
+         "plan diagnostics #0: witnesses S1 sign 0, its transforms give 1"),
+        (("diagnostics", 0, "witnesses", "S1", "s"), [1, 0, 7],
+         r"plan diagnostics #0: witnesses S1 s \[1, 0, 7\], its transforms give \[1, 0\]"),
         (("diagnostics", 0, "witnesses", "S9"), {"s": [1, 0], "sign": 1},
-         "witness for statement 'S9', which the nest lacks"),
+         r'plan diagnostics #0: witnesses S9 {"s": \[1, 0\], "sign": 1}, its transforms give \(none\)'),
         (("diagnostics", 0, "active_dependences"), [-3, 99],
-         r"field 'active_dependences': entry -3 is not one of \[0, 1\]"),
+         r"plan diagnostics #0: active_dependences \[-3, 99\], its transforms give \[0, 1\]"),
         (("diagnostics", 0, "dropped_dependences"), [2],
-         r"field 'dropped_dependences': entry 2 is not one of \[0, 1\]"),
+         r"plan diagnostics #0: dropped_dependences \[2\], its transforms give \[\]"),
         (("diagnostics", 0, "active_in_dependences"), [0],
-         r"field 'active_in_dependences': entry 0 is not one of \[\]"),
+         r"plan diagnostics #0: active_in_dependences \[0\], its transforms give \[\]"),
         # entries that are not what their field names
-        (("warnings",), [1, 2], "field 'warnings': entry 1 is not a string"),
+        (("warnings",), [1, 2], "field 'warnings': 2 entries, its transforms give 0"),
         (("diagnostics", 0, "active_space_accesses"), [["Q", "S9", 7, 8]],
-         r"entry \['Q', 'S9', 7, 8\] is not the key of an access of the nest"),
+         r'plan diagnostics #0: active_space_accesses \[\["Q", "S9", 7, 8\]\], its transforms give \[\]'),
         (("diagnostics", 0, "active_space_accesses"), [[1]],
-         r"entry \[1\] is not the key of an access of the nest"),
-        (("diagnostics", 0, "xi"), -4, "plan diagnostics #0: xi -4 is not 1"),
+         r"plan diagnostics #0: active_space_accesses \[\[1\]\], its transforms give \[\]"),
+        (("diagnostics", 0, "xi"), -4, "plan diagnostics #0: xi -4, its transforms give 1"),
         # the second recursion repeats the first one's xi
-        (("diagnostics", 1, "xi"), 1, "plan diagnostics #1: xi 1 is not 2"),
+        (("diagnostics", 1, "xi"), 1, "plan diagnostics #1: xi 1, its transforms give 2"),
         # a family left out would read back at its default weight
         (("weights",), {"indep": [4, 1], "align-F": [64, 1], "align-G": [64, 1],
                         "align-f": [64, 1], "space": [2, 1]},
@@ -588,9 +603,16 @@ class TestSerialization:
          "plan weights, field 'legality': -1 is not strictly positive"),
         # a slot that equals an access's int slot without being an int
         (("diagnostics", 0, "active_space_accesses"), [["u", "S1", 1.0]],
-         r"entry \['u', 'S1', 1.0\] slot 1.0 is not an int"),
+         r'plan diagnostics #0: active_space_accesses \[\["u", "S1", 1.0\]\], its transforms give \[\]'),
         (("diagnostics", 0, "active_space_accesses"), [["u", "S1", True]],
-         r"entry \['u', 'S1', True\] slot True is not an int"),
+         r'plan diagnostics #0: active_space_accesses \[\["u", "S1", true\]\], its transforms give \[\]'),
+        # values that equal the replay's in Python but not as JSON text
+        (("diagnostics", 0, "witnesses", "S1", "sign"), True,
+         "plan diagnostics #0: witnesses S1 sign true, its transforms give 1"),
+        (("diagnostics", 0, "slacks", "dep0.v0"), 1.0,
+         "plan diagnostics #0: slacks dep0.v0 1.0, its transforms give 1"),
+        (("diagnostics", 1, "objective"), [4.0, 1],
+         r"plan diagnostics #1: objective \[4.0, 1\], its transforms give \[4, 1\]"),
     ])
     def test_shape_disagreeing_with_nest_or_r_space_rejected(self, path, value, match):
         # a short vector would otherwise broadcast over the rows it lacks
@@ -605,19 +627,32 @@ class TestSerialization:
 
     def test_diagnostics_one_per_recursion_or_none(self):
         # stencil has depth 2: a third entry would read back as a third
-        # recursion, and a lone first entry as the whole procedure
+        # recursion, a lone first entry as the whole procedure, and no
+        # entry as no recursion
         nest = fixture_nest("stencil")
-        doc = plan_to_doc(fixture_plan("stencil"))
+        solved = plan_to_doc(fixture_plan("stencil"))
+        doc = dict(solved)
         first, second = doc["diagnostics"]
-        for diags in ([first, second, {**second, "xi": 3}], [first]):
+        for diags in ([first, second, {**second, "xi": 3}], [first], []):
             doc["diagnostics"] = diags
             with pytest.raises(ValueError, match=f"field 'diagnostics': {len(diags)} entries, "
-                                                 "expected 2"):
+                                                 "its transforms give 2"):
                 plan_from_doc(doc, nest)
-        doc["diagnostics"] = []
-        assert plan_from_doc(doc, nest).diagnostics == []
+        # an omitted list reads back as the one the transforms give
         del doc["diagnostics"]
-        assert plan_from_doc(doc, nest).diagnostics == []
+        assert plan_to_doc(plan_from_doc(doc, nest)) == solved
+
+    def test_warnings_are_the_replays(self):
+        # chain23 r=1 ties its one dependence at every level
+        nest = fixture_nest("chain23")
+        doc = plan_to_doc(fixture_plan("chain23", 1))
+        (warning,) = doc["warnings"]
+        doc["warnings"] = ["anything"]
+        with pytest.raises(ValueError, match=re.escape(
+                f'plan warnings #0: "anything", its transforms give "{warning}"')):
+            plan_from_doc(doc, nest)
+        del doc["warnings"]
+        assert plan_from_doc(doc, nest).warnings == [warning]
 
     def test_plan_of_another_nest_rejected(self):
         with pytest.raises(ValueError, match="not the nest's"):
